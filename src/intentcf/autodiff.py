@@ -234,17 +234,37 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(s, (a,), vjp)
 
 
+def _scatter_add(shape: tuple[int, ...], flat_idx: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Zeros of ``shape`` plus g summed at the linear indices flat_idx (one
+    per entry of g), repeats accumulating in order."""
+    size = int(np.prod(shape))
+    return np.bincount(flat_idx, weights=g.ravel(), minlength=size).reshape(shape)
+
+
 def gather_rows(a, idx) -> Tensor:
     """a[idx] for a 2-d tensor and an integer index vector."""
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
+    width = a.data.shape[1]
 
     def vjp(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        return (ga,)
+        flat = (idx[:, None] * width + np.arange(width)).ravel()
+        return (_scatter_add(a.data.shape, flat, g),)
 
     return _make(a.data[idx], (a,), vjp)
+
+
+def gather_cols(a, idx) -> Tensor:
+    """a[:, idx] for a 2-d tensor and an integer index vector."""
+    a = as_tensor(a)
+    idx = np.asarray(idx, dtype=np.intp)
+    n_rows, n_cols = a.data.shape
+
+    def vjp(g):
+        flat = (np.arange(n_rows)[:, None] * n_cols + idx).ravel()
+        return (_scatter_add(a.data.shape, flat, g),)
+
+    return _make(a.data[:, idx], (a,), vjp)
 
 
 def take_along_last(a, idx) -> Tensor:
@@ -319,7 +339,8 @@ def backward(loss: Tensor) -> None:
             if not p.requires_grad:
                 continue
             if p.grad is None:
-                p.grad = np.array(g, dtype=np.float64)
+                # no VJP writes into its inputs or outputs, so g is kept without a copy
+                p.grad = np.asarray(g, dtype=np.float64)
             else:
                 p.grad = p.grad + g
 

@@ -47,12 +47,6 @@ class RatingMatrix:
     def n_entries(self) -> int:
         return sum(len(idx) for idx, _ in self.rows)
 
-    def dense_row(self, i: int) -> np.ndarray:
-        out = np.zeros(self.n_items)
-        idx, vals = self.rows[i]
-        out[idx] = vals
-        return out
-
     def dense(self, users: np.ndarray | None = None) -> np.ndarray:
         users = np.arange(self.n_users) if users is None else users
         out = np.zeros((len(users), self.n_items))
@@ -79,6 +73,31 @@ class BinaryMatrix:
         for r, u in enumerate(users):
             out[r, self.rows[u]] = 1.0
         return out
+
+
+@dataclass
+class ItemBatch:
+    """A batch of users restricted to U, the sorted union of their rated
+    items: column c of each row holds item ``items[c]``, and every item
+    outside U is zero in every row."""
+
+    items: np.ndarray  # U, (|U|,) increasing item indices
+    ratings: np.ndarray  # (B, |U|)
+    binary: np.ndarray  # (B, |U|), the intent input
+
+
+def item_batch(ratings: RatingMatrix, binary: BinaryMatrix, users) -> ItemBatch:
+    """Rating and binary rows of ``users`` over their item union; ``binary``
+    is a binarization of ``ratings``, so its rows fall inside U."""
+    rows = np.arange(len(users))
+    idx = [ratings.rows[u][0] for u in users]
+    items, cols = np.unique(np.concatenate(idx), return_inverse=True)
+    r = np.zeros((len(users), items.size))
+    r[np.repeat(rows, [len(i) for i in idx]), cols] = np.concatenate([ratings.rows[u][1] for u in users])
+    bin_idx = [binary.rows[u] for u in users]
+    x = np.zeros_like(r)
+    x[np.repeat(rows, [len(i) for i in bin_idx]), np.searchsorted(items, np.concatenate(bin_idx))] = 1.0
+    return ItemBatch(items, r, x)
 
 
 def load_ratings(path: str, delimiter: str | None = None, skip_header: bool = False) -> RatingMatrix:

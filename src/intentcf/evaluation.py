@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import RatingMatrix, SplitDataset
+from .data import BinaryMatrix, ItemBatch, RatingMatrix, SplitDataset, binarize, item_batch
 from .errors import ParameterError
 from .intent import IntentModel, encode_users, item_intents, top_items_per_channel
 from .nn import softmax_temp
@@ -18,6 +18,7 @@ from .preference import (
     encode_preference,
     select_top_channels_batch,
 )
+from .ranking import top_n
 
 METRICS = ("precision", "recall", "map", "ndcg")
 
@@ -35,7 +36,12 @@ class RankedList:
 class Scorer:
     """Deterministic scoring over frozen models: gamma from the encoder mean,
     channel selection, tailored inputs, encoder-mean embeddings, weighted
-    inner products. Shared by evaluation and all recommendation modes."""
+    inner products. Shared by evaluation and all recommendation modes.
+
+    A batch of users is encoded over its item union through the same
+    builder and model views as training; only the final scores cover all M
+    items.
+    """
 
     def __init__(
         self,
@@ -51,6 +57,7 @@ class Scorer:
         self.tau = tau
         self.intent_min_rating = intent_min_rating
         self._phi: np.ndarray | None = None
+        self._binary: tuple[RatingMatrix, BinaryMatrix] | None = None
 
     @property
     def phi(self) -> np.ndarray:
@@ -60,48 +67,46 @@ class Scorer:
                 self._phi = item_intents(self.intent, self.tau).values
         return self._phi
 
-    def intent_rows(self, train: RatingMatrix, users: np.ndarray) -> np.ndarray:
-        """Dense binary intent-network inputs for the given users."""
-        x = np.zeros((len(users), train.n_items))
-        for r, u in enumerate(users):
-            idx, vals = train.rows[u]
-            if self.intent_min_rating is not None:
-                idx = idx[vals >= self.intent_min_rating]
-            x[r, idx] = 1.0
-        return x
+    def _batch(self, train: RatingMatrix, users: np.ndarray) -> ItemBatch:
+        # the binarization of the last matrix scored is kept for the next call
+        if self._binary is None or self._binary[0] is not train:
+            self._binary = (train, binarize(train, self.intent_min_rating))
+        return item_batch(train, self._binary[1], users)
 
-    def gamma(self, train: RatingMatrix, users: np.ndarray) -> np.ndarray:
-        """(B, K) zero-noise channel distributions."""
+    def _gamma(self, batch: ItemBatch) -> np.ndarray:
         with ad.no_grad():
-            mu, _ = encode_users(self.intent, self.intent_rows(train, users))
+            mu, _ = encode_users(self.intent.over(batch.items), batch.binary)
             return softmax_temp(mu, self.tau).data
 
-    def channel_embeddings(self, train: RatingMatrix, users: np.ndarray, channel_idx: np.ndarray) -> np.ndarray:
+    def _embeddings(self, batch: ItemBatch, channel_idx: np.ndarray) -> np.ndarray:
         """(B, L, d) encoder means of the tailored inputs for the requested
         channels (channel_idx is (B, L))."""
         with ad.no_grad():
-            r_dense = train.dense(users)
-            tails = decompose_ratings_batch(r_dense, ad.Tensor(self.phi), channel_idx)
-            mu, _ = encode_preference(self.pref, tails)
+            phi = ad.Tensor(self.phi[:, batch.items])
+            tails = decompose_ratings_batch(batch.ratings, phi, channel_idx)
+            mu, _ = encode_preference(self.pref.over(batch.items), tails)
         b, top_l = channel_idx.shape
         return mu.data.reshape(b, top_l, self.pref.d)
+
+    def gamma(self, train: RatingMatrix, users: np.ndarray) -> np.ndarray:
+        """(B, K) zero-noise channel distributions."""
+        return self._gamma(self._batch(train, users))
 
     def blended_scores(self, train: RatingMatrix, users: np.ndarray) -> np.ndarray:
         """(B, M) weighted-average predictions over each user's top-L
         channels."""
-        gamma = self.gamma(train, users)
-        idx, weights = select_top_channels_batch(gamma, self.top_l)
-        emb = self.channel_embeddings(train, users, idx)  # (B, L, d)
-        v = self.pref.item_matrix.data  # (d, M)
-        per_channel = np.einsum("bld,dm->blm", emb, v)
-        return np.einsum("bl,blm->bm", weights, per_channel)
+        batch = self._batch(train, users)
+        idx, weights = select_top_channels_batch(self._gamma(batch), self.top_l)
+        emb = self._embeddings(batch, idx)  # (B, L, d)
+        # sum_l w_l (u_l . v_j) = (sum_l w_l u_l) . v_j
+        return np.einsum("bl,bld->bd", weights, emb) @ self.pref.item_matrix.data
 
     def channel_scores(self, train: RatingMatrix, users: np.ndarray, channel: int) -> np.ndarray:
         """(B, M) single-channel predictions, no blending."""
         if not 0 <= channel < self.intent.k:
             raise ParameterError(f"channel {channel} out of range for K={self.intent.k}")
         idx = np.full((len(users), 1), channel, dtype=np.intp)
-        emb = self.channel_embeddings(train, users, idx)[:, 0, :]
+        emb = self._embeddings(self._batch(train, users), idx)[:, 0, :]
         return emb @ self.pref.item_matrix.data
 
     def override_scores(self, train: RatingMatrix, users: np.ndarray, override: dict[int, float]) -> np.ndarray:
@@ -117,25 +122,18 @@ class Scorer:
                 raise ParameterError(f"channel {c} out of range for K={self.intent.k}")
         weights = weights / weights.sum()
         idx = np.tile(np.array(channels, dtype=np.intp), (len(users), 1))
-        emb = self.channel_embeddings(train, users, idx)  # (B, |channels|, d)
-        per_channel = np.einsum("bld,dm->blm", emb, self.pref.item_matrix.data)
-        return np.einsum("l,blm->bm", weights, per_channel)
-
-
-def order_by_score(scores: np.ndarray) -> np.ndarray:
-    """Indices sorted by score descending, ties by item index ascending."""
-    return np.lexsort((np.arange(scores.size), -scores))
+        emb = self._embeddings(self._batch(train, users), idx)  # (B, |channels|, d)
+        return np.einsum("l,bld->bd", weights, emb) @ self.pref.item_matrix.data
 
 
 def rank_items(user: int, scores: np.ndarray, exclude: np.ndarray, k_cut: int) -> RankedList:
+    """The k_cut best-scored items, training items excluded, ties broken by
+    item index."""
     if k_cut < 1:
         raise ParameterError(f"cutoff must be >= 1, got {k_cut}")
-    masked = scores.astype(np.float64, copy=True)
-    masked[exclude] = -np.inf
-    order = order_by_score(masked)
-    n_valid = scores.size - len(exclude)
-    order = order[: min(k_cut, n_valid)]
-    return RankedList(user, order, masked[order])
+    scores = np.asarray(scores, dtype=np.float64)
+    items = top_n(scores, k_cut, exclude)
+    return RankedList(user, items, scores[items])
 
 
 def rank_user(scorer: Scorer, split: SplitDataset, user: int, k_cut: int) -> RankedList:

@@ -12,6 +12,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ParameterError, ShapeError
 from .nn import MlpParams, diag_gaussian_kl, gaussian_reparameterize, init_mlp, mlp_forward, softmax_temp
+from .ranking import top_n
 
 PROB_FLOOR = 1e-10
 
@@ -51,16 +52,21 @@ def standard_prior(k: int) -> LaplacePrior:
 class IntentModel:
     """Encoder psi (input M, two K-dim heads), free channel logits (softmaxed
     per column over items) and the item intent network nu fed by the shared
-    first-layer embedding rows."""
+    first-layer embedding rows.
+
+    ``items`` is None for the model itself; a view made by ``over`` holds
+    the item list it is restricted to.
+    """
 
     encoder_psi: MlpParams
     beta_logits: Tensor
     item_net_nu: MlpParams
     k: int
+    items: np.ndarray | None = None
 
     @property
     def n_items(self) -> int:
-        return self.beta_logits.shape[0]
+        return self.embedding.shape[0]
 
     @property
     def embedding(self) -> Tensor:
@@ -68,8 +74,20 @@ class IntentModel:
         return self.encoder_psi.weights[0]
 
     def beta(self) -> Tensor:
-        """M x K channel matrix; each column sums to 1 over items."""
-        return ad.softmax(self.beta_logits, axis=0)
+        """Channel matrix, one row per item; each column of the full M x K
+        matrix sums to 1 over items (a view takes its rows after the
+        softmax)."""
+        beta = ad.softmax(self.beta_logits, axis=0)
+        return beta if self.items is None else ad.gather_rows(beta, self.items)
+
+    def over(self, items: np.ndarray) -> "IntentModel":
+        """View of the model on an item list: psi's first-layer rows (which
+        also feed nu) and beta's rows at those items. Gradients scatter back
+        into the full parameters."""
+        psi = self.encoder_psi
+        w0 = ad.gather_rows(psi.weights[0], items)
+        return IntentModel(MlpParams([w0, *psi.weights[1:]], psi.biases, psi.activation),
+                           self.beta_logits, self.item_net_nu, self.k, np.asarray(items, dtype=np.intp))
 
     def parameters(self) -> list[Tensor]:
         return self.encoder_psi.parameters() + [self.beta_logits] + self.item_net_nu.parameters()
@@ -234,11 +252,7 @@ def top_items_per_channel(beta_values: np.ndarray, top_t: int) -> list[list[tupl
     by item index."""
     if top_t < 1:
         raise ParameterError(f"top_t must be >= 1, got {top_t}")
-    m, k = beta_values.shape
-    t = min(top_t, m)
     out = []
-    for c in range(k):
-        col = beta_values[:, c]
-        order = np.lexsort((np.arange(m), -col))[:t]
-        out.append([(int(j), float(col[j])) for j in order])
+    for col in beta_values.T:
+        out.append([(int(j), float(col[j])) for j in top_n(col, top_t)])
     return out

@@ -23,6 +23,15 @@ class PreferenceModel:
     item_matrix: Tensor  # V, (d, M)
     d: int
 
+    def over(self, items: np.ndarray) -> "PreferenceModel":
+        """View of the model on an item list: theta's first-layer rows and
+        V's columns at those items. Gradients scatter back into the full
+        parameters."""
+        theta = self.encoder_theta
+        w0 = ad.gather_rows(theta.weights[0], items)
+        return PreferenceModel(MlpParams([w0, *theta.weights[1:]], theta.biases, theta.activation),
+                               ad.gather_cols(self.item_matrix, items), self.d)
+
     def parameters(self) -> list[Tensor]:
         return self.encoder_theta.parameters() + [self.item_matrix]
 

@@ -12,6 +12,7 @@ from .data import SplitDataset
 from .errors import ParameterError
 from .evaluation import RankedList, Scorer, rank_items
 from .intent import IntentModel
+from .ranking import top_n
 
 
 @dataclass
@@ -90,6 +91,4 @@ def similar_items(
         kl_pq = (p * (np.log(p) - np.log(q))).sum(axis=0)
         kl_qp = (q * (np.log(q) - np.log(p))).sum(axis=0)
         sims = -(kl_pq + kl_qp)
-    order = np.lexsort((np.arange(m), -sims))
-    order = order[order != item][:n]
-    return [(int(j), float(sims[j])) for j in order]
+    return [(int(j), float(sims[j])) for j in top_n(sims, n, exclude=[item])]

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import struct
 import time
@@ -16,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .contrast import AugmentationConfig, ContrastiveBatch, augmentation_mask, contrastive_loss, embed_original
-from .data import BinaryMatrix, SplitDataset, binarize
+from .data import BinaryMatrix, SplitDataset, binarize, item_batch
 from .errors import CheckpointError, ParameterError, TrainingError, UsageError
 from .evaluation import Scorer, evaluate
 from .intent import (
@@ -193,18 +194,30 @@ def build_state(cfg: TrainConfig, n_users: int, n_items: int) -> TrainerState:
     return TrainerState(cfg, n_users, n_items, intent, pref, prior, Adam(cfg.learning_rate), tau=cfg.tau_start)
 
 
-def _zero_negative_mask(obs: np.ndarray, step: int, seed: int) -> np.ndarray:
-    """Widen the reconstruction mask with one sampled unobserved item per
-    observed item (zero targets)."""
+def _zero_negatives(rb: np.ndarray, items: np.ndarray, n_items: int, top_l: int, step: int,
+                    seed: int) -> list[np.ndarray]:
+    """One sampled unobserved item (a zero target) per observed item, drawn
+    from all n_items for each of the B*L tailored rows (user-major); item
+    indices are over all M."""
     rng = _stream_rng(seed, _ZERO_NEG, step)
-    out = obs.copy()
-    for r in range(obs.shape[0]):
-        unobs = np.flatnonzero(obs[r] == 0)
-        n = int(obs[r].sum())
+    out = []
+    for row in np.repeat(rb > 0, top_l, axis=0):
+        unobserved = np.ones(n_items, dtype=bool)
+        unobserved[items[row]] = False
+        unobs = np.flatnonzero(unobserved)
+        n = int(row.sum())
         if n == 0 or unobs.size == 0:
+            out.append(np.empty(0, dtype=np.intp))
             continue
-        pick = rng.choice(unobs, size=min(n, unobs.size), replace=False)
-        out[r, pick] = 1.0
+        out.append(rng.choice(unobs, size=min(n, unobs.size), replace=False))
+    return out
+
+
+def _widen(rows: np.ndarray, items: np.ndarray, wider: np.ndarray) -> np.ndarray:
+    """Rows over ``items`` as rows over the superset ``wider`` (zeros at the
+    new items)."""
+    out = np.zeros((rows.shape[0], wider.size))
+    out[:, np.searchsorted(wider, items)] = rows
     return out
 
 
@@ -239,37 +252,58 @@ def compute_batch_losses(
     tau: float,
     step: int,
     stage: str,
+    items: np.ndarray | None = None,
 ) -> BatchLosses:
-    """All loss terms for one batch of users (dense binary rows xb, dense
-    rating rows rb). Pretraining evaluates only the two intent terms."""
+    """All loss terms for one batch of users: binary rows xb and rating rows
+    rb over the increasing item list ``items`` (all M items when None), zero
+    at every item outside it. Pretraining evaluates only the two intent
+    terms.
+
+    Every loss reads only the batch's rated items (plus sampled zero
+    targets), so the losses run on views of both models over ``items`` and
+    equal the losses over all M.
+    """
     cfg = state.cfg
     b = xb.shape[0]
+    m = state.n_items
+    items = np.arange(m) if items is None else np.asarray(items, dtype=np.intp)
+    unified = stage == "unified" and (cfg.lambda3 > 0 or cfg.lambda4 > 0)
+    negatives = None
+    if unified and cfg.lambda3 > 0 and cfg.pref_zero_negatives:
+        negatives = _zero_negatives(rb, items, m, cfg.l, step, cfg.seed)
+        wider = np.union1d(items, np.concatenate(negatives)).astype(np.intp)
+        if wider.size > items.size:
+            xb, rb, items = _widen(xb, items, wider), _widen(rb, items, wider), wider
+    intent = state.intent.over(items)
     noise_i = _stream_rng(cfg.seed, _NOISE_INTENT, step).standard_normal((cfg.mc_samples, b, cfg.k))
-    l1 = intent_elbo_loss(state.intent, state.prior, xb, noise_i, eta, tau, cfg.mc_samples, cfg.prob_floor)
-    phi = item_intents(state.intent, tau)
+    l1 = intent_elbo_loss(intent, state.prior, xb, noise_i, eta, tau, cfg.mc_samples, cfg.prob_floor)
+    phi = item_intents(intent, tau)
     l2 = item_intent_kl_loss(phi, l1.gamma, xb, cfg.prob_floor)
     total = ad.add(l1.total, ad.mul(l2, cfg.lambda2))
     l3 = l4 = kl_pref = None
 
-    if stage == "unified" and (cfg.lambda3 > 0 or cfg.lambda4 > 0):
+    if unified:
+        pref = state.pref.over(items)
         idx, _ = select_top_channels_batch(l1.gamma.data, cfg.l)
         phi_src = Tensor(phi.values) if cfg.detach_tailored else phi.phi
         tails = decompose_ratings_batch(rb, phi_src, idx)
         if cfg.lambda3 > 0:
             obs = np.repeat((rb > 0).astype(np.float64), cfg.l, axis=0)
-            if cfg.pref_zero_negatives:
-                obs = _zero_negative_mask(obs, step, cfg.seed)
+            if negatives is not None:
+                for r, picked in enumerate(negatives):
+                    obs[r, np.searchsorted(items, picked)] = 1.0
             targets = Tensor(np.repeat(rb, cfg.l, axis=0)) if cfg.pref_target_raw else tails
             noise_p = _stream_rng(cfg.seed, _NOISE_PREF, step).standard_normal((b * cfg.l, cfg.d))
-            parts3 = preference_elbo_loss(state.pref, tails, targets, obs, noise_p, eta)
+            parts3 = preference_elbo_loss(pref, tails, targets, obs, noise_p, eta)
             l3, kl_pref = parts3.total, parts3.kl
             total = ad.add(total, ad.mul(l3, cfg.lambda3))
         if cfg.lambda4 > 0 and b >= 2:
             aug_cfg = AugmentationConfig(cfg.node_dropout, cfg.edge_dropout, cfg.seed)
-            mask = augmentation_mask((b * cfg.l, rb.shape[1]), aug_cfg, step)
+            # the draws cover all M items, as the mask of a full-width batch
+            mask = augmentation_mask((b * cfg.l, m), aug_cfg, step)[:, items]
             augmented = ad.l2norm_rows(ad.mul(tails, Tensor(mask)))
-            u_aug, _ = encode_preference(state.pref, augmented)
-            u_ori = embed_original(state.pref, rb)
+            u_aug, _ = encode_preference(pref, augmented)
+            u_ori = embed_original(pref, rb)
             l4 = contrastive_loss(
                 ContrastiveBatch(u_ori, u_aug, cfg.l, cfg.tau_c), cfg.include_positive_pair
             )
@@ -303,13 +337,12 @@ def run_epoch(state: TrainerState, data: SplitDataset, x_bin: BinaryMatrix, epoc
     sums = {"l1": 0.0, "l2": 0.0, "l3": 0.0, "l4": 0.0, "kl_intent": 0.0, "kl_pref": 0.0, "total": 0.0}
     t0 = time.time()
     for lo in range(0, n, cfg.batch_size):
-        users = perm[lo : lo + cfg.batch_size]
-        xb = x_bin.dense(users)
-        rb = data.train.dense(users)
+        batch = item_batch(data.train, x_bin, perm[lo : lo + cfg.batch_size])
         eta, _ = warmup(state.global_batch, cfg.kappa, cfg.eta_max, cfg.tau_start, cfg.tau_end,
                         max(total_epochs - 1, 1))
         state.eta = eta
-        losses = compute_batch_losses(state, xb, rb, eta, tau, state.global_batch, stage)
+        losses = compute_batch_losses(state, batch.binary, batch.ratings, eta, tau, state.global_batch, stage,
+                                      batch.items)
         scalars = losses.scalars()
         if not np.isfinite(scalars["total"]):
             raise TrainingError(
@@ -506,9 +539,57 @@ def save_checkpoint(path: str, state: TrainerState) -> None:
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         for entry in spec:
-            fh.write(np.ascontiguousarray(arrays[entry["name"]]).astype("<f8").tobytes())
+            fh.write(np.ascontiguousarray(arrays[entry["name"]], dtype="<f8"))
         fh.write(_FOOTER)
     os.replace(tmp, path)
+
+
+_COUNTERS = ("epoch", "global_batch", "adam_t", "best_val", "best_epoch", "bad_epochs", "tau", "eta")
+_REAL_COUNTERS = ("best_val", "tau", "eta")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_header(header) -> None:
+    """Raise CheckpointError naming the first header section that is missing
+    or mistyped, so a malformed header never surfaces as a raw exception."""
+
+    def need(ok: bool, section: str, what: str) -> None:
+        if not ok:
+            raise CheckpointError(f"{section} section invalid: {what}")
+
+    need(isinstance(header, dict), "header", "not a JSON object")
+    payload = header.get("payload_bytes")
+    need(_is_int(payload) and payload >= 0, "payload_bytes", f"expected a non-negative integer, got {payload!r}")
+    for key in ("n", "m"):
+        need(_is_int(header.get(key)) and header[key] >= 1, key,
+             f"expected a positive integer, got {header.get(key)!r}")
+    need(isinstance(header.get("config"), dict), "config", "expected an object")
+    counters = header.get("counters")
+    need(isinstance(counters, dict), "counters", f"expected an object, got {counters!r}")
+    for name in _COUNTERS:
+        need(name in counters, "counters", f"{name} missing")
+        value = counters[name]
+        if name in _REAL_COUNTERS:
+            ok = _is_real(value) or (name == "best_val" and value is None)
+        else:
+            ok = _is_int(value)
+        need(ok, "counters", f"{name} is {value!r}")
+    arrays = header.get("arrays")
+    need(isinstance(arrays, list), "arrays", f"expected a list, got {arrays!r}")
+    for entry in arrays:
+        need(isinstance(entry, dict) and isinstance(entry.get("name"), str), "arrays", f"entry {entry!r} has no name")
+        name, shape, offset = entry["name"], entry.get("shape"), entry.get("offset")
+        need(isinstance(shape, list) and all(_is_int(n) and n >= 0 for n in shape), "arrays",
+             f"array {name!r} has shape {shape!r}")
+        need(_is_int(offset) and offset >= 0, "arrays", f"array {name!r} has offset {offset!r}")
+        need(offset + math.prod(shape) * 8 <= payload, "arrays", f"array {name!r} extends past the payload")
 
 
 def load_checkpoint(path: str) -> TrainerState:
@@ -516,41 +597,42 @@ def load_checkpoint(path: str) -> TrainerState:
     if not os.path.exists(path):
         raise CheckpointError(f"checkpoint not found: {path}")
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 16 or raw[:4] != _MAGIC:
-        raise CheckpointError("bad magic: not an intentcf checkpoint")
-    version = struct.unpack("<I", raw[4:8])[0]
-    if version != _VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version} (expected {_VERSION})")
-    hlen = struct.unpack("<Q", raw[8:16])[0]
-    if len(raw) < 16 + hlen:
-        raise CheckpointError("header truncated")
-    try:
-        header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"header corrupt: {exc}") from None
-    payload_start = 16 + hlen
-    payload_bytes = header.get("payload_bytes")
-    expected = payload_start + payload_bytes + len(_FOOTER)
-    if len(raw) < expected:
-        raise CheckpointError(
-            f"payload truncated: file has {len(raw)} bytes, expected {expected}"
-        )
-    if raw[payload_start + payload_bytes : expected] != _FOOTER:
-        raise CheckpointError("footer missing or corrupt")
-    try:
-        cfg = TrainConfig.from_dict(header["config"])
-    except (KeyError, TypeError, UsageError) as exc:
-        raise CheckpointError(f"config section invalid: {exc}") from None
-    arrays = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = payload_start + entry["offset"]
-        stop = start + count * 8
-        if stop > payload_start + payload_bytes:
-            raise CheckpointError(f"array {entry['name']!r} extends past the payload")
-        arrays[entry["name"]] = np.frombuffer(raw[start:stop], dtype="<f8").astype(np.float64).reshape(shape)
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(16)
+        if len(head) < 16 or head[:4] != _MAGIC:
+            raise CheckpointError("bad magic: not an intentcf checkpoint")
+        version = struct.unpack("<I", head[4:8])[0]
+        if version != _VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version} (expected {_VERSION})")
+        hlen = struct.unpack("<Q", head[8:16])[0]
+        if size < 16 + hlen:
+            raise CheckpointError("header truncated")
+        blob = fh.read(hlen)
+        try:
+            header = json.loads(blob.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"header corrupt: {exc}") from None
+        _check_header(header)
+        payload_start = 16 + hlen
+        payload_bytes = header["payload_bytes"]
+        expected = payload_start + payload_bytes + len(_FOOTER)
+        if size < expected:
+            raise CheckpointError(f"payload truncated: file has {size} bytes, expected {expected}")
+        fh.seek(payload_start + payload_bytes)
+        if fh.read(len(_FOOTER)) != _FOOTER:
+            raise CheckpointError("footer missing or corrupt")
+        try:
+            cfg = TrainConfig.from_dict(header["config"])
+        except (KeyError, TypeError, UsageError) as exc:
+            raise CheckpointError(f"config section invalid: {exc}") from None
+        # each array is read straight into the buffer the model keeps; no
+        # copy of the whole file is held
+        arrays = {}
+        for entry in header["arrays"]:
+            a = np.empty(entry["shape"], dtype="<f8")
+            fh.seek(payload_start + entry["offset"])
+            fh.readinto(a)
+            arrays[entry["name"]] = a.astype(np.float64, copy=False)
 
     state = build_state(cfg, header["n"], header["m"])
     for p in state.all_parameters():
@@ -560,11 +642,11 @@ def load_checkpoint(path: str) -> TrainerState:
             raise CheckpointError(
                 f"array {p.name!r} has shape {arrays[p.name].shape}, model expects {p.data.shape}"
             )
-        p.data = arrays[p.name].copy()
+        p.data = arrays[p.name]
     for name in ("prior.mu", "prior.var", "prior.alpha"):
         if name not in arrays:
             raise CheckpointError(f"array {name!r} missing from checkpoint")
-    state.prior = LaplacePrior(arrays["prior.alpha"].copy(), arrays["prior.mu"].copy(), arrays["prior.var"].copy())
+    state.prior = LaplacePrior(arrays["prior.alpha"], arrays["prior.mu"], arrays["prior.var"])
     counters = header["counters"]
     state.opt.load_state_arrays(arrays, counters["adam_t"])
     state.epoch = counters["epoch"]
