@@ -10,6 +10,7 @@ are provided; everything is 64-bit.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -237,21 +238,23 @@ def softmax(a, axis: int = -1) -> Tensor:
 def _scatter_add(shape: tuple[int, ...], flat_idx: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Zeros of ``shape`` plus g summed at the linear indices flat_idx (one
     per entry of g), repeats accumulating in order."""
-    size = int(np.prod(shape))
-    return np.bincount(flat_idx, weights=g.ravel(), minlength=size).reshape(shape)
+    return np.bincount(flat_idx, weights=g.ravel(), minlength=math.prod(shape)).reshape(shape)
+
+
+def sum_rows_by(values: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+    """(n, width) array whose row r sums the rows of ``values`` (rows,
+    width) whose ``index`` is r, in order."""
+    width = values.shape[1]
+    flat = (index[:, None] * width + np.arange(width)).ravel()
+    return _scatter_add((n, width), flat, values)
 
 
 def gather_rows(a, idx) -> Tensor:
     """a[idx] for a 2-d tensor and an integer index vector."""
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
-    width = a.data.shape[1]
-
-    def vjp(g):
-        flat = (idx[:, None] * width + np.arange(width)).ravel()
-        return (_scatter_add(a.data.shape, flat, g),)
-
-    return _make(a.data[idx], (a,), vjp)
+    n_rows = a.data.shape[0]
+    return _make(a.data[idx], (a,), lambda g: (sum_rows_by(g, idx, n_rows),))
 
 
 def gather_cols(a, idx) -> Tensor:
@@ -265,6 +268,71 @@ def gather_cols(a, idx) -> Tensor:
         return (_scatter_add(a.data.shape, flat, g),)
 
     return _make(a.data[:, idx], (a,), vjp)
+
+
+def gather_cells(a, rows, cols) -> Tensor:
+    """a[rows, cols] for a 2-d tensor: the values at a list of cells (a cell
+    may repeat; its gradients add up)."""
+    a = as_tensor(a)
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    return _make(a.data[rows, cols], (a,),
+                 lambda g: (_scatter_add(a.data.shape, rows * a.data.shape[1] + cols, g),))
+
+
+def scatter_cells(values, rows, cols, shape: tuple[int, int]) -> Tensor:
+    """Zeros of ``shape`` holding ``values`` at the distinct cells (rows,
+    cols): the adjoint of gather_cells at those cells."""
+    values = as_tensor(values)
+    out = np.zeros(shape)
+    out[rows, cols] = values.data
+    return _make(out, (values,), lambda g: (g[rows, cols],))
+
+
+def l2norm_cells(values, rows, n_rows: int) -> Tensor:
+    """l2norm_rows for a matrix given by its cells: each value divided by
+    the L2 norm of its row's values; a row whose values are all zero stays
+    zero."""
+    values = as_tensor(values)
+    rows = np.asarray(rows, dtype=np.intp)
+    v = values.data
+    norms = np.sqrt(np.bincount(rows, weights=v * v, minlength=n_rows))
+    safe = norms.copy()
+    safe[norms == 0.0] = 1.0
+    safe = safe[rows]
+    out = v / safe
+
+    def vjp(g):
+        dot = np.bincount(rows, weights=g * out, minlength=n_rows)[rows]
+        return (np.where(norms[rows] > 0.0, (g - out * dot) / safe, 0.0),)
+
+    return _make(out, (values,), vjp)
+
+
+def matmul_cells(a, b, rows, cols) -> Tensor:
+    """(a @ b)[rows, cols] for a (n, k) and b (k, p), without forming the
+    product: one k-term dot per cell."""
+    a, b = as_tensor(a), as_tensor(b)
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        raise ShapeError(f"matmul_cells needs (n,k) and (k,p); got {a.data.shape} and {b.data.shape}")
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    a_rows = a.data[rows]  # (cells, k)
+    b_cols = b.data.T[cols]  # (cells, k)
+    out = np.einsum("ij,ij->i", a_rows, b_cols)
+
+    def vjp(g):
+        g = g[:, None]
+        return (sum_rows_by(g * b_cols, rows, a.data.shape[0]),
+                sum_rows_by(g * a_rows, cols, b.data.shape[1]).T)
+
+    return _make(out, (a, b), vjp)
+
+
+def concat(parts: Sequence) -> Tensor:
+    """1-d tensors joined end to end."""
+    parts = [as_tensor(p) for p in parts]
+    bounds = np.cumsum([0] + [p.data.size for p in parts])
+    return _make(np.concatenate([p.data for p in parts]), parts,
+                 lambda g: tuple(g[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])))
 
 
 def take_along_last(a, idx) -> Tensor:

@@ -238,7 +238,7 @@ def cmd_channels(args) -> int:
     import numpy as np
 
     from .intent import top_items_per_channel
-    from .preference import select_top_channels
+    from .preference import select_top_channels_batch
     from .training import scorer_from_state
 
     state, split = _load_state_and_data(args)
@@ -250,13 +250,13 @@ def cmd_channels(args) -> int:
     lines = [f"config_hash: {prov['config_hash']}  seed: {prov['seed']}  variant: {prov['variant']}"]
     if args.user is not None:
         u = _user_index(split, args.user)
-        gamma = scorer.gamma(split.train, np.array([u]))[0]
-        sel = select_top_channels(gamma, min(args.user_channels, state.cfg.k))
+        gamma = scorer.gamma(split.train, np.array([u]))
+        idx, weights = select_top_channels_batch(gamma, min(args.user_channels, state.cfg.k))
         payload["user"] = args.user
         payload["channels"] = []
-        lines.append(f"user {args.user}: top {len(sel.channel_indices)} intent channels")
+        lines.append(f"user {args.user}: top {idx.shape[1]} intent channels")
         top = top_items_per_channel(beta, args.top)
-        for c, w in zip(sel.channel_indices, sel.weights):
+        for c, w in zip(idx[0], weights[0]):
             names = [items[j] for j, _ in top[c]]
             payload["channels"].append({"channel": int(c), "weight": float(w), "top_items": names})
             lines.append(f"  channel {c} (weight {w:.3f}): {', '.join(names)}")

@@ -9,9 +9,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import Cells, as_cells
 from .errors import ParameterError
-from .nn import l2_normalize
-from .preference import PreferenceModel, encode_preference
+from .preference import PreferenceModel, dense_input, encode_preference
 
 _AUG_STREAM = 4242  # seed-sequence tag separating augmentation draws
 
@@ -29,36 +29,36 @@ class AugmentationConfig:
                 raise ParameterError(f"{name} must lie in [0, 1], got {rate}")
 
 
-def _aug_rng(cfg: AugmentationConfig, step: int, substream: int) -> np.random.Generator:
-    seq = np.random.SeedSequence([int(cfg.seed), _AUG_STREAM, int(step), int(substream)])
+def _aug_rng(cfg: AugmentationConfig, step: int) -> np.random.Generator:
+    seq = np.random.SeedSequence([int(cfg.seed), _AUG_STREAM, int(step), 0])
     return np.random.Generator(np.random.Philox(seq))
-
-
-def augment(r_il: np.ndarray, cfg: AugmentationConfig, step: int, substream: int = 0) -> np.ndarray:
-    """Edge dropout on individual entries, node dropout on the whole row,
-    then re-L2-normalization. Deterministic given (seed, step, substream)."""
-    r = np.asarray(r_il, dtype=np.float64)
-    rng = _aug_rng(cfg, step, substream)
-    keep = rng.random(r.shape) >= cfg.edge_dropout_rate
-    out = r * keep
-    if rng.random() < cfg.node_dropout_rate:
-        out = np.zeros_like(out)
-    norm = np.sqrt((out * out).sum())
-    return out / norm if norm > 0 else out
 
 
 def augmentation_mask(shape: tuple[int, int], cfg: AugmentationConfig, step: int) -> np.ndarray:
     """0/1 dropout mask for a (rows, M) batch of tailored inputs; one node
     draw per row, one edge draw per entry."""
-    rng = _aug_rng(cfg, step, substream=0)
+    rng = _aug_rng(cfg, step)
     edge = (rng.random(shape) >= cfg.edge_dropout_rate).astype(np.float64)
     node = (rng.random(shape[0]) >= cfg.node_dropout_rate).astype(np.float64)
     return edge * node[:, None]
 
 
-def embed_original(model: PreferenceModel, r_rows) -> Tensor:
-    """Encoder mean of the L2-normalized raw rating rows (no sampling)."""
-    mu, _ = encode_preference(model, l2_normalize(ad.as_tensor(r_rows)))
+def augmented_view(tailored: Tensor, cells: Cells, items: np.ndarray, n_items: int, cfg: AugmentationConfig,
+                   step: int) -> Tensor:
+    """Dropout view of tailored inputs given at their cells (item ``items[c]``
+    in column c): the (rows, n_items) draws of augmentation_mask read at each
+    cell, then re-L2-normalization per row. Deterministic given (seed,
+    step)."""
+    mask = augmentation_mask((cells.shape[0], n_items), cfg, step)[cells.rows, np.asarray(items)[cells.cols]]
+    return ad.l2norm_cells(ad.mul(tailored, Tensor(mask)), cells.rows, cells.shape[0])
+
+
+def embed_original(model: PreferenceModel, ratings) -> Tensor:
+    """Encoder mean of the L2-normalized raw rating rows, given as Cells or
+    dense rows (no sampling)."""
+    ratings = as_cells(ratings)
+    unit = ad.l2norm_cells(Tensor(ratings.values), ratings.rows, ratings.shape[0])
+    mu, _ = encode_preference(model, dense_input(ratings, unit))
     return mu
 
 

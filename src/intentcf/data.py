@@ -76,27 +76,61 @@ class BinaryMatrix:
 
 
 @dataclass
+class Cells:
+    """The nonzero cells of a (rows, columns) matrix as aligned lists of
+    row, column and value. No cell repeats."""
+
+    rows: np.ndarray  # (cells,) ints
+    cols: np.ndarray  # (cells,) ints
+    values: np.ndarray  # (cells,) floats
+    shape: tuple[int, int]
+
+    @classmethod
+    def from_dense(cls, a) -> "Cells":
+        a = np.asarray(a, dtype=np.float64)
+        rows, cols = np.nonzero(a)
+        return cls(rows, cols, a[rows, cols], a.shape)
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = self.values
+        return out
+
+
+def as_cells(x) -> Cells:
+    """Cells as given, or the nonzero cells of a dense matrix."""
+    return x if isinstance(x, Cells) else Cells.from_dense(x)
+
+
+@dataclass
 class ItemBatch:
     """A batch of users restricted to U, the sorted union of their rated
-    items: column c of each row holds item ``items[c]``, and every item
-    outside U is zero in every row."""
+    items: row b is the batch's b-th user, column c is item ``items[c]``, and
+    every item outside U is zero in every row. Cells are ordered by row, then
+    column."""
 
     items: np.ndarray  # U, (|U|,) increasing item indices
-    ratings: np.ndarray  # (B, |U|)
-    binary: np.ndarray  # (B, |U|), the intent input
+    ratings: Cells  # (B, |U|)
+    binary: Cells  # (B, |U|) with values 1, the intent input
 
 
 def item_batch(ratings: RatingMatrix, binary: BinaryMatrix, users) -> ItemBatch:
-    """Rating and binary rows of ``users`` over their item union; ``binary``
+    """Rating and binary cells of ``users`` over their item union; ``binary``
     is a binarization of ``ratings``, so its rows fall inside U."""
-    rows = np.arange(len(users))
+    row_ids = np.arange(len(users))
     idx = [ratings.rows[u][0] for u in users]
-    items, cols = np.unique(np.concatenate(idx), return_inverse=True)
-    r = np.zeros((len(users), items.size))
-    r[np.repeat(rows, [len(i) for i in idx]), cols] = np.concatenate([ratings.rows[u][1] for u in users])
+    rated = np.concatenate(idx)
+    in_union = np.zeros(ratings.n_items, dtype=bool)
+    in_union[rated] = True
+    items = np.flatnonzero(in_union)
+    column = np.empty(ratings.n_items, dtype=np.intp)  # item -> its column in U
+    column[items] = np.arange(items.size)
+    shape = (len(users), items.size)
+    rows = np.repeat(row_ids, [len(i) for i in idx])
+    r = Cells(rows, column[rated], np.concatenate([ratings.rows[u][1] for u in users]), shape)
     bin_idx = [binary.rows[u] for u in users]
-    x = np.zeros_like(r)
-    x[np.repeat(rows, [len(i) for i in bin_idx]), np.searchsorted(items, np.concatenate(bin_idx))] = 1.0
+    bin_rows = np.repeat(row_ids, [len(i) for i in bin_idx])
+    x = Cells(bin_rows, column[np.concatenate(bin_idx)], np.ones(bin_rows.size), shape)
     return ItemBatch(items, r, x)
 
 

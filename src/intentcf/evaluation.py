@@ -15,22 +15,14 @@ from .nn import softmax_temp
 from .preference import (
     PreferenceModel,
     decompose_ratings_batch,
+    dense_input,
     encode_preference,
+    predict_ratings_batch,
     select_top_channels_batch,
 )
 from .ranking import top_n
 
 METRICS = ("precision", "recall", "map", "ndcg")
-
-
-@dataclass
-class RankedList:
-    """Candidate items for one user, best first; training items excluded,
-    ties broken by item index."""
-
-    user: int
-    items: np.ndarray
-    scores: np.ndarray
 
 
 class Scorer:
@@ -68,6 +60,9 @@ class Scorer:
         return self._phi
 
     def _batch(self, train: RatingMatrix, users: np.ndarray) -> ItemBatch:
+        for u in users:
+            if train.rows[u][0].size == 0:
+                raise ParameterError(f"user {u} has no training items (cold user)")
         # the binarization of the last matrix scored is kept for the next call
         if self._binary is None or self._binary[0] is not train:
             self._binary = (train, binarize(train, self.intent_min_rating))
@@ -75,16 +70,15 @@ class Scorer:
 
     def _gamma(self, batch: ItemBatch) -> np.ndarray:
         with ad.no_grad():
-            mu, _ = encode_users(self.intent.over(batch.items), batch.binary)
+            mu, _ = encode_users(self.intent.over(batch.items), batch.binary.dense())
             return softmax_temp(mu, self.tau).data
 
     def _embeddings(self, batch: ItemBatch, channel_idx: np.ndarray) -> np.ndarray:
         """(B, L, d) encoder means of the tailored inputs for the requested
         channels (channel_idx is (B, L))."""
         with ad.no_grad():
-            phi = ad.Tensor(self.phi[:, batch.items])
-            tails = decompose_ratings_batch(batch.ratings, phi, channel_idx)
-            mu, _ = encode_preference(self.pref.over(batch.items), tails)
+            cells, tails = decompose_ratings_batch(batch.ratings, ad.Tensor(self.phi[:, batch.items]), channel_idx)
+            mu, _ = encode_preference(self.pref.over(batch.items), dense_input(cells, tails))
         b, top_l = channel_idx.shape
         return mu.data.reshape(b, top_l, self.pref.d)
 
@@ -97,17 +91,15 @@ class Scorer:
         channels."""
         batch = self._batch(train, users)
         idx, weights = select_top_channels_batch(self._gamma(batch), self.top_l)
-        emb = self._embeddings(batch, idx)  # (B, L, d)
-        # sum_l w_l (u_l . v_j) = (sum_l w_l u_l) . v_j
-        return np.einsum("bl,bld->bd", weights, emb) @ self.pref.item_matrix.data
+        return predict_ratings_batch(self._embeddings(batch, idx), weights, self.pref.item_matrix.data)
 
     def channel_scores(self, train: RatingMatrix, users: np.ndarray, channel: int) -> np.ndarray:
         """(B, M) single-channel predictions, no blending."""
         if not 0 <= channel < self.intent.k:
             raise ParameterError(f"channel {channel} out of range for K={self.intent.k}")
         idx = np.full((len(users), 1), channel, dtype=np.intp)
-        emb = self._embeddings(self._batch(train, users), idx)[:, 0, :]
-        return emb @ self.pref.item_matrix.data
+        emb = self._embeddings(self._batch(train, users), idx)
+        return predict_ratings_batch(emb, np.ones((len(users), 1)), self.pref.item_matrix.data)
 
     def override_scores(self, train: RatingMatrix, users: np.ndarray, override: dict[int, float]) -> np.ndarray:
         """(B, M) predictions under a caller-supplied intent distribution."""
@@ -123,58 +115,62 @@ class Scorer:
         weights = weights / weights.sum()
         idx = np.tile(np.array(channels, dtype=np.intp), (len(users), 1))
         emb = self._embeddings(self._batch(train, users), idx)  # (B, |channels|, d)
-        return np.einsum("l,bld->bd", weights, emb) @ self.pref.item_matrix.data
+        return predict_ratings_batch(emb, np.tile(weights, (len(users), 1)), self.pref.item_matrix.data)
 
 
-def rank_items(user: int, scores: np.ndarray, exclude: np.ndarray, k_cut: int) -> RankedList:
-    """The k_cut best-scored items, training items excluded, ties broken by
-    item index."""
+def rank_items(scores: np.ndarray, exclude, k_cut: int) -> np.ndarray:
+    """The k_cut best-scored items of each row of scores (B, M), the row's
+    ``exclude`` items (its training items) left out, ties broken by item
+    index: (B, k_cut), -1 padding a row with fewer candidates."""
     if k_cut < 1:
         raise ParameterError(f"cutoff must be >= 1, got {k_cut}")
-    scores = np.asarray(scores, dtype=np.float64)
-    items = top_n(scores, k_cut, exclude)
-    return RankedList(user, items, scores[items])
+    return top_n(scores, k_cut, exclude)
 
 
-def rank_user(scorer: Scorer, split: SplitDataset, user: int, k_cut: int) -> RankedList:
-    """Deterministic ranking for one user; training items are masked out."""
-    train = split.train
-    if not 0 <= user < train.n_users:
-        raise ParameterError(f"unknown user index {user} (N={train.n_users})")
-    if train.rows[user][0].size == 0:
-        raise ParameterError(f"user {user} has no training items")
-    scores = scorer.blended_scores(train, np.array([user]))[0]
-    return rank_items(user, scores, train.rows[user][0], k_cut)
+def _index_array(items) -> np.ndarray:
+    return np.fromiter(items, dtype=np.intp) if isinstance(items, (set, frozenset)) else np.asarray(items, np.intp)
 
 
-def metrics_at_k(ranked_items: np.ndarray, positives, k: int) -> tuple[float, float, float, float]:
+def metrics_at_k(ranked_items: np.ndarray, positives, k: int):
     """(P@k, R@k, AP@k, NDCG@k) with binary relevance.
+
+    For B ranked lists, ranked_items is (B, n) (-1 pads a short list) and
+    positives holds one collection of item indices per row; each metric is
+    then a (B,) array. A 1-d ranked_items with one collection of positives is
+    the B = 1 case and gives four floats.
 
     AP normalizes by min(|positives|, k); NDCG uses 1/log2(rank+1) gains with
     the ideal ranking placing min(|positives|, k) hits first.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    pos = set(int(p) for p in positives)
-    if not pos:
+    ranked = np.asarray(ranked_items, dtype=np.intp)
+    if ranked.ndim == 1:
+        return tuple(float(v[0]) for v in metrics_at_k(ranked[None], [positives], k))
+    b = ranked.shape[0]
+    top = np.full((b, k), -1, dtype=np.intp)
+    top[:, : min(k, ranked.shape[1])] = ranked[:, :k]
+    pos = [_index_array(p) for p in positives]
+    pos_rows = np.repeat(np.arange(b), [p.size for p in pos])
+    pos_items = np.concatenate(pos)
+    # one key per (row, item); -1 padding maps to key row * width, which no
+    # positive takes
+    width = max(int(top.max(initial=0)), int(pos_items.max(initial=0))) + 2
+    keys = np.unique(pos_rows * width + pos_items + 1)
+    n_pos = np.bincount(keys // width, minlength=b)
+    if np.any(n_pos == 0):
         raise ParameterError("metrics need at least one positive item")
-    top = [int(i) for i in ranked_items[:k]]
-    hits = 0
-    ap_sum = 0.0
-    dcg = 0.0
-    for rank, item in enumerate(top, start=1):
-        if item in pos:
-            hits += 1
-            ap_sum += hits / rank
-            dcg += 1.0 / np.log2(rank + 1)
-    n_ideal = min(len(pos), k)
-    idcg = sum(1.0 / np.log2(r + 1) for r in range(1, n_ideal + 1))
-    return (
-        hits / k,
-        hits / len(pos),
-        ap_sum / n_ideal,
-        dcg / idcg,
-    )
+    top_keys = np.arange(b)[:, None] * width + top + 1
+    hit = keys[np.minimum(np.searchsorted(keys, top_keys), keys.size - 1)] == top_keys
+    ranks = np.arange(1, k + 1)
+    hits = hit.sum(axis=1)
+    n_ideal = np.minimum(n_pos, k)
+    gains = 1.0 / np.log2(ranks + 1)
+    # running sums add in rank order, as a per-user loop would
+    ap = np.cumsum(hit * np.cumsum(hit, axis=1) / ranks, axis=1)[:, -1] / n_ideal
+    dcg = np.cumsum(hit * gains, axis=1)[:, -1]
+    idcg = np.cumsum(gains)[n_ideal - 1]
+    return hits / k, hits / n_pos, ap, dcg / idcg
 
 
 @dataclass
@@ -222,33 +218,35 @@ def evaluate(
     users: np.ndarray | None = None,
     chunk: int = 512,
 ) -> MetricReport:
-    """Mean ranking metrics over users holding >= 1 positive test item."""
+    """Mean ranking metrics over users holding >= 1 positive test item. Each
+    chunk of users is scored, ranked and measured at once."""
     train = split.train
     users = np.arange(train.n_users) if users is None else np.asarray(users)
     kmax = max(cutoffs)
-    sums = {m: {k: 0.0 for k in cutoffs} for m in METRICS}
-    counted = 0
+    per_user = {m: {k: [] for k in cutoffs} for m in METRICS}
     for lo in range(0, len(users), chunk):
         batch = users[lo : lo + chunk]
         batch = np.array([u for u in batch if train.rows[u][0].size > 0], dtype=np.intp)
         if batch.size == 0:
             continue
         scores = scorer.blended_scores(train, batch)
-        for r, u in enumerate(batch):
-            pos = positives_for_user(split, u)
-            if pos.size == 0:
-                continue
-            ranked = rank_items(int(u), scores[r], train.rows[u][0], kmax)
-            for k in cutoffs:
-                p, rec, ap, ndcg = metrics_at_k(ranked.items, pos, k)
-                sums["precision"][k] += p
-                sums["recall"][k] += rec
-                sums["map"][k] += ap
-                sums["ndcg"][k] += ndcg
-            counted += 1
+        positives = [positives_for_user(split, u) for u in batch]
+        has_positive = np.array([p.size > 0 for p in positives])
+        if not has_positive.all():
+            scores = scores[has_positive]
+            batch, positives = batch[has_positive], [p for p in positives if p.size > 0]
+        if batch.size == 0:
+            continue
+        ranked = rank_items(scores, [train.rows[u][0] for u in batch], kmax)
+        for k in cutoffs:
+            for m, values in zip(METRICS, metrics_at_k(ranked, positives, k)):
+                per_user[m][k].append(values)
+    counted = sum(v.size for v in per_user[METRICS[0]][kmax])
     if counted == 0:
         raise ParameterError("no users with positive test items to evaluate")
-    values = {m: {k: sums[m][k] / counted for k in cutoffs} for m in METRICS}
+    # users are summed in order, as a per-user loop would
+    values = {m: {k: float(np.cumsum(np.concatenate(per_user[m][k]))[-1]) / counted for k in cutoffs}
+              for m in METRICS}
     return MetricReport(tuple(cutoffs), values, counted)
 
 

@@ -10,8 +10,17 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import as_cells
 from .errors import ParameterError, ShapeError
-from .nn import MlpParams, diag_gaussian_kl, gaussian_reparameterize, init_mlp, mlp_forward, softmax_temp
+from .nn import (
+    MlpParams,
+    diag_gaussian_kl,
+    gaussian_reparameterize,
+    init_mlp,
+    init_parameter,
+    mlp_forward,
+    softmax_temp,
+)
 from .ranking import top_n
 
 PROB_FLOOR = 1e-10
@@ -65,10 +74,6 @@ class IntentModel:
     items: np.ndarray | None = None
 
     @property
-    def n_items(self) -> int:
-        return self.embedding.shape[0]
-
-    @property
     def embedding(self) -> Tensor:
         # first-layer weight matrix of psi; row j is the item-j embedding
         return self.encoder_psi.weights[0]
@@ -94,36 +99,20 @@ class IntentModel:
 
 
 def init_intent_model(
-    n_items: int, k: int, hidden: int, item_hidden: int, rng: np.random.Generator
+    n_items: int, k: int, hidden: int, item_hidden: int, rng: np.random.Generator | None,
+    arrays: dict[str, np.ndarray] | None = None,
 ) -> IntentModel:
-    psi = init_mlp([n_items, hidden, 2 * k], rng, "psi")
-    beta_logits = ad.parameter(0.1 * rng.standard_normal((n_items, k)), "beta.logits")
-    nu = init_mlp([hidden, item_hidden, k], rng, "nu")
+    """A freshly drawn intent model, or the one held by a checkpoint's
+    ``arrays`` (see nn.init_parameter)."""
+    psi = init_mlp([n_items, hidden, 2 * k], rng, "psi", arrays=arrays)
+    beta_logits = init_parameter("beta.logits", (n_items, k), lambda: 0.1 * rng.standard_normal((n_items, k)),
+                                 arrays)
+    nu = init_mlp([hidden, item_hidden, k], rng, "nu", arrays=arrays)
     return IntentModel(psi, beta_logits, nu, k)
 
 
-def encode_user(model: IntentModel, item_idx) -> tuple[Tensor, Tensor]:
-    """Variational posterior parameters for one user's binary row, given as
-    the indices of observed items. The first layer is the sum of embedding
-    rows over observed items."""
-    item_idx = np.asarray(item_idx, dtype=np.intp)
-    if item_idx.size == 0:
-        raise ParameterError("cannot encode a user with no observed items (cold user)")
-    if item_idx.max() >= model.n_items:
-        raise ShapeError(f"item index {item_idx.max()} out of range for M={model.n_items}")
-    psi = model.encoder_psi
-    emb = ad.tsum(ad.gather_rows(psi.weights[0], item_idx), axis=0)
-    h = ad.tanh(ad.add(emb, psi.biases[0]))
-    out = h
-    for l in range(1, psi.n_layers):
-        out = ad.add(ad.matmul(out, psi.weights[l]), psi.biases[l])
-        if l != psi.n_layers - 1:
-            out = ad.tanh(out)
-    return ad.slice_cols(out, 0, model.k), ad.slice_cols(out, model.k, 2 * model.k)
-
-
 def encode_users(model: IntentModel, x_dense: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Batch version of encode_user over dense 0/1 rows (B, M)."""
+    """Variational posterior parameters for dense 0/1 rows (B, M)."""
     out = mlp_forward(model.encoder_psi, x_dense)
     return ad.slice_cols(out, 0, model.k), ad.slice_cols(out, model.k, 2 * model.k)
 
@@ -162,11 +151,13 @@ def item_intents(model: IntentModel, tau: float) -> ItemIntentMatrix:
     return ItemIntentMatrix(ad.transpose(phi_rows))
 
 
-def multinomial_recon_loss(x_dense: np.ndarray, gamma: Tensor, beta: Tensor, floor: float = PROB_FLOOR) -> Tensor:
-    """-sum_i sum_{j observed} log (beta gamma_i)_j over the batch."""
-    probs = ad.matmul(gamma, ad.transpose(beta))  # (B, M)
+def multinomial_recon_loss(x, gamma: Tensor, beta: Tensor, floor: float = PROB_FLOOR) -> Tensor:
+    """-sum_i sum_{j observed} log (beta gamma_i)_j over the batch, taken at
+    the observed cells of x (Cells or dense 0/1 rows) only."""
+    x = as_cells(x)
+    probs = ad.matmul_cells(gamma, ad.transpose(beta), x.rows, x.cols)
     logp = ad.log(ad.clip_min(probs, floor))
-    return ad.mul(ad.tsum(ad.mul(Tensor(x_dense), logp)), -1.0)
+    return ad.mul(ad.tsum(ad.mul(Tensor(x.values), logp)), -1.0)
 
 
 def intent_kl(mu: Tensor, logvar: Tensor, prior: LaplacePrior) -> Tensor:
@@ -188,14 +179,16 @@ class IntentLossParts:
 def intent_elbo_loss(
     model: IntentModel,
     prior: LaplacePrior,
-    x_dense: np.ndarray,
+    x,
     noise: np.ndarray,
     eta: float,
     tau: float,
     mc_samples: int = 1,
     floor: float = PROB_FLOOR,
 ) -> IntentLossParts:
-    """Negative ELBO of the intent network over a batch of binary rows.
+    """Negative ELBO of the intent network over a batch of binary rows x
+    (Cells or dense): the encoder reads them as dense rows, the
+    reconstruction only at their cells.
 
     noise has shape (H, B, K) or (B, K); the reconstruction is averaged over
     the H Monte Carlo samples while the KL stays analytic.
@@ -209,7 +202,8 @@ def intent_elbo_loss(
         noise = noise[None]
     if noise.shape[0] < mc_samples:
         raise ShapeError(f"noise provides {noise.shape[0]} samples, need {mc_samples}")
-    mu, logvar = encode_users(model, x_dense)
+    x = as_cells(x)
+    mu, logvar = encode_users(model, x.dense())
     beta = model.beta()
     recon = None
     gamma0 = None
@@ -217,7 +211,7 @@ def intent_elbo_loss(
         gamma = sample_gamma(mu, logvar, noise[h], tau).gamma
         if gamma0 is None:
             gamma0 = gamma
-        term = multinomial_recon_loss(x_dense, gamma, beta, floor)
+        term = multinomial_recon_loss(x, gamma, beta, floor)
         recon = term if recon is None else ad.add(recon, term)
     recon = ad.mul(recon, 1.0 / mc_samples)
     kl = intent_kl(mu, logvar, prior)
@@ -228,22 +222,24 @@ def intent_elbo_loss(
 def item_intent_kl_loss(
     phi: ItemIntentMatrix | Tensor,
     gamma: Tensor,
-    x_dense: np.ndarray,
+    x,
     floor: float = PROB_FLOOR,
 ) -> Tensor:
-    """sum over observed (i, j) of KL(phi_j || gamma_i) with the user side
-    treated as constant: gradients reach only the item network and the shared
-    embedding, never the user encoder heads."""
+    """sum over observed (i, j) of KL(phi_j || gamma_i), over the cells of x
+    (Cells or dense 0/1 rows), with the user side treated as constant:
+    gradients reach only the item network and the shared embedding, never
+    the user encoder heads."""
+    x = as_cells(x)
     phi_t = phi.phi if isinstance(phi, ItemIntentMatrix) else phi  # (K, M)
     phi_rows = ad.transpose(phi_t)  # (M, K)
-    gamma_const = gamma.detach()
-    log_gamma = ad.log(ad.clip_min(gamma_const, floor))
+    log_gamma = np.log(np.maximum(gamma.data, floor))  # a constant: no gradient to the user side
     # sum_j c_j * sum_k phi_jk log phi_jk, with c_j the batch count of item j
-    counts = Tensor(np.asarray(x_dense).sum(axis=0))  # (M,)
+    counts = Tensor(np.bincount(x.cols, weights=x.values, minlength=x.shape[1]))  # (M,)
     neg_entropy = ad.tsum(ad.mul(phi_rows, ad.log(ad.clip_min(phi_rows, floor))), axis=1)  # (M,)
     term1 = ad.tsum(ad.mul(counts, neg_entropy))
-    # sum_i sum_k (X phi)_ik log gamma_ik
-    cross = ad.tsum(ad.mul(ad.matmul(Tensor(np.asarray(x_dense, dtype=np.float64)), phi_rows), log_gamma))
+    # sum_i sum_k (X phi)_ik log gamma_ik = sum_j sum_k phi_jk (X^T log gamma)_jk
+    x_log_gamma = ad.sum_rows_by(x.values[:, None] * log_gamma[x.rows], x.cols, x.shape[1])  # (M, K)
+    cross = ad.tsum(ad.mul(phi_rows, Tensor(x_log_gamma)))
     return ad.sub(term1, cross)
 
 
@@ -252,7 +248,5 @@ def top_items_per_channel(beta_values: np.ndarray, top_t: int) -> list[list[tupl
     by item index."""
     if top_t < 1:
         raise ParameterError(f"top_t must be >= 1, got {top_t}")
-    out = []
-    for col in beta_values.T:
-        out.append([(int(j), float(col[j])) for j in top_n(col, top_t)])
-    return out
+    top = top_n(beta_values.T, top_t)  # (K, top_t), -1 past the last item
+    return [[(int(j), float(beta_values[j, c])) for j in row if j >= 0] for c, row in enumerate(top)]

@@ -1,5 +1,5 @@
 """Standard layers on top of the tape: MLPs, softmax with temperature,
-normalization, reparameterization, diagonal-Gaussian KL and Adam."""
+reparameterization, diagonal-Gaussian KL and Adam."""
 
 from __future__ import annotations
 
@@ -54,15 +54,37 @@ class MlpParams:
         return out
 
 
-def init_mlp(dims: list[int], rng: np.random.Generator, prefix: str, activation: str = "tanh") -> MlpParams:
-    """Glorot-uniform init of an MLP with layer sizes dims[0] -> ... -> dims[-1]."""
+def stored_array(arrays: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """arrays[name], which must have ``shape``; ShapeError names the array
+    otherwise."""
+    a = arrays.get(name)
+    if a is None:
+        raise ShapeError(f"array {name!r} missing")
+    if a.shape != tuple(shape):
+        raise ShapeError(f"array {name!r} has shape {a.shape}, model expects {tuple(shape)}")
+    return a
+
+
+def init_parameter(name: str, shape: tuple[int, ...], draw: Callable[[], np.ndarray],
+                   arrays: dict[str, np.ndarray] | None = None) -> Tensor:
+    """A named parameter holding draw(), or, when ``arrays`` are given
+    (a checkpoint's), the stored array of that name and shape, uncopied."""
+    if arrays is None:
+        return ad.parameter(draw(), name)
+    return Tensor(stored_array(arrays, name, shape), requires_grad=True, name=name)
+
+
+def init_mlp(dims: list[int], rng: np.random.Generator | None, prefix: str, activation: str = "tanh",
+             arrays: dict[str, np.ndarray] | None = None) -> MlpParams:
+    """Glorot-uniform init of an MLP with layer sizes dims[0] -> ... -> dims[-1]
+    (or its stored arrays, see init_parameter)."""
     weights, biases = [], []
     for l in range(len(dims) - 1):
         fan_in, fan_out = dims[l], dims[l + 1]
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        weights.append(ad.parameter(w, f"{prefix}.w{l}"))
-        biases.append(ad.parameter(np.zeros(fan_out), f"{prefix}.b{l}"))
+        weights.append(init_parameter(f"{prefix}.w{l}", (fan_in, fan_out),
+                                      lambda: rng.uniform(-bound, bound, size=(fan_in, fan_out)), arrays))
+        biases.append(init_parameter(f"{prefix}.b{l}", (fan_out,), lambda: np.zeros(fan_out), arrays))
     return MlpParams(weights, biases, activation)
 
 
@@ -90,11 +112,6 @@ def softmax_temp(logits, tau: float, axis: int = -1) -> Tensor:
         raise ParameterError(f"temperature must be positive, got {tau}")
     logits = ad.as_tensor(logits)
     return ad.softmax(ad.mul(logits, 1.0 / tau), axis=axis)
-
-
-def l2_normalize(v) -> Tensor:
-    """v / ||v||2 along the last axis; an all-zero vector passes through."""
-    return ad.l2norm_rows(ad.as_tensor(v))
 
 
 def gaussian_reparameterize(mu, sigma, noise) -> Tensor:
@@ -168,9 +185,11 @@ class Adam:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], t: int) -> None:
+        """Moments from a checkpoint's arrays, kept uncopied: the caller hands
+        over fresh buffers."""
         self.t = t
-        self.m = {k[len("adam.m."):]: np.array(v) for k, v in arrays.items() if k.startswith("adam.m.")}
-        self.v = {k[len("adam.v."):]: np.array(v) for k, v in arrays.items() if k.startswith("adam.v.")}
+        self.m = {k[len("adam.m."):]: v for k, v in arrays.items() if k.startswith("adam.m.")}
+        self.v = {k[len("adam.v."):]: v for k, v in arrays.items() if k.startswith("adam.v.")}
 
 
 def finite_difference_gradients(

@@ -10,8 +10,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import Cells, as_cells
 from .errors import ParameterError, ShapeError
-from .nn import MlpParams, diag_gaussian_kl, init_mlp, mlp_forward
+from .nn import MlpParams, diag_gaussian_kl, init_mlp, init_parameter, mlp_forward
 
 
 @dataclass
@@ -36,33 +37,19 @@ class PreferenceModel:
         return self.encoder_theta.parameters() + [self.item_matrix]
 
 
-def init_preference_model(n_items: int, d: int, hidden: int, rng: np.random.Generator) -> PreferenceModel:
-    theta = init_mlp([n_items, hidden, 2 * d], rng, "theta")
-    v = ad.parameter(rng.standard_normal((d, n_items)) / np.sqrt(d), "item.V")
+def init_preference_model(n_items: int, d: int, hidden: int, rng: np.random.Generator | None,
+                          arrays: dict[str, np.ndarray] | None = None) -> PreferenceModel:
+    """A freshly drawn preference model, or the one held by a checkpoint's
+    ``arrays`` (see nn.init_parameter)."""
+    theta = init_mlp([n_items, hidden, 2 * d], rng, "theta", arrays=arrays)
+    v = init_parameter("item.V", (d, n_items), lambda: rng.standard_normal((d, n_items)) / np.sqrt(d), arrays)
     return PreferenceModel(theta, v, d)
 
 
-@dataclass
-class ChannelSelection:
-    """The L highest-probability channels of one gamma and their renormalized
-    weights. Ties break toward the lower channel index."""
-
-    channel_indices: np.ndarray  # (L,) ints, descending gamma
-    weights: np.ndarray  # (L,), sums to 1
-
-
-def select_top_channels(gamma: np.ndarray, top_l: int) -> ChannelSelection:
-    gamma = np.asarray(gamma, dtype=np.float64)
-    k = gamma.size
-    if not 1 <= top_l <= k:
-        raise ParameterError(f"need 1 <= L <= K, got L={top_l}, K={k}")
-    order = np.lexsort((np.arange(k), -gamma))[:top_l]
-    picked = gamma[order]
-    return ChannelSelection(order.astype(np.intp), picked / picked.sum())
-
-
 def select_top_channels_batch(gamma: np.ndarray, top_l: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized top-L per row: (B, L) indices and (B, L) weights."""
+    """The top_l highest-probability channels of each row of gamma (B, K),
+    ties toward the lower channel index: (B, L) indices and (B, L) weights
+    renormalized to sum to 1."""
     gamma = np.asarray(gamma, dtype=np.float64)
     if not 1 <= top_l <= gamma.shape[1]:
         raise ParameterError(f"need 1 <= L <= K, got L={top_l}, K={gamma.shape[1]}")
@@ -71,20 +58,28 @@ def select_top_channels_batch(gamma: np.ndarray, top_l: int) -> tuple[np.ndarray
     return order.astype(np.intp), picked / picked.sum(axis=1, keepdims=True)
 
 
-def decompose_ratings(r_row: np.ndarray, phi: Tensor, sel: ChannelSelection) -> Tensor:
-    """Channel-tailored inputs for one user: row l is
-    l2norm(phi[channel_l] * R_i) (elementwise mask, then rescale)."""
-    phi_sel = ad.gather_rows(phi, sel.channel_indices)  # (L, M)
-    masked = ad.mul(phi_sel, Tensor(np.asarray(r_row, dtype=np.float64)))
-    return ad.l2norm_rows(masked)
+def decompose_ratings_batch(ratings, phi: Tensor, channel_idx: np.ndarray) -> tuple[Cells, Tensor]:
+    """Channel-tailored inputs of a batch, at their cells: row b*L + l is
+    l2norm(phi[channel_idx[b, l]] * R_b), nonzero only at user b's rated
+    items. ``ratings`` are the (B, C) rating cells (or dense rows) and phi
+    is (K, C).
 
-
-def decompose_ratings_batch(r_dense: np.ndarray, phi: Tensor, channel_idx: np.ndarray) -> Tensor:
-    """Tailored inputs for a batch: rows ordered user-major, (B*L, M)."""
+    Returns the tailored cells over (B*L, C), whose values are the raw
+    ratings, and the tailored values at those cells.
+    """
+    ratings = as_cells(ratings)
     b, top_l = channel_idx.shape
-    phi_sel = ad.gather_rows(phi, channel_idx.reshape(-1))  # (B*L, M)
-    r_rep = np.repeat(np.asarray(r_dense, dtype=np.float64), top_l, axis=0)
-    return ad.l2norm_rows(ad.mul(phi_sel, Tensor(r_rep)))
+    rows = (ratings.rows[:, None] * top_l + np.arange(top_l)).ravel()
+    cols = np.repeat(ratings.cols, top_l)
+    raw = np.repeat(ratings.values, top_l)
+    picked = ad.gather_cells(phi, channel_idx[ratings.rows].ravel(), cols)
+    tailored = ad.l2norm_cells(ad.mul(picked, Tensor(raw)), rows, b * top_l)
+    return Cells(rows, cols, raw, (b * top_l, ratings.shape[1])), tailored
+
+
+def dense_input(cells: Cells, values) -> Tensor:
+    """The (rows, C) encoder input holding ``values`` at ``cells``."""
+    return ad.scatter_cells(values, cells.rows, cells.cols, cells.shape)
 
 
 def encode_preference(model: PreferenceModel, r_il) -> tuple[Tensor, Tensor]:
@@ -93,17 +88,18 @@ def encode_preference(model: PreferenceModel, r_il) -> tuple[Tensor, Tensor]:
     return ad.slice_cols(out, 0, model.d), ad.slice_cols(out, model.d, 2 * model.d)
 
 
-def predict_ratings(u: np.ndarray, item_matrix: np.ndarray, sel: ChannelSelection) -> np.ndarray:
-    """Weighted average of per-channel inner products: for item j,
-    sum_l w_l (u_l . v_j). Evaluation path, plain arrays."""
-    u = np.atleast_2d(np.asarray(u, dtype=np.float64))
-    if u.shape[0] != len(sel.channel_indices):
-        raise ShapeError(
-            f"u has {u.shape[0]} channel rows but selection holds {len(sel.channel_indices)} channels"
-        )
-    if u.shape[1] != item_matrix.shape[0]:
+def predict_ratings_batch(u: np.ndarray, weights: np.ndarray, item_matrix: np.ndarray) -> np.ndarray:
+    """Weighted average of per-channel inner products for B users: for user
+    b and item j, sum_l weights[b, l] (u[b, l] . v_j), with u (B, L, d) and
+    weights (B, L). Evaluation path, plain arrays."""
+    u = np.asarray(u, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if u.ndim != 3 or u.shape[:2] != weights.shape:
+        raise ShapeError(f"u {u.shape} must be (B, L, d) with weights (B, L), got weights {weights.shape}")
+    if u.shape[2] != item_matrix.shape[0]:
         raise ShapeError(f"embedding dim {u.shape} does not match item matrix {item_matrix.shape}")
-    return sel.weights @ (u @ item_matrix)
+    # sum_l w_l (u_l . v_j) = (sum_l w_l u_l) . v_j
+    return np.einsum("bl,bld->bd", weights, u) @ item_matrix
 
 
 @dataclass
@@ -115,24 +111,27 @@ class PreferenceLossParts:
 
 def preference_elbo_loss(
     model: PreferenceModel,
-    tailored: Tensor,
-    targets: Tensor,
-    obs_mask: np.ndarray,
+    inputs,
+    cells: Cells,
+    targets,
     noise: np.ndarray,
     eta: float,
 ) -> PreferenceLossParts:
     """Negative ELBO of the preference network over tailored rows.
 
-    Squared-error reconstruction over the masked (observed) entries plus
-    eta * KL of the posterior against the standard normal prior.
+    ``inputs`` are the dense (rows, C) tailored rows the encoder reads. The
+    squared-error reconstruction of u @ V is taken only at ``cells`` (the
+    observed entries plus any sampled zero targets), against ``targets``
+    (one per cell); eta weighs the KL of the posterior against the standard
+    normal prior.
     """
     if eta < 0:
         raise ParameterError(f"eta must be nonnegative, got {eta}")
-    mu, logvar = encode_preference(model, tailored)
+    mu, logvar = encode_preference(model, inputs)
     sigma = ad.exp(ad.mul(logvar, 0.5))
     u = ad.add(mu, ad.mul(Tensor(np.asarray(noise, dtype=np.float64)), sigma))
-    pred = ad.matmul(u, model.item_matrix)  # (rows, M)
-    diff = ad.mul(ad.sub(pred, targets), Tensor(np.asarray(obs_mask, dtype=np.float64)))
+    pred = ad.matmul_cells(u, model.item_matrix, cells.rows, cells.cols)
+    diff = ad.sub(pred, targets)
     recon = ad.tsum(ad.mul(diff, diff))
     kl = diag_gaussian_kl(mu, logvar, 0.0, 1.0)
     return PreferenceLossParts(ad.add(recon, ad.mul(kl, eta)), recon, kl)

@@ -10,9 +10,19 @@ import numpy as np
 
 from .data import SplitDataset
 from .errors import ParameterError
-from .evaluation import RankedList, Scorer, rank_items
+from .evaluation import Scorer, rank_items
 from .intent import IntentModel
 from .ranking import top_n
+
+
+@dataclass
+class RankedList:
+    """Candidate items for one user, best first; training items excluded,
+    ties broken by item index."""
+
+    user: int
+    items: np.ndarray
+    scores: np.ndarray
 
 
 @dataclass
@@ -40,19 +50,24 @@ def _check_user(split: SplitDataset, user: int) -> None:
         raise ParameterError(f"unknown user index {user} (N={split.train.n_users})")
 
 
+def _ranked(split: SplitDataset, user: int, scores: np.ndarray, n: int) -> RankedList:
+    """The user's scores over all items ranked as one row of rank_items."""
+    items = rank_items(scores[None], [split.train.rows[user][0]], n)[0]
+    items = items[items >= 0]
+    return RankedList(user, items, scores[items])
+
+
 def recommend_blended(scorer: Scorer, split: SplitDataset, user: int, n: int) -> RankedList:
     """Same scoring path as evaluation, truncated to n items."""
     _check_user(split, user)
-    scores = scorer.blended_scores(split.train, np.array([user]))[0]
-    return rank_items(user, scores, split.train.rows[user][0], n)
+    return _ranked(split, user, scorer.blended_scores(split.train, np.array([user]))[0], n)
 
 
 def recommend_in_channel(scorer: Scorer, split: SplitDataset, user: int, channel: int, n: int) -> RankedList:
     """Rank under one intent channel only: scores are the channel embedding's
     inner products, no cross-channel blending."""
     _check_user(split, user)
-    scores = scorer.channel_scores(split.train, np.array([user]), channel)[0]
-    return rank_items(user, scores, split.train.rows[user][0], n)
+    return _ranked(split, user, scorer.channel_scores(split.train, np.array([user]), channel)[0], n)
 
 
 def recommend_with_intent(
@@ -61,8 +76,7 @@ def recommend_with_intent(
     """Weighted-average prediction with the override in place of the
     predicted top-L weights."""
     _check_user(split, user)
-    scores = scorer.override_scores(split.train, np.array([user]), override.normalized())[0]
-    return rank_items(user, scores, split.train.rows[user][0], n)
+    return _ranked(split, user, scorer.override_scores(split.train, np.array([user]), override.normalized())[0], n)
 
 
 def similar_items(

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .contrast import AugmentationConfig, ContrastiveBatch, augmentation_mask, contrastive_loss, embed_original
-from .data import BinaryMatrix, SplitDataset, binarize, item_batch
-from .errors import CheckpointError, ParameterError, TrainingError, UsageError
+from .contrast import AugmentationConfig, ContrastiveBatch, augmented_view, contrastive_loss, embed_original
+from .data import BinaryMatrix, Cells, SplitDataset, as_cells, binarize, item_batch
+from .errors import CheckpointError, ParameterError, ShapeError, TrainingError, UsageError
 from .evaluation import Scorer, evaluate
 from .intent import (
     IntentModel,
@@ -30,10 +30,11 @@ from .intent import (
     laplace_prior,
     standard_prior,
 )
-from .nn import Adam
+from .nn import Adam, stored_array
 from .preference import (
     PreferenceModel,
     decompose_ratings_batch,
+    dense_input,
     encode_preference,
     init_preference_model,
     preference_elbo_loss,
@@ -184,41 +185,50 @@ class TrainerState:
         return self.intent.parameters() + self.pref.parameters()
 
 
-def build_state(cfg: TrainConfig, n_users: int, n_items: int) -> TrainerState:
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(cfg.seed), _INIT])))
-    intent = init_intent_model(n_items, cfg.k, cfg.intent_hidden, cfg.item_hidden, rng)
-    pref = init_preference_model(n_items, cfg.d, cfg.pref_hidden, rng)
-    # softmax-basis Dirichlet approximation needs K >= 2; the single-channel
-    # baseline falls back to a unit Gaussian (gamma is identically 1 anyway)
-    prior = laplace_prior(np.full(cfg.k, cfg.alpha_k)) if cfg.k >= 2 else standard_prior(1)
+def build_state(cfg: TrainConfig, n_users: int, n_items: int, arrays: dict[str, np.ndarray] | None = None
+                ) -> TrainerState:
+    """A run's initial state, drawn from cfg.seed; or, given a checkpoint's
+    ``arrays``, the model and prior they hold. Either way the shapes come
+    from the init functions, and a missing or mis-shaped array raises
+    ShapeError naming it."""
+    rng = None
+    if arrays is None:
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(cfg.seed), _INIT])))
+    intent = init_intent_model(n_items, cfg.k, cfg.intent_hidden, cfg.item_hidden, rng, arrays)
+    pref = init_preference_model(n_items, cfg.d, cfg.pref_hidden, rng, arrays)
+    if arrays is not None:
+        prior = LaplacePrior(*(stored_array(arrays, f"prior.{name}", (cfg.k,)) for name in ("alpha", "mu", "var")))
+    elif cfg.k >= 2:
+        prior = laplace_prior(np.full(cfg.k, cfg.alpha_k))
+    else:
+        # softmax-basis Dirichlet approximation needs K >= 2; the single-channel
+        # baseline falls back to a unit Gaussian (gamma is identically 1 anyway)
+        prior = standard_prior(1)
     return TrainerState(cfg, n_users, n_items, intent, pref, prior, Adam(cfg.learning_rate), tau=cfg.tau_start)
 
 
-def _zero_negatives(rb: np.ndarray, items: np.ndarray, n_items: int, top_l: int, step: int,
-                    seed: int) -> list[np.ndarray]:
+def _zero_negatives(rb: Cells, items: np.ndarray, n_items: int, top_l: int, step: int,
+                    seed: int) -> tuple[np.ndarray, np.ndarray]:
     """One sampled unobserved item (a zero target) per observed item, drawn
-    from all n_items for each of the B*L tailored rows (user-major); item
-    indices are over all M."""
+    from all n_items for each of the B*L tailored rows (user-major): the
+    tailored row and the item index (over all M) of each pick."""
     rng = _stream_rng(seed, _ZERO_NEG, step)
-    out = []
-    for row in np.repeat(rb > 0, top_l, axis=0):
+    rows, picks = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for r in range(rb.shape[0] * top_l):
+        observed = items[rb.cols[rb.rows == r // top_l]]
         unobserved = np.ones(n_items, dtype=bool)
-        unobserved[items[row]] = False
+        unobserved[observed] = False
         unobs = np.flatnonzero(unobserved)
-        n = int(row.sum())
-        if n == 0 or unobs.size == 0:
-            out.append(np.empty(0, dtype=np.intp))
+        if observed.size == 0 or unobs.size == 0:
             continue
-        out.append(rng.choice(unobs, size=min(n, unobs.size), replace=False))
-    return out
+        picks.append(rng.choice(unobs, size=min(observed.size, unobs.size), replace=False))
+        rows.append(np.full(picks[-1].size, r, dtype=np.intp))
+    return np.concatenate(rows), np.concatenate(picks).astype(np.intp)
 
 
-def _widen(rows: np.ndarray, items: np.ndarray, wider: np.ndarray) -> np.ndarray:
-    """Rows over ``items`` as rows over the superset ``wider`` (zeros at the
-    new items)."""
-    out = np.zeros((rows.shape[0], wider.size))
-    out[:, np.searchsorted(wider, items)] = rows
-    return out
+def _widen(cells: Cells, items: np.ndarray, wider: np.ndarray) -> Cells:
+    """Cells over ``items`` as cells over the superset ``wider``."""
+    return Cells(cells.rows, np.searchsorted(wider, items[cells.cols]), cells.values, (cells.shape[0], wider.size))
 
 
 @dataclass
@@ -246,34 +256,38 @@ class BatchLosses:
 
 def compute_batch_losses(
     state: TrainerState,
-    xb: np.ndarray,
-    rb: np.ndarray,
+    xb,
+    rb,
     eta: float,
     tau: float,
     step: int,
     stage: str,
     items: np.ndarray | None = None,
 ) -> BatchLosses:
-    """All loss terms for one batch of users: binary rows xb and rating rows
-    rb over the increasing item list ``items`` (all M items when None), zero
-    at every item outside it. Pretraining evaluates only the two intent
-    terms.
+    """All loss terms for one batch of users: binary cells xb and rating
+    cells rb (Cells, or dense rows) over the increasing item list ``items``
+    (all M items when None), zero at every item outside it. Pretraining
+    evaluates only the two intent terms.
 
     Every loss reads only the batch's rated items (plus sampled zero
-    targets), so the losses run on views of both models over ``items`` and
-    equal the losses over all M.
+    targets), so the losses run on views of both models over ``items``, at
+    the rated cells; only the encoders' first-layer inputs are dense rows.
+    They equal the losses over all M.
     """
     cfg = state.cfg
-    b = xb.shape[0]
+    xb, rb = as_cells(xb), as_cells(rb)
+    b = rb.shape[0]
     m = state.n_items
     items = np.arange(m) if items is None else np.asarray(items, dtype=np.intp)
     unified = stage == "unified" and (cfg.lambda3 > 0 or cfg.lambda4 > 0)
     negatives = None
     if unified and cfg.lambda3 > 0 and cfg.pref_zero_negatives:
-        negatives = _zero_negatives(rb, items, m, cfg.l, step, cfg.seed)
-        wider = np.union1d(items, np.concatenate(negatives)).astype(np.intp)
+        neg_rows, neg_items = _zero_negatives(rb, items, m, cfg.l, step, cfg.seed)
+        wider = np.union1d(items, neg_items).astype(np.intp)
         if wider.size > items.size:
             xb, rb, items = _widen(xb, items, wider), _widen(rb, items, wider), wider
+        negatives = Cells(neg_rows, np.searchsorted(items, neg_items), np.zeros(neg_rows.size),
+                          (b * cfg.l, items.size))
     intent = state.intent.over(items)
     noise_i = _stream_rng(cfg.seed, _NOISE_INTENT, step).standard_normal((cfg.mc_samples, b, cfg.k))
     l1 = intent_elbo_loss(intent, state.prior, xb, noise_i, eta, tau, cfg.mc_samples, cfg.prob_floor)
@@ -286,23 +300,26 @@ def compute_batch_losses(
         pref = state.pref.over(items)
         idx, _ = select_top_channels_batch(l1.gamma.data, cfg.l)
         phi_src = Tensor(phi.values) if cfg.detach_tailored else phi.phi
-        tails = decompose_ratings_batch(rb, phi_src, idx)
+        cells, tails = decompose_ratings_batch(rb, phi_src, idx)
         if cfg.lambda3 > 0:
-            obs = np.repeat((rb > 0).astype(np.float64), cfg.l, axis=0)
+            # reconstructed at the rated cells (raw rating as value) and at
+            # the zero targets
+            recon, targets = cells, tails
             if negatives is not None:
-                for r, picked in enumerate(negatives):
-                    obs[r, np.searchsorted(items, picked)] = 1.0
-            targets = Tensor(np.repeat(rb, cfg.l, axis=0)) if cfg.pref_target_raw else tails
+                recon = Cells(*(np.concatenate([getattr(cells, f), getattr(negatives, f)])
+                                for f in ("rows", "cols", "values")), cells.shape)
+                targets = ad.concat([tails, negatives.values])
+            if cfg.pref_target_raw:
+                targets = Tensor(recon.values)
             noise_p = _stream_rng(cfg.seed, _NOISE_PREF, step).standard_normal((b * cfg.l, cfg.d))
-            parts3 = preference_elbo_loss(pref, tails, targets, obs, noise_p, eta)
+            parts3 = preference_elbo_loss(pref, dense_input(cells, tails), recon, targets, noise_p, eta)
             l3, kl_pref = parts3.total, parts3.kl
             total = ad.add(total, ad.mul(l3, cfg.lambda3))
         if cfg.lambda4 > 0 and b >= 2:
             aug_cfg = AugmentationConfig(cfg.node_dropout, cfg.edge_dropout, cfg.seed)
             # the draws cover all M items, as the mask of a full-width batch
-            mask = augmentation_mask((b * cfg.l, m), aug_cfg, step)[:, items]
-            augmented = ad.l2norm_rows(ad.mul(tails, Tensor(mask)))
-            u_aug, _ = encode_preference(pref, augmented)
+            augmented = augmented_view(tails, cells, items, m, aug_cfg, step)
+            u_aug, _ = encode_preference(pref, dense_input(cells, augmented))
             u_ori = embed_original(pref, rb)
             l4 = contrastive_loss(
                 ContrastiveBatch(u_ori, u_aug, cfg.l, cfg.tau_c), cfg.include_positive_pair
@@ -413,19 +430,21 @@ def train(
     for epoch in range(state.epoch, total_epochs):
         stage = "pretrain" if epoch < eff_pre else "unified"
         record = run_epoch(state, data, x_bin, epoch, stage)
+        improved = False
         if stage == "unified":
             val = validation_recall_at_10(state, data)
             record["val_recall_at_10"] = val
-            if val > state.best_val:
+            improved = val > state.best_val
+            if improved:
                 state.best_val = val
                 state.best_epoch = epoch
                 state.bad_epochs = 0
-                state.epoch = epoch + 1
-                save_checkpoint(best_path, state)
             else:
                 state.bad_epochs += 1
         state.epoch = epoch + 1
         state.history.append(record)
+        if improved:
+            save_checkpoint(best_path, state)
         save_checkpoint(last_path, state)
         if log is not None:
             log(record)
@@ -466,7 +485,9 @@ def _write_manifest(state: TrainerState, out_dir: str, wall: float, stopped_earl
             f"{r['l1']:.2f}", f"{r['l2']:.2f}", f"{r['l3']:.2f}", f"{r['l4']:.4f}",
             f"{r['kl_intent_per_user']:.4f}", f"{r['kl_pref_per_user']:.4f}",
             f"{r.get('val_recall_at_10', float('nan')):.4f}",
-            f"{r['eta']:.3f}", f"{r['tau']:.3f}", f"{r['seconds']:.1f}",
+            # a resumed run's earlier epochs come from the checkpoint, which
+            # keeps no wall-clock time
+            f"{r['eta']:.3f}", f"{r['tau']:.3f}", f"{r['seconds']:.1f}" if "seconds" in r else "-",
         ]
         lines.append("  " + "  ".join(row))
     if stopped_early:
@@ -528,6 +549,8 @@ def save_checkpoint(path: str, state: TrainerState) -> None:
             "eta": state.eta,
         },
         "rng": {"seed": state.cfg.seed, "scheme": "counter-based (seed, stream, step)"},
+        # wall-clock seconds are left out, so the bytes depend only on (config, seed)
+        "history": [{k: v for k, v in r.items() if k != "seconds"} for r in state.history],
         "arrays": spec,
         "payload_bytes": offset,
     }
@@ -581,15 +604,27 @@ def _check_header(header) -> None:
         else:
             ok = _is_int(value)
         need(ok, "counters", f"{name} is {value!r}")
+    history = header.get("history", [])
+    need(isinstance(history, list) and all(isinstance(r, dict) for r in history), "history",
+         "expected a list of epoch records")
     arrays = header.get("arrays")
     need(isinstance(arrays, list), "arrays", f"expected a list, got {arrays!r}")
+    spans = []
     for entry in arrays:
         need(isinstance(entry, dict) and isinstance(entry.get("name"), str), "arrays", f"entry {entry!r} has no name")
         name, shape, offset = entry["name"], entry.get("shape"), entry.get("offset")
         need(isinstance(shape, list) and all(_is_int(n) and n >= 0 for n in shape), "arrays",
              f"array {name!r} has shape {shape!r}")
         need(_is_int(offset) and offset >= 0, "arrays", f"array {name!r} has offset {offset!r}")
-        need(offset + math.prod(shape) * 8 <= payload, "arrays", f"array {name!r} extends past the payload")
+        spans.append((offset, offset + math.prod(shape) * 8, name))
+        need(spans[-1][1] <= payload, "arrays", f"array {name!r} extends past the payload")
+    names = [name for _, _, name in spans]
+    need(len(set(names)) == len(names), "arrays", "an array name repeats")
+    spans.sort()
+    for (_, end, name), (start, _, after) in zip(spans, spans[1:]):
+        need(end <= start, "arrays", f"array {name!r} overlaps array {after!r}")
+    total = sum(end - start for start, end, _ in spans)
+    need(total == payload, "arrays", f"array sizes sum to {total} bytes, payload_bytes is {payload}")
 
 
 def load_checkpoint(path: str) -> TrainerState:
@@ -623,6 +658,7 @@ def load_checkpoint(path: str) -> TrainerState:
             raise CheckpointError("footer missing or corrupt")
         try:
             cfg = TrainConfig.from_dict(header["config"])
+            cfg.validate()
         except (KeyError, TypeError, UsageError) as exc:
             raise CheckpointError(f"config section invalid: {exc}") from None
         # each array is read straight into the buffer the model keeps; no
@@ -634,19 +670,10 @@ def load_checkpoint(path: str) -> TrainerState:
             fh.readinto(a)
             arrays[entry["name"]] = a.astype(np.float64, copy=False)
 
-    state = build_state(cfg, header["n"], header["m"])
-    for p in state.all_parameters():
-        if p.name not in arrays:
-            raise CheckpointError(f"array {p.name!r} missing from checkpoint")
-        if arrays[p.name].shape != p.data.shape:
-            raise CheckpointError(
-                f"array {p.name!r} has shape {arrays[p.name].shape}, model expects {p.data.shape}"
-            )
-        p.data = arrays[p.name]
-    for name in ("prior.mu", "prior.var", "prior.alpha"):
-        if name not in arrays:
-            raise CheckpointError(f"array {name!r} missing from checkpoint")
-    state.prior = LaplacePrior(arrays["prior.alpha"], arrays["prior.mu"], arrays["prior.var"])
+    try:
+        state = build_state(cfg, header["n"], header["m"], arrays)
+    except ShapeError as exc:
+        raise CheckpointError(f"arrays section invalid: {exc}") from None
     counters = header["counters"]
     state.opt.load_state_arrays(arrays, counters["adam_t"])
     state.epoch = counters["epoch"]
@@ -656,6 +683,7 @@ def load_checkpoint(path: str) -> TrainerState:
     state.bad_epochs = counters["bad_epochs"]
     state.tau = counters["tau"]
     state.eta = counters["eta"]
+    state.history = header.get("history", [])
     return state
 
 

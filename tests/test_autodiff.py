@@ -184,13 +184,13 @@ class TestSoftmaxTemp:
 
 class TestL2Normalize:
     def test_345_triangle(self):
-        np.testing.assert_allclose(nn.l2_normalize(np.array([3.0, 4.0])).data, [0.6, 0.8], atol=1e-15)
+        np.testing.assert_allclose(ad.l2norm_rows(np.array([3.0, 4.0])).data, [0.6, 0.8], atol=1e-15)
 
     def test_zero_vector_passthrough(self):
-        np.testing.assert_allclose(nn.l2_normalize(np.zeros(3)).data, np.zeros(3))
+        np.testing.assert_allclose(ad.l2norm_rows(np.zeros(3)).data, np.zeros(3))
 
     def test_symmetry(self):
-        np.testing.assert_allclose(nn.l2_normalize(np.ones(4)).data, 0.5 * np.ones(4), atol=1e-15)
+        np.testing.assert_allclose(ad.l2norm_rows(np.ones(4)).data, 0.5 * np.ones(4), atol=1e-15)
 
     @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6))
     @settings(max_examples=60, deadline=None)
@@ -198,8 +198,8 @@ class TestL2Normalize:
         v = np.array(vals)
         if np.linalg.norm(v) < 1e-6:
             return
-        once = nn.l2_normalize(v).data
-        twice = nn.l2_normalize(once).data
+        once = ad.l2norm_rows(v).data
+        twice = ad.l2norm_rows(once).data
         np.testing.assert_allclose(once, twice, atol=1e-12)
         assert abs(np.linalg.norm(once) - 1.0) <= 1e-12
 

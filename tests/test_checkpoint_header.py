@@ -7,6 +7,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from intentcf import cli
 from intentcf import data as dt
@@ -86,6 +88,11 @@ CASES = [
     ("config", drop("config")),
     ("config", put(7, "config")),
     ("header", lambda header: [header]),
+    ("history", put("x", "history")),
+    ("history", put([1, 2], "history")),
+    ("arrays", lambda header: put(header["arrays"][0]["name"], "arrays", 1, "name")(header)),
+    ("arrays", lambda header: put(header["arrays"][0]["offset"], "arrays", 1, "offset")(header)),
+    ("arrays", put([1], "arrays", 0, "shape")),
 ]
 
 
@@ -104,6 +111,35 @@ def test_untouched_header_still_loads(run, tmp_path):
     same.write_bytes(rewrite_header(blob, lambda header: header))
     state = tr.load_checkpoint(str(same))
     assert np.isfinite(state.tau)
+
+
+def test_header_without_history_loads_an_empty_history(run, tmp_path):
+    _, blob = run
+    same = tmp_path / "same.ckpt"
+    same.write_bytes(blob)
+    assert [r["epoch"] for r in tr.load_checkpoint(str(same)).history] == [0, 1]
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(rewrite_header(blob, drop("history")))
+    assert tr.load_checkpoint(str(old)).history == []
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_truncated_or_flipped_checkpoint_raises_only_checkpoint_error(run, tmp_path, data):
+    _, blob = run
+    damaged = bytearray(blob)
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = damaged[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        for _ in range(data.draw(st.integers(1, 3), label="flips")):
+            at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+            damaged[at] ^= data.draw(st.integers(1, 255), label="mask")
+    path = tmp_path / "damaged.ckpt"
+    path.write_bytes(bytes(damaged))
+    try:
+        tr.load_checkpoint(str(path))
+    except CheckpointError:
+        pass
 
 
 @pytest.mark.parametrize("edit", [drop("payload_bytes"), drop("counters")])

@@ -4,33 +4,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intentcf import contrast as ct
+from intentcf import data as dt
 from intentcf import preference as pr
 from intentcf.autodiff import Tensor
 from intentcf.errors import ParameterError
 
 
+def augment_rows(rows, cfg, step):
+    """augmented_view of dense tailored rows, given back as dense rows."""
+    cells = dt.Cells.from_dense(rows)
+    out = ct.augmented_view(Tensor(cells.values), cells, np.arange(rows.shape[1]), rows.shape[1], cfg, step)
+    return dt.Cells(cells.rows, cells.cols, out.data, cells.shape).dense()
+
+
 class TestAugment:
     def test_zero_rates_identity(self):
         cfg = ct.AugmentationConfig(0.0, 0.0, seed=1)
-        r = np.array([0.0, 0.6, 0.8, 0.0])
-        np.testing.assert_array_equal(ct.augment(r, cfg, step=0), r)
+        r = np.array([[0.0, 0.6, 0.8, 0.0]])
+        np.testing.assert_array_equal(augment_rows(r, cfg, step=0), r)
 
     def test_full_edge_dropout(self):
         cfg = ct.AugmentationConfig(0.0, 1.0, seed=1)
-        out = ct.augment(np.array([0.6, 0.8]), cfg, step=3)
-        np.testing.assert_array_equal(out, np.zeros(2))
+        out = augment_rows(np.array([[0.6, 0.8]]), cfg, step=3)
+        np.testing.assert_array_equal(out, np.zeros((1, 2)))
 
     def test_deterministic_given_seed_and_step(self):
         cfg = ct.AugmentationConfig(0.0, 0.5, seed=7)
-        r = np.array([0.5, 0.5, 0.5, 0.5])
-        a = ct.augment(r, cfg, step=11)
-        b = ct.augment(r, cfg, step=11)
+        r = np.array([[0.5, 0.5, 0.5, 0.5]])
+        a = augment_rows(r, cfg, step=11)
+        b = augment_rows(r, cfg, step=11)
         np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, ct.augment(r, cfg, step=12)) or True  # different step may differ
+        assert not np.array_equal(a, augment_rows(r, cfg, step=12)) or True  # different step may differ
 
     def test_renormalized_when_nonzero(self):
         cfg = ct.AugmentationConfig(0.0, 0.5, seed=3)
-        out = ct.augment(np.array([0.5, 0.5, 0.5, 0.5]), cfg, step=1)
+        out = augment_rows(np.array([[0.5, 0.5, 0.5, 0.5]]), cfg, step=1)
         n = np.linalg.norm(out)
         assert n == pytest.approx(1.0, abs=1e-12) or n == 0.0
 

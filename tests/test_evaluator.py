@@ -3,6 +3,7 @@ import pytest
 
 from intentcf import data as dt
 from intentcf import evaluation as ev
+from intentcf import recommend as rc
 from intentcf import training as tr
 from intentcf.errors import ParameterError
 
@@ -51,30 +52,34 @@ class TestMetricsAtK:
         # metrics depend only on the ordering, so any strictly monotone
         # score transform leaves the ranked list (hence metrics) unchanged
         scores = np.array([0.9, 0.1, 0.5, 0.3])
-        a = ev.rank_items(0, scores, np.array([], dtype=int), 4)
-        b = ev.rank_items(0, np.exp(3 * scores), np.array([], dtype=int), 4)
-        np.testing.assert_array_equal(a.items, b.items)
+        a = rank_one(scores, np.array([], dtype=int), 4)
+        b = rank_one(np.exp(3 * scores), np.array([], dtype=int), 4)
+        np.testing.assert_array_equal(a, b)
 
     def test_empty_positives_rejected(self):
         with pytest.raises(ParameterError):
             ev.metrics_at_k(np.array([1, 2]), set(), 2)
 
 
+def rank_one(scores, exclude, k):
+    """rank_items for one row of scores, padding dropped."""
+    items = ev.rank_items(np.asarray(scores)[None], [exclude], k)[0]
+    return items[items >= 0]
+
+
 class TestRankItems:
     def test_order_and_tie_break(self):
         scores = np.array([1.0, 3.0, 3.0, 2.0])
-        ranked = ev.rank_items(0, scores, np.array([], dtype=int), 4)
-        np.testing.assert_array_equal(ranked.items, [1, 2, 3, 0])
+        np.testing.assert_array_equal(rank_one(scores, np.array([], dtype=int), 4), [1, 2, 3, 0])
 
     def test_exclusion(self):
         scores = np.array([5.0, 4.0, 3.0])
-        ranked = ev.rank_items(0, scores, np.array([0]), 3)
-        assert 0 not in ranked.items
-        np.testing.assert_array_equal(ranked.items, [1, 2])
+        ranked = ev.rank_items(scores[None], [np.array([0])], 3)[0]
+        assert 0 not in ranked
+        np.testing.assert_array_equal(ranked, [1, 2, -1])
 
     def test_truncation(self):
-        ranked = ev.rank_items(0, np.arange(10.0), np.array([], dtype=int), 3)
-        np.testing.assert_array_equal(ranked.items, [9, 8, 7])
+        np.testing.assert_array_equal(rank_one(np.arange(10.0), np.array([], dtype=int), 3), [9, 8, 7])
 
 
 def perfect_split(n_users=3, n_items=9):
@@ -127,8 +132,8 @@ class TestEvaluate:
         for _ in range(seeds):
             scores = rng.standard_normal(m)
             pos = rng.choice(m, size=n_pos, replace=False)
-            ranked = ev.rank_items(0, scores, np.array([], dtype=int), k)
-            _, r, _, _ = ev.metrics_at_k(ranked.items, set(pos.tolist()), k)
+            ranked = rank_one(scores, np.array([], dtype=int), k)
+            _, r, _, _ = ev.metrics_at_k(ranked, set(pos.tolist()), k)
             recalls.append(r)
         mean = np.mean(recalls)
         per_seed_var = n_pos * (n_pos / m) * (1 - n_pos / m) / (n_pos**2)  # ~binomial hits / n_pos
@@ -154,8 +159,8 @@ class TestEvaluate:
         scorer = OracleScorer(positives, 9)
         scores = scorer.blended_scores(split.train, np.array([0]))[0]
         scores[split.train.rows[0][0]] = 100.0  # make train items most attractive
-        ranked = ev.rank_items(0, scores, split.train.rows[0][0], 9)
-        assert not set(split.train.rows[0][0].tolist()) & set(ranked.items.tolist())
+        ranked = rank_one(scores, split.train.rows[0][0], 9)
+        assert not set(split.train.rows[0][0].tolist()) & set(ranked.tolist())
 
 
 class TestCooccurrence:
@@ -206,13 +211,13 @@ class TestScorerPaths:
         res = tr.train(ds, cfg, "/tmp/test_scorer_run")
         state = tr.load_checkpoint(res.last_checkpoint)
         scorer = tr.scorer_from_state(state)
-        a = ev.rank_user(scorer, ds, 0, 10)
-        b = ev.rank_user(scorer, ds, 0, 10)
-        np.testing.assert_array_equal(a.items, b.items)
-        np.testing.assert_array_equal(a.scores, b.scores)
-        assert not set(ds.train.rows[0][0].tolist()) & set(a.items.tolist())
+        a, b = (scorer.blended_scores(ds.train, np.array([0])) for _ in range(2))
+        np.testing.assert_array_equal(a, b)
+        ranked = ev.rank_items(a, [ds.train.rows[0][0]], 10)
+        np.testing.assert_array_equal(ranked, ev.rank_items(b, [ds.train.rows[0][0]], 10))
+        assert not set(ds.train.rows[0][0].tolist()) & set(ranked[0].tolist())
 
     def test_unknown_user_rejected(self):
         split, positives = perfect_split()
         with pytest.raises(ParameterError, match="unknown user"):
-            ev.rank_user(OracleScorer(positives, 9), split, 99, 5)
+            rc.recommend_blended(OracleScorer(positives, 9), split, 99, 5)

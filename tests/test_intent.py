@@ -45,37 +45,49 @@ def tiny_model(m=6, k=3, hidden=4, seed=0):
     return it.init_intent_model(m, k, hidden, hidden, np.random.default_rng(seed))
 
 
+def one_row(m, idx):
+    x = np.zeros((1, m))
+    x[0, idx] = 1.0
+    return x
+
+
 class TestEncodeUser:
     def test_all_zero_weights_give_zero_heads(self):
         model = tiny_model()
         for p in model.encoder_psi.parameters():
             p.data[...] = 0.0
-        mu, logvar = it.encode_user(model, np.array([0, 2]))
-        np.testing.assert_array_equal(mu.data, np.zeros(3))
-        np.testing.assert_array_equal(logvar.data, np.zeros(3))
+        mu, logvar = it.encode_users(model, one_row(6, [0, 2]))
+        np.testing.assert_array_equal(mu.data[0], np.zeros(3))
+        np.testing.assert_array_equal(logvar.data[0], np.zeros(3))
 
     def test_one_hot_row_is_embedding_lookup(self):
         model = tiny_model(seed=5)
         j = 4
         w0, b0 = model.encoder_psi.weights[0].data, model.encoder_psi.biases[0].data
-        mu, _ = it.encode_user(model, np.array([j]))
+        mu, _ = it.encode_users(model, one_row(6, [j]))
         h = np.tanh(w0[j] + b0)
         expected = (h @ model.encoder_psi.weights[1].data + model.encoder_psi.biases[1].data)[:3]
-        np.testing.assert_allclose(mu.data, expected, atol=1e-12)
+        np.testing.assert_allclose(mu.data[0], expected, atol=1e-12)
 
     def test_matches_dense_batch_path(self):
+        # a one-row batch over the item union equals the row over all items
         model = tiny_model(seed=7)
         idx = np.array([1, 3])
-        x = np.zeros((1, 6))
-        x[0, idx] = 1.0
-        mu_s, lv_s = it.encode_user(model, idx)
-        mu_b, lv_b = it.encode_users(model, x)
-        np.testing.assert_allclose(mu_s.data, mu_b.data[0], atol=1e-12)
-        np.testing.assert_allclose(lv_s.data, lv_b.data[0], atol=1e-12)
+        mu_s, lv_s = it.encode_users(model.over(idx), np.ones((1, 2)))
+        mu_b, lv_b = it.encode_users(model, one_row(6, idx))
+        np.testing.assert_allclose(mu_s.data, mu_b.data, atol=1e-12)
+        np.testing.assert_allclose(lv_s.data, lv_b.data, atol=1e-12)
 
     def test_empty_row_rejected(self):
+        from intentcf import data as dt
+        from intentcf import evaluation as ev
+        from intentcf import preference as pr
+
+        rows = [(np.array([0, 2], dtype=np.intp), np.array([4.0, 5.0])), (np.array([], dtype=np.intp), np.array([]))]
+        train = dt.RatingMatrix(["a", "b"], [f"i{j}" for j in range(6)], rows)
+        scorer = ev.Scorer(tiny_model(), pr.init_preference_model(6, 2, 4, np.random.default_rng(0)), 2, 0.5)
         with pytest.raises(ParameterError, match="cold"):
-            it.encode_user(tiny_model(), np.array([], dtype=int))
+            scorer.gamma(train, np.array([1]))
 
 
 class TestSampleGamma:

@@ -1,10 +1,11 @@
-"""The item-union path against a plain dense reference.
+"""The item-union, rated-cell path against a plain dense reference.
 
 Training batches and scoring batches are computed over U, the sorted union
-of the batch's rated items, on views of both models. ``dense_batch_losses``
-below is the all-M formulation over dense (B, M) rows, kept here only as the
-oracle: every loss term and every parameter gradient of the union path must
-match it.
+of the batch's rated items, on views of both models, and every tailored
+row, dropout view and reconstruction is computed only at the rated cells.
+The functions below are the all-M formulation over dense (B, M) rows, kept
+here only as the oracle: every loss term and every parameter gradient of
+the cell path must match it.
 """
 
 import numpy as np
@@ -17,16 +18,49 @@ from intentcf import data as dt
 from intentcf import evaluation as ev
 from intentcf import training as tr
 from intentcf.autodiff import Tensor
-from intentcf.contrast import AugmentationConfig, ContrastiveBatch, augmentation_mask, contrastive_loss, embed_original
-from intentcf.intent import encode_users, intent_elbo_loss, item_intent_kl_loss, item_intents
-from intentcf.nn import softmax_temp
-from intentcf.preference import (
-    decompose_ratings_batch,
-    encode_preference,
-    preference_elbo_loss,
-    select_top_channels_batch,
-)
+from intentcf.contrast import AugmentationConfig, ContrastiveBatch, augmentation_mask, contrastive_loss
+from intentcf.intent import encode_users, intent_kl, item_intents, sample_gamma
+from intentcf.nn import diag_gaussian_kl, softmax_temp
+from intentcf.preference import encode_preference, select_top_channels_batch
 from intentcf.ranking import top_n
+
+
+def dense_intent_elbo(model, prior, x, noise, eta, tau, mc_samples, floor):
+    mu, logvar = encode_users(model, x)
+    beta = model.beta()
+    recon, gamma0 = None, None
+    for h in range(mc_samples):
+        gamma = sample_gamma(mu, logvar, noise[h], tau).gamma
+        gamma0 = gamma if gamma0 is None else gamma0
+        probs = ad.matmul(gamma, ad.transpose(beta))
+        term = ad.mul(ad.tsum(ad.mul(Tensor(x), ad.log(ad.clip_min(probs, floor)))), -1.0)
+        recon = term if recon is None else ad.add(recon, term)
+    recon = ad.mul(recon, 1.0 / mc_samples)
+    kl = intent_kl(mu, logvar, prior)
+    return ad.add(recon, ad.mul(kl, eta)), kl, gamma0
+
+
+def dense_item_intent_kl(phi, gamma, x, floor):
+    phi_rows = ad.transpose(phi)
+    log_gamma = ad.log(ad.clip_min(gamma.detach(), floor))
+    neg_entropy = ad.tsum(ad.mul(phi_rows, ad.log(ad.clip_min(phi_rows, floor))), axis=1)
+    term1 = ad.tsum(ad.mul(Tensor(x.sum(axis=0)), neg_entropy))
+    cross = ad.tsum(ad.mul(ad.matmul(Tensor(x), phi_rows), log_gamma))
+    return ad.sub(term1, cross)
+
+
+def dense_decompose(r, phi, idx):
+    """(B*L, M) rows l2norm(phi[idx[b, l]] * R_b), user-major."""
+    phi_sel = ad.gather_rows(phi, idx.reshape(-1))
+    return ad.l2norm_rows(ad.mul(phi_sel, Tensor(np.repeat(r, idx.shape[1], axis=0))))
+
+
+def dense_preference_elbo(model, tailored, targets, obs, noise, eta):
+    mu, logvar = encode_preference(model, tailored)
+    u = ad.add(mu, ad.mul(Tensor(noise), ad.exp(ad.mul(logvar, 0.5))))
+    diff = ad.mul(ad.sub(ad.matmul(u, model.item_matrix), targets), Tensor(obs))
+    kl = diag_gaussian_kl(mu, logvar, 0.0, 1.0)
+    return ad.add(ad.tsum(ad.mul(diff, diff)), ad.mul(kl, eta)), kl
 
 
 def dense_zero_negative_mask(obs, step, seed):
@@ -47,33 +81,33 @@ def dense_batch_losses(state, xb, rb, eta, tau, step, stage):
     cfg = state.cfg
     b = xb.shape[0]
     noise_i = tr._stream_rng(cfg.seed, tr._NOISE_INTENT, step).standard_normal((cfg.mc_samples, b, cfg.k))
-    l1 = intent_elbo_loss(state.intent, state.prior, xb, noise_i, eta, tau, cfg.mc_samples, cfg.prob_floor)
+    l1, kl_intent, gamma = dense_intent_elbo(state.intent, state.prior, xb, noise_i, eta, tau, cfg.mc_samples,
+                                             cfg.prob_floor)
     phi = item_intents(state.intent, tau)
-    l2 = item_intent_kl_loss(phi, l1.gamma, xb, cfg.prob_floor)
-    total = ad.add(l1.total, ad.mul(l2, cfg.lambda2))
+    l2 = dense_item_intent_kl(phi.phi, gamma, xb, cfg.prob_floor)
+    total = ad.add(l1, ad.mul(l2, cfg.lambda2))
     l3 = l4 = kl_pref = None
     if stage == "unified" and (cfg.lambda3 > 0 or cfg.lambda4 > 0):
-        idx, _ = select_top_channels_batch(l1.gamma.data, cfg.l)
+        idx, _ = select_top_channels_batch(gamma.data, cfg.l)
         phi_src = Tensor(phi.values) if cfg.detach_tailored else phi.phi
-        tails = decompose_ratings_batch(rb, phi_src, idx)
+        tails = dense_decompose(rb, phi_src, idx)
         if cfg.lambda3 > 0:
             obs = np.repeat((rb > 0).astype(np.float64), cfg.l, axis=0)
             if cfg.pref_zero_negatives:
                 obs = dense_zero_negative_mask(obs, step, cfg.seed)
             targets = Tensor(np.repeat(rb, cfg.l, axis=0)) if cfg.pref_target_raw else tails
             noise_p = tr._stream_rng(cfg.seed, tr._NOISE_PREF, step).standard_normal((b * cfg.l, cfg.d))
-            parts3 = preference_elbo_loss(state.pref, tails, targets, obs, noise_p, eta)
-            l3, kl_pref = parts3.total, parts3.kl
+            l3, kl_pref = dense_preference_elbo(state.pref, tails, targets, obs, noise_p, eta)
             total = ad.add(total, ad.mul(l3, cfg.lambda3))
         if cfg.lambda4 > 0 and b >= 2:
             aug_cfg = AugmentationConfig(cfg.node_dropout, cfg.edge_dropout, cfg.seed)
             mask = augmentation_mask((b * cfg.l, rb.shape[1]), aug_cfg, step)
             augmented = ad.l2norm_rows(ad.mul(tails, Tensor(mask)))
             u_aug, _ = encode_preference(state.pref, augmented)
-            u_ori = embed_original(state.pref, rb)
+            u_ori, _ = encode_preference(state.pref, ad.l2norm_rows(Tensor(rb)))
             l4 = contrastive_loss(ContrastiveBatch(u_ori, u_aug, cfg.l, cfg.tau_c), cfg.include_positive_pair)
             total = ad.add(total, ad.mul(l4, cfg.lambda4))
-    return tr.BatchLosses(total, l1.total, l2, l3, l4, l1.kl, kl_pref)
+    return tr.BatchLosses(total, l1, l2, l3, l4, kl_intent, kl_pref)
 
 
 @st.composite
@@ -102,6 +136,10 @@ CONFIGS = st.fixed_dictionaries({
     "pref_zero_negatives": st.booleans(),
     "pref_target_raw": st.booleans(),
     "mc_samples": st.integers(1, 2),
+    # node dropout 1 zeroes every augmented row, so each dropout view is a
+    # tailored row of norm zero
+    "node_dropout": st.sampled_from([0.1, 1.0]),
+    "edge_dropout": st.sampled_from([0.1, 0.8]),
 })
 
 
@@ -167,8 +205,8 @@ class TestItemBatch:
         users = np.array([1, 0])
         batch = dt.item_batch(ratings, x_bin, users)
         np.testing.assert_array_equal(batch.items, [0, 1, 4])
-        np.testing.assert_array_equal(batch.ratings, ratings.dense(users)[:, batch.items])
-        np.testing.assert_array_equal(batch.binary, x_bin.dense(users)[:, batch.items])
+        np.testing.assert_array_equal(batch.ratings.dense(), ratings.dense(users)[:, batch.items])
+        np.testing.assert_array_equal(batch.binary.dense(), x_bin.dense(users)[:, batch.items])
 
 
 class TestScorerMatchesDense:
@@ -188,7 +226,7 @@ class TestScorerMatchesDense:
 
         def dense_embeddings(idx):
             with ad.no_grad():
-                tails = decompose_ratings_batch(ratings.dense(users), Tensor(scorer.phi), idx)
+                tails = dense_decompose(ratings.dense(users), Tensor(scorer.phi), idx)
                 mu, _ = encode_preference(state.pref, tails)
             return mu.data.reshape(idx.shape[0], idx.shape[1], -1)
 
@@ -206,10 +244,88 @@ class TestScorerMatchesDense:
         np.testing.assert_allclose(scorer.override_scores(ratings, users, {0: 1.0, 2: 3.0}), override, **close)
 
 
+class TestCellOps:
+    """Each cell op against its dense counterpart, values and gradients,
+    with a row whose values are all zero."""
+
+    @given(st.integers(2, 6), st.integers(1, 7), st.integers(1, 3), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_match_dense(self, n_rows, n_cols, width, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+        present = rng.random((n_rows, n_cols)) < 0.5
+        present[-1, 0] = True
+        present[0] = False  # a row with no cell
+        rows, cols = np.nonzero(present)
+        vals = rng.standard_normal(rows.size)
+        if data.draw(st.booleans()):
+            vals[rows == rows[0]] = 0.0  # a row whose cells all hold zero
+        dense_vals = np.zeros((n_rows, n_cols))
+        dense_vals[rows, cols] = vals
+        a = rng.standard_normal((n_rows, width))
+        b = rng.standard_normal((width, n_cols))
+        weights = rng.standard_normal((n_rows, n_cols))
+
+        def run(build):
+            params = [ad.parameter(vals, "v"), ad.parameter(a, "a"), ad.parameter(b, "b")]
+            out = build(*params)
+            return out.data, ad.gradients(out, params)
+
+        def cell_loss(v, a_, b_):
+            unit = ad.l2norm_cells(v, rows, n_rows)
+            spread = ad.scatter_cells(unit, rows, cols, (n_rows, n_cols))
+            back = ad.gather_cells(ad.mul(spread, Tensor(weights)), rows, cols)
+            return ad.tsum(ad.mul(ad.add(back, ad.matmul_cells(a_, b_, rows, cols)), unit))
+
+        # the dense path spreads the cell values into the matrix by a
+        # constant selection matrix, so gradients reach the same values
+        spread = np.zeros((n_rows * n_cols, rows.size))
+        spread[rows * n_cols + cols, np.arange(rows.size)] = 1.0
+
+        def dense_loss(v, a_, b_):
+            unit = ad.l2norm_rows(ad.reshape(ad.matmul(Tensor(spread), ad.reshape(v, (-1, 1))), (n_rows, n_cols)))
+            term = ad.add(ad.mul(unit, Tensor(weights)), ad.matmul(a_, b_))
+            return ad.tsum(ad.mul(term, unit))
+
+        got, got_grads = run(cell_loss)
+        want, want_grads = run(dense_loss)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert_close_grads(got_grads, want_grads, 1e-12)
+
+
 def lexsort_top(scores, n, exclude):
     order = np.lexsort((np.arange(scores.size), -scores))
     order = order[~np.isin(order, exclude)]
     return order[:n]
+
+
+def reference_metrics(ranked, positives, k):
+    """One user's (P, R, AP, NDCG)@k, rank by rank."""
+    pos = set(int(p) for p in positives)
+    hits, ap, dcg = 0, 0.0, 0.0
+    for rank, item in enumerate([int(i) for i in ranked[:k] if i >= 0], start=1):
+        if item in pos:
+            hits += 1
+            ap += hits / rank
+            dcg += 1.0 / np.log2(rank + 1)
+    n_ideal = min(len(pos), k)
+    idcg = sum(1.0 / np.log2(r + 1) for r in range(1, n_ideal + 1))
+    return hits / k, hits / len(pos), ap / n_ideal, dcg / idcg
+
+
+@st.composite
+def score_rows(draw):
+    """Rows of few score levels (so many ties), some NaN, each with its own
+    exclusions, and a cutoff that may exceed a row's candidates."""
+    b = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 25))
+    levels = draw(st.lists(st.lists(st.integers(0, 4), min_size=m, max_size=m), min_size=b, max_size=b))
+    scores = np.array(levels, dtype=np.float64) / 4.0
+    nan = draw(st.lists(st.tuples(st.integers(0, b - 1), st.integers(0, m - 1)), max_size=4))
+    for r, c in nan:
+        scores[r, c] = np.nan
+    exclude = [np.array(draw(st.lists(st.integers(0, m - 1), unique=True, max_size=m)), dtype=np.intp)
+               for _ in range(b)]
+    return scores, exclude, draw(st.integers(1, 30))
 
 
 class TestTopN:
@@ -220,6 +336,17 @@ class TestTopN:
         exclude = data.draw(st.lists(st.integers(0, len(levels) - 1), unique=True, max_size=len(levels)))
         np.testing.assert_array_equal(top_n(scores, n, exclude), lexsort_top(scores, n, exclude))
 
+    @given(score_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_per_row_lexsort(self, case):
+        scores, exclude, n = case
+        want = np.full((scores.shape[0], n), -1)
+        for r in range(scores.shape[0]):
+            row = lexsort_top(scores[r], n, exclude[r])
+            want[r, : row.size] = row
+        np.testing.assert_array_equal(top_n(scores, n, exclude), want)
+        np.testing.assert_array_equal(ev.rank_items(scores, exclude, n), want)
+
     def test_n_beyond_candidates_returns_all_in_order(self):
         scores = np.array([0.5, 0.9, 0.5, 0.1])
         np.testing.assert_array_equal(top_n(scores, 10, [1]), [0, 2, 3])
@@ -228,3 +355,30 @@ class TestTopN:
         scores = np.array([np.nan, 1.0, -np.inf, 2.0, np.nan])
         np.testing.assert_array_equal(top_n(scores, 4), lexsort_top(scores, 4, []))
         np.testing.assert_array_equal(top_n(scores, 2), [3, 1])
+
+
+class TestMetricRows:
+    @given(st.integers(1, 6), st.integers(1, 12), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_per_user_reference(self, b, k, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+        m = data.draw(st.integers(2, 15))
+        n = data.draw(st.integers(1, 12))
+        ranked = np.full((b, n), -1)
+        positives = []
+        for r in range(b):
+            length = data.draw(st.integers(0, min(n, m)))  # short lists are padded with -1
+            ranked[r, :length] = rng.permutation(m)[:length]
+            size = 1 if r == 0 else data.draw(st.integers(1, m))  # the first user has a single positive
+            positives.append(rng.choice(m, size=size, replace=False))
+        got = ev.metrics_at_k(ranked, positives, k)
+        for r in range(b):
+            want = reference_metrics(ranked[r], positives[r], k)
+            for metric, value in zip(got, want):
+                assert metric[r] == pytest.approx(value, rel=1e-12, abs=1e-15)
+            single = ev.metrics_at_k(ranked[r][ranked[r] >= 0], set(positives[r].tolist()), k)
+            assert single == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    def test_row_without_positives_rejected(self):
+        with pytest.raises(ev.ParameterError, match="positive"):
+            ev.metrics_at_k(np.array([[0, 1], [1, 0]]), [np.array([1]), np.array([], dtype=int)], 2)

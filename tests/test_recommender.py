@@ -27,9 +27,10 @@ class TestBlended:
     def test_matches_evaluator_ranking(self, trained):
         scorer, split, _ = trained
         ours = rc.recommend_blended(scorer, split, 3, 10)
-        ev_list = ev.rank_user(scorer, split, 3, 10)
-        np.testing.assert_array_equal(ours.items, ev_list.items)
-        np.testing.assert_allclose(ours.scores, ev_list.scores)
+        scores = scorer.blended_scores(split.train, np.array([3]))
+        ev_items = ev.rank_items(scores, [split.train.rows[3][0]], 10)[0]
+        np.testing.assert_array_equal(ours.items, ev_items)
+        np.testing.assert_allclose(ours.scores, scores[0, ev_items])
 
     def test_n_larger_than_candidates_gives_full_list(self, trained):
         scorer, split, _ = trained
@@ -68,9 +69,9 @@ class TestChannelAndOverride:
     def test_override_matching_top_l_weights_equals_blended(self, trained):
         scorer, split, _ = trained
         user = 5
-        gamma = scorer.gamma(split.train, np.array([user]))[0]
-        sel = pr.select_top_channels(gamma, scorer.top_l)
-        override = {int(c): float(w) for c, w in zip(sel.channel_indices, sel.weights)}
+        gamma = scorer.gamma(split.train, np.array([user]))
+        idx, weights = pr.select_top_channels_batch(gamma, scorer.top_l)
+        override = {int(c): float(w) for c, w in zip(idx[0], weights[0])}
         a = rc.recommend_blended(scorer, split, user, 10)
         b = rc.recommend_with_intent(scorer, split, user, rc.IntentOverride(override), 10)
         np.testing.assert_array_equal(a.items, b.items)

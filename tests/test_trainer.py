@@ -1,4 +1,5 @@
 
+import json
 import os
 
 import numpy as np
@@ -175,6 +176,31 @@ class TestDeterminismAndPersistence:
         # optimizer moments resume bitwise as well
         for name in sa.opt.m:
             assert np.array_equal(sa.opt.m[name], sb.opt.m[name]), name
+
+    def test_resume_keeps_the_history(self, tmp_path):
+        # a 2+3-epoch run stopped at epoch 3 and resumed writes the same
+        # history.json and manifest epoch table as the uninterrupted run,
+        # wall-clock seconds aside
+        split = small_split()
+        cfg = small_cfg(pretrain_epochs=2, unified_epochs=3)
+        full = tr.train(split, cfg, str(tmp_path / "full"))
+        part = tr.train(split, cfg, str(tmp_path / "cut"), stop_after_epoch=3)
+        tr.train(split, cfg, str(tmp_path / "cut"), resume_from=part.last_checkpoint)
+
+        def history(run):
+            records = json.loads((tmp_path / run / "history.json").read_text())
+            return [{k: v for k, v in r.items() if k != "seconds"} for r in records]
+
+        def epoch_table(run):
+            lines = (tmp_path / run / "run_manifest.txt").read_text().splitlines()
+            start = lines.index("epochs:") + 1
+            rows = [line.split() for line in lines[start:] if line.startswith("  ")]
+            return [row[:-1] for row in rows]  # the last column is seconds
+
+        assert [r["epoch"] for r in history("cut")] == [0, 1, 2, 3, 4]
+        assert history("cut") == history("full")
+        assert epoch_table("cut") == epoch_table("full")
+        assert len(epoch_table("cut")) == 6  # header and five epochs
 
     def test_truncated_file_rejected(self, tmp_path):
         split = small_split()
