@@ -49,44 +49,12 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def detach(self) -> "Tensor":
-        """Constant view of this value; gradients stop here."""
-        return Tensor(self.data)
-
     def item(self) -> float:
         return float(self.data)
 
     def __repr__(self):
         tag = self.name or "tensor"
         return f"Tensor({tag}, shape={self.data.shape})"
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x) -> Tensor:
@@ -138,19 +106,6 @@ def mul(a, b) -> Tensor:
         out,
         (a, b),
         lambda g: (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)),
-    )
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data / b.data
-    return _make(
-        out,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-        ),
     )
 
 

@@ -117,18 +117,13 @@ def _load_state_and_data(args):
     return state, split
 
 
-def _user_index(split, ext_id: str) -> int:
+def _index_of(ids: list[str], ext_id: str, kind: str) -> int:
+    """Internal index of an external user or item id. A CLI call looks up
+    one id, so one scan of the list costs less than building a map."""
     try:
-        return split.train.user_ids.index(ext_id)
+        return ids.index(ext_id)
     except ValueError:
-        raise UsageError(f"unknown user id {ext_id!r}") from None
-
-
-def _item_index(split, ext_id: str) -> int:
-    try:
-        return split.train.item_ids.index(ext_id)
-    except ValueError:
-        raise UsageError(f"unknown item id {ext_id!r}") from None
+        raise UsageError(f"unknown {kind} id {ext_id!r}") from None
 
 
 def cmd_prepare(args) -> int:
@@ -249,7 +244,7 @@ def cmd_channels(args) -> int:
     payload: dict = {**prov, "k": state.cfg.k, "top": args.top}
     lines = [f"config_hash: {prov['config_hash']}  seed: {prov['seed']}  variant: {prov['variant']}"]
     if args.user is not None:
-        u = _user_index(split, args.user)
+        u = _index_of(split.train.user_ids, args.user, "user")
         gamma = scorer.gamma(split.train, np.array([u]))
         idx, weights = select_top_channels_batch(gamma, min(args.user_channels, state.cfg.k))
         payload["user"] = args.user
@@ -303,7 +298,7 @@ def cmd_recommend(args) -> int:
     items = split.train.item_ids
     head = f"config_hash: {prov['config_hash']}  seed: {prov['seed']}  variant: {prov['variant']}"
     if args.similar_to is not None:
-        j = _item_index(split, args.similar_to)
+        j = _index_of(items, args.similar_to, "item")
         ranked = similar_items(state.intent, scorer.phi, j, args.n, measure=args.similarity)
         rows = [{"item": items[i], "similarity": round(s, 6)} for i, s in ranked]
         if args.json:
@@ -316,7 +311,7 @@ def cmd_recommend(args) -> int:
         return 0
     if args.user is None:
         raise UsageError("recommend needs --user (or --similar-to ITEM)")
-    u = _user_index(split, args.user)
+    u = _index_of(split.train.user_ids, args.user, "user")
     if args.intent is not None and args.channel is not None:
         raise UsageError("--intent and --channel are mutually exclusive")
     if args.intent is not None:

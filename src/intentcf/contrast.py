@@ -9,7 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import Cells, as_cells
+from .data import Cells
 from .errors import ParameterError
 from .preference import PreferenceModel, dense_input, encode_preference
 
@@ -53,10 +53,9 @@ def augmented_view(tailored: Tensor, cells: Cells, items: np.ndarray, n_items: i
     return ad.l2norm_cells(ad.mul(tailored, Tensor(mask)), cells.rows, cells.shape[0])
 
 
-def embed_original(model: PreferenceModel, ratings) -> Tensor:
-    """Encoder mean of the L2-normalized raw rating rows, given as Cells or
-    dense rows (no sampling)."""
-    ratings = as_cells(ratings)
+def embed_original(model: PreferenceModel, ratings: Cells) -> Tensor:
+    """Encoder mean of the L2-normalized raw rating rows, given as their
+    cells (no sampling)."""
     unit = ad.l2norm_cells(Tensor(ratings.values), ratings.rows, ratings.shape[0])
     mu, _ = encode_preference(model, dense_input(ratings, unit))
     return mu

@@ -85,29 +85,19 @@ class Cells:
     values: np.ndarray  # (cells,) floats
     shape: tuple[int, int]
 
-    @classmethod
-    def from_dense(cls, a) -> "Cells":
-        a = np.asarray(a, dtype=np.float64)
-        rows, cols = np.nonzero(a)
-        return cls(rows, cols, a[rows, cols], a.shape)
-
     def dense(self) -> np.ndarray:
         out = np.zeros(self.shape)
         out[self.rows, self.cols] = self.values
         return out
 
 
-def as_cells(x) -> Cells:
-    """Cells as given, or the nonzero cells of a dense matrix."""
-    return x if isinstance(x, Cells) else Cells.from_dense(x)
-
-
 @dataclass
 class ItemBatch:
-    """A batch of users restricted to U, the sorted union of their rated
-    items: row b is the batch's b-th user, column c is item ``items[c]``, and
-    every item outside U is zero in every row. Cells are ordered by row, then
-    column."""
+    """A batch of users restricted to an increasing item list U that holds
+    every item they rated (item_batch builds it as the union of their rated
+    items): row b is the batch's b-th user, column c is item ``items[c]``,
+    and every item outside U is zero in every row. Cells are ordered by row,
+    then column."""
 
     items: np.ndarray  # U, (|U|,) increasing item indices
     ratings: Cells  # (B, |U|)
@@ -134,6 +124,43 @@ def item_batch(ratings: RatingMatrix, binary: BinaryMatrix, users) -> ItemBatch:
     return ItemBatch(items, r, x)
 
 
+def _rating_matrix(user_ids: list[str], item_ids: list[str], users, items, values, where,
+                   keep_last: bool) -> RatingMatrix:
+    """The RatingMatrix of entries (users[k], items[k], values[k]) given in
+    source order, as indices into the id lists. Every rating must be a
+    positive finite number. A repeated (user, item) pair keeps its last
+    rating when keep_last is set and is an error otherwise. ``where(k)``
+    names entry k's place in the source for an error."""
+    users = np.asarray(users, dtype=np.intp)
+    items = np.asarray(items, dtype=np.intp)
+    values = np.asarray(values, dtype=np.float64)
+    bad = np.flatnonzero(~(np.isfinite(values) & (values > 0)))
+    if bad.size:
+        raise DataError(f"{where(bad[0])}: ratings must be positive finite numbers, got {values[bad[0]]}")
+    pairs = users * len(item_ids) + items
+    order = np.argsort(pairs, kind="stable")  # a repeated pair's entries stay in source order
+    last = np.append(pairs[order][1:] != pairs[order][:-1], True)
+    if not (keep_last or last.all()):
+        k = order[np.flatnonzero(~last) + 1].min()
+        raise DataError(f"{where(k)}: user {user_ids[users[k]]!r} rates item {item_ids[items[k]]!r} twice")
+    order = order[last]
+    items, values = items[order], values[order]
+    bounds = np.searchsorted(users[order], np.arange(len(user_ids) + 1))
+    return RatingMatrix(user_ids, item_ids, [(items[lo:hi], values[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+
+def _matrix_from_names(users: list[str], items: list[str], values: list[float], where) -> RatingMatrix:
+    """_rating_matrix over external ids, mapped to dense indices in sorted
+    order (numeric ids numerically); the last of repeated pairs wins."""
+    maps = []
+    for names in (users, items):
+        ids = sorted(set(names), key=_id_sort_key)
+        index = {x: k for k, x in enumerate(ids)}
+        maps.append((ids, [index[x] for x in names]))
+    (user_ids, user_idx), (item_ids, item_idx) = maps
+    return _rating_matrix(user_ids, item_ids, user_idx, item_idx, values, where, keep_last=True)
+
+
 def load_ratings(path: str, delimiter: str | None = None, skip_header: bool = False) -> RatingMatrix:
     """Parse a delimiter-separated user,item,rating[,timestamp] file.
 
@@ -142,11 +169,10 @@ def load_ratings(path: str, delimiter: str | None = None, skip_header: bool = Fa
     """
     if not os.path.exists(path):
         raise DataError(f"ratings file not found: {path}")
-    entries: dict[tuple[str, str], float] = {}
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
+    users, items, values, linenos = [], [], [], []
     start = 1 if skip_header else 0
-    parsed_any = False
     for lineno, raw in enumerate(lines[start:], start=start + 1):
         line = raw.strip()
         if not line:
@@ -157,57 +183,27 @@ def load_ratings(path: str, delimiter: str | None = None, skip_header: bool = Fa
         fields = line.split(sep) if sep is not None else line.split()
         if len(fields) < 3:
             raise DataError(f"line {lineno}: expected user,item,rating[,timestamp], got {line!r}")
-        user, item, rating_s = fields[0].strip(), fields[1].strip(), fields[2].strip()
+        rating_s = fields[2].strip()
         try:
-            rating = float(rating_s)
+            values.append(float(rating_s))
         except ValueError:
             raise DataError(f"line {lineno}: rating {rating_s!r} is not a number") from None
-        if not np.isfinite(rating) or rating <= 0:
-            raise DataError(f"line {lineno}: ratings must be positive finite numbers, got {rating}")
-        entries[(user, item)] = rating
-        parsed_any = True
-    if not parsed_any:
+        users.append(fields[0].strip())
+        items.append(fields[1].strip())
+        linenos.append(lineno)
+    if not values:
         raise DataError(f"no ratings parsed from {path}")
-
-    users = sorted({u for u, _ in entries}, key=_id_sort_key)
-    items = sorted({i for _, i in entries}, key=_id_sort_key)
-    umap = {u: k for k, u in enumerate(users)}
-    imap = {i: k for k, i in enumerate(items)}
-    per_user: list[list[tuple[int, float]]] = [[] for _ in users]
-    for (u, i), r in entries.items():
-        per_user[umap[u]].append((imap[i], r))
-    rows = []
-    for lst in per_user:
-        lst.sort()
-        idx = np.array([i for i, _ in lst], dtype=np.intp)
-        vals = np.array([r for _, r in lst])
-        rows.append((idx, vals))
-    return RatingMatrix(users, items, rows)
+    return _matrix_from_names(users, items, values, lambda k: f"line {linenos[k]}")
 
 
 def matrix_from_triples(triples) -> RatingMatrix:
     """Build a RatingMatrix from (user, item, rating) triples in memory;
     same semantics as load_ratings (last duplicate wins, sorted id maps)."""
-    entries: dict[tuple[str, str], float] = {}
-    for u, i, r in triples:
-        r = float(r)
-        if not np.isfinite(r) or r <= 0:
-            raise DataError(f"ratings must be positive finite numbers, got {r} for ({u}, {i})")
-        entries[(str(u), str(i))] = r
-    if not entries:
+    triples = [(str(u), str(i), float(r)) for u, i, r in triples]
+    if not triples:
         raise DataError("no triples provided")
-    users = sorted({u for u, _ in entries}, key=_id_sort_key)
-    items = sorted({i for _, i in entries}, key=_id_sort_key)
-    umap = {u: k for k, u in enumerate(users)}
-    imap = {i: k for k, i in enumerate(items)}
-    per_user: list[list[tuple[int, float]]] = [[] for _ in users]
-    for (u, i), r in entries.items():
-        per_user[umap[u]].append((imap[i], r))
-    rows = []
-    for lst in per_user:
-        lst.sort()
-        rows.append((np.array([i for i, _ in lst], dtype=np.intp), np.array([r for _, r in lst])))
-    return RatingMatrix(users, items, rows)
+    users, items, values = (list(column) for column in zip(*triples))
+    return _matrix_from_names(users, items, values, lambda k: f"triple ({users[k]}, {items[k]})")
 
 
 def filter_min_interactions(m: RatingMatrix, min_count: int) -> RatingMatrix:
@@ -366,46 +362,66 @@ def save_split(ds: SplitDataset, out_dir: str, extra_manifest: list[str] | None 
     return manifest
 
 
+def _read_ids(in_dir: str, fname: str) -> tuple[list[str], dict[str, int]]:
+    """The ids of an id map file, one per nonblank line, and their indices."""
+    ids: list[str] = []
+    index: dict[str, int] = {}
+    with open(os.path.join(in_dir, fname), encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.strip():
+                continue
+            ext_id = raw.rstrip("\n")
+            if ext_id in index:
+                raise DataError(f"{fname} line {lineno}: id {ext_id!r} is listed twice")
+            index[ext_id] = len(ids)
+            ids.append(ext_id)
+    return ids, index
+
+
 def load_split(in_dir: str) -> SplitDataset:
     """Reload a directory written by save_split, preserving the shared index
-    space (users/items present only in valid/test stay addressable)."""
+    space (users/items present only in valid/test stay addressable). Every
+    malformed line raises DataError naming its file and line."""
     for fname in ["users.txt", "items.txt", "manifest.txt", *(_SPLIT_FILES.values())]:
         if not os.path.exists(os.path.join(in_dir, fname)):
             raise DataError(f"prepared dataset is missing {fname} in {in_dir}")
-    with open(os.path.join(in_dir, "users.txt"), encoding="utf-8") as fh:
-        users = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    with open(os.path.join(in_dir, "items.txt"), encoding="utf-8") as fh:
-        items = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    umap = {u: k for k, u in enumerate(users)}
-    imap = {i: k for k, i in enumerate(items)}
+    users, umap = _read_ids(in_dir, "users.txt")
+    items, imap = _read_ids(in_dir, "items.txt")
 
     def read_matrix(fname: str) -> RatingMatrix:
-        per_user: list[list[tuple[int, float]]] = [[] for _ in users]
-        path = os.path.join(in_dir, fname)
-        with open(path, encoding="utf-8") as fh:
+        user_idx, item_idx, values, linenos = [], [], [], []
+        with open(os.path.join(in_dir, fname), encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line:
                     continue
                 try:
                     u, i, r = line.split("\t")
-                    per_user[umap[u]].append((imap[i], float(r)))
-                except (ValueError, KeyError) as exc:
-                    raise DataError(f"{fname} line {lineno}: {exc}") from None
-        rows = []
-        for lst in per_user:
-            lst.sort()
-            rows.append((np.array([i for i, _ in lst], dtype=np.intp), np.array([r for _, r in lst])))
-        return RatingMatrix(list(users), list(items), rows)
+                    rating = float(r)
+                except ValueError:
+                    raise DataError(f"{fname} line {lineno}: expected user, item and rating separated by tabs, "
+                                    f"got {line!r}") from None
+                try:
+                    user_idx.append(umap[u])
+                    item_idx.append(imap[i])
+                except KeyError as exc:
+                    raise DataError(f"{fname} line {lineno}: unknown id {exc}") from None
+                values.append(rating)
+                linenos.append(lineno)
+        return _rating_matrix(list(users), list(items), user_idx, item_idx, values,
+                              lambda k: f"{fname} line {linenos[k]}", keep_last=False)
 
     seed, fractions, threshold = 0, (0.6, 0.1, 0.3), 4.0
     with open(os.path.join(in_dir, "manifest.txt"), encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("seed:"):
-                seed = int(line.split(":", 1)[1])
-            elif line.startswith("fractions:"):
-                fractions = tuple(float(x) for x in line.split(":", 1)[1].strip().split("/"))
-            elif line.startswith("rating_threshold:"):
-                threshold = float(line.split(":", 1)[1])
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                if line.startswith("seed:"):
+                    seed = int(line.split(":", 1)[1])
+                elif line.startswith("fractions:"):
+                    fractions = tuple(float(x) for x in line.split(":", 1)[1].strip().split("/"))
+                elif line.startswith("rating_threshold:"):
+                    threshold = float(line.split(":", 1)[1])
+            except ValueError:
+                raise DataError(f"manifest.txt line {lineno}: cannot read {line.strip()!r}") from None
     return SplitDataset(read_matrix("train.tsv"), read_matrix("valid.tsv"), read_matrix("test.tsv"),
                         seed, fractions, threshold)

@@ -25,6 +25,26 @@ from .ranking import top_n
 METRICS = ("precision", "recall", "map", "ndcg")
 
 
+@dataclass
+class IntentOverride:
+    """Sparse channel -> weight map replacing the predicted distribution.
+    Weights are nonnegative with at least one positive entry; they are
+    renormalized over the provided channels."""
+
+    weights: dict[int, float]
+
+    def __post_init__(self):
+        if not self.weights:
+            raise ParameterError("intent override must name at least one channel")
+        vals = np.array(list(self.weights.values()), dtype=np.float64)
+        if np.any(vals < 0) or vals.sum() <= 0:
+            raise ParameterError("override weights must be nonnegative with a positive sum")
+
+    def normalized(self) -> dict[int, float]:
+        total = sum(self.weights.values())
+        return {int(c): w / total for c, w in self.weights.items()}
+
+
 class Scorer:
     """Deterministic scoring over frozen models: gamma from the encoder mean,
     channel selection, tailored inputs, encoder-mean embeddings, weighted
@@ -56,7 +76,7 @@ class Scorer:
         """(K, M) item intent matrix under the frozen parameters."""
         if self._phi is None:
             with ad.no_grad():
-                self._phi = item_intents(self.intent, self.tau).values
+                self._phi = item_intents(self.intent, self.tau).data
         return self._phi
 
     def _batch(self, train: RatingMatrix, users: np.ndarray) -> ItemBatch:
@@ -101,21 +121,17 @@ class Scorer:
         emb = self._embeddings(self._batch(train, users), idx)
         return predict_ratings_batch(emb, np.ones((len(users), 1)), self.pref.item_matrix.data)
 
-    def override_scores(self, train: RatingMatrix, users: np.ndarray, override: dict[int, float]) -> np.ndarray:
+    def override_scores(self, train: RatingMatrix, users: np.ndarray, override: IntentOverride) -> np.ndarray:
         """(B, M) predictions under a caller-supplied intent distribution."""
-        if not override:
-            raise ParameterError("intent override must name at least one channel")
-        channels = sorted(override)
-        weights = np.array([override[c] for c in channels], dtype=np.float64)
-        if np.any(weights < 0) or weights.sum() <= 0:
-            raise ParameterError("override weights must be nonnegative with a positive sum")
+        weights = override.normalized()
+        channels = sorted(weights)
         for c in channels:
             if not 0 <= c < self.intent.k:
                 raise ParameterError(f"channel {c} out of range for K={self.intent.k}")
-        weights = weights / weights.sum()
         idx = np.tile(np.array(channels, dtype=np.intp), (len(users), 1))
         emb = self._embeddings(self._batch(train, users), idx)  # (B, |channels|, d)
-        return predict_ratings_batch(emb, np.tile(weights, (len(users), 1)), self.pref.item_matrix.data)
+        return predict_ratings_batch(emb, np.tile([weights[c] for c in channels], (len(users), 1)),
+                                     self.pref.item_matrix.data)
 
 
 def rank_items(scores: np.ndarray, exclude, k_cut: int) -> np.ndarray:
@@ -270,19 +286,26 @@ class CooccurrenceReport:
         }
 
 
-def _pair_success_rate(groups: list[np.ndarray], genre_sets: list[frozenset]) -> tuple[float, list[float]]:
+def _genre_incidence(genre_sets: list[frozenset]) -> np.ndarray:
+    """(items, genres) 0/1 matrix: entry (j, g) is 1 when item j has genre g."""
+    labels = {g: c for c, g in enumerate(sorted(set().union(*genre_sets)))}
+    incidence = np.zeros((len(genre_sets), len(labels)))
+    for j, genres in enumerate(genre_sets):
+        incidence[j, [labels[g] for g in genres]] = 1.0
+    return incidence
+
+
+def _pair_success_rate(groups: list[np.ndarray], incidence: np.ndarray) -> tuple[float, list[float]]:
+    """Pooled and per-group fractions of item pairs within a group that share
+    a genre: a pair shares one when the product of its incidence rows is
+    nonzero."""
     total_pairs = 0
     total_hits = 0
     per_channel = []
     for group in groups:
-        pairs = 0
-        hits = 0
-        for a in range(len(group)):
-            ga = genre_sets[group[a]]
-            for b in range(a + 1, len(group)):
-                pairs += 1
-                if ga & genre_sets[group[b]]:
-                    hits += 1
+        rows = incidence[group]
+        pairs = len(group) * (len(group) - 1) // 2
+        hits = int(np.count_nonzero(np.triu(rows @ rows.T, 1)))
         per_channel.append(hits / pairs if pairs else 0.0)
         total_pairs += pairs
         total_hits += hits
@@ -309,13 +332,14 @@ def cooccurrence_rate(
         raise ParameterError(f"genre table covers {len(genre_sets)} items, expected {m}")
     top = top_items_per_channel(channel_item, top_t)
     groups = [np.array([j for j, _ in channel], dtype=np.intp) for channel in top]
-    rate, per_channel = _pair_success_rate(groups, genre_sets)
+    incidence = _genre_incidence(genre_sets)
+    rate, per_channel = _pair_success_rate(groups, incidence)
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), 9090])))
     sizes = [len(g) for g in groups]
     baseline_sum = 0.0
     for _ in range(shuffles):
         rand_groups = [rng.choice(m, size=s, replace=False) for s in sizes]
-        b_rate, _ = _pair_success_rate(rand_groups, genre_sets)
+        b_rate, _ = _pair_success_rate(rand_groups, incidence)
         baseline_sum += b_rate
     return CooccurrenceReport(rate, per_channel, baseline_sum / shuffles, top_t, shuffles, int(seed))

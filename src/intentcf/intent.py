@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import as_cells
+from .data import Cells
 from .errors import ParameterError, ShapeError
 from .nn import (
     MlpParams,
@@ -117,44 +117,24 @@ def encode_users(model: IntentModel, x_dense: np.ndarray) -> tuple[Tensor, Tenso
     return ad.slice_cols(out, 0, model.k), ad.slice_cols(out, model.k, 2 * model.k)
 
 
-@dataclass
-class UserIntent:
-    s: Tensor
-    gamma: Tensor
-
-
-def sample_gamma(mu: Tensor, logvar: Tensor, noise, tau: float) -> UserIntent:
-    """Reparameterized softmax-basis sample and its channel distribution.
+def sample_gamma(mu: Tensor, logvar: Tensor, noise, tau: float) -> Tensor:
+    """Channel distribution gamma of a reparameterized softmax-basis sample.
     Pass zero noise for the deterministic evaluation path."""
     sigma = ad.exp(ad.mul(logvar, 0.5))
-    s = gaussian_reparameterize(mu, sigma, noise)
-    return UserIntent(s, softmax_temp(s, tau))
+    return softmax_temp(gaussian_reparameterize(mu, sigma, noise), tau)
 
 
-@dataclass
-class ItemIntentMatrix:
-    """K x M; column j is item j's distribution over channels."""
-
-    phi: Tensor
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.phi.data
-
-
-def item_intents(model: IntentModel, tau: float) -> ItemIntentMatrix:
-    """Soft channel distributions for every item: column j is
+def item_intents(model: IntentModel, tau: float) -> Tensor:
+    """phi, K x M: column j is item j's soft channel distribution
     softmax(f_nu(W_j) / tau). The relaxed distribution is used everywhere;
     no one-hot sampling."""
     logits = mlp_forward(model.item_net_nu, model.embedding)  # (M, K)
-    phi_rows = softmax_temp(logits, tau, axis=-1)
-    return ItemIntentMatrix(ad.transpose(phi_rows))
+    return ad.transpose(softmax_temp(logits, tau, axis=-1))
 
 
-def multinomial_recon_loss(x, gamma: Tensor, beta: Tensor, floor: float = PROB_FLOOR) -> Tensor:
+def multinomial_recon_loss(x: Cells, gamma: Tensor, beta: Tensor, floor: float = PROB_FLOOR) -> Tensor:
     """-sum_i sum_{j observed} log (beta gamma_i)_j over the batch, taken at
-    the observed cells of x (Cells or dense 0/1 rows) only."""
-    x = as_cells(x)
+    the observed cells of x only."""
     probs = ad.matmul_cells(gamma, ad.transpose(beta), x.rows, x.cols)
     logp = ad.log(ad.clip_min(probs, floor))
     return ad.mul(ad.tsum(ad.mul(Tensor(x.values), logp)), -1.0)
@@ -179,16 +159,16 @@ class IntentLossParts:
 def intent_elbo_loss(
     model: IntentModel,
     prior: LaplacePrior,
-    x,
+    x: Cells,
     noise: np.ndarray,
     eta: float,
     tau: float,
     mc_samples: int = 1,
     floor: float = PROB_FLOOR,
 ) -> IntentLossParts:
-    """Negative ELBO of the intent network over a batch of binary rows x
-    (Cells or dense): the encoder reads them as dense rows, the
-    reconstruction only at their cells.
+    """Negative ELBO of the intent network over a batch of binary cells x:
+    the encoder reads them as dense rows, the reconstruction only at the
+    cells.
 
     noise has shape (H, B, K) or (B, K); the reconstruction is averaged over
     the H Monte Carlo samples while the KL stays analytic.
@@ -202,13 +182,12 @@ def intent_elbo_loss(
         noise = noise[None]
     if noise.shape[0] < mc_samples:
         raise ShapeError(f"noise provides {noise.shape[0]} samples, need {mc_samples}")
-    x = as_cells(x)
     mu, logvar = encode_users(model, x.dense())
     beta = model.beta()
     recon = None
     gamma0 = None
     for h in range(mc_samples):
-        gamma = sample_gamma(mu, logvar, noise[h], tau).gamma
+        gamma = sample_gamma(mu, logvar, noise[h], tau)
         if gamma0 is None:
             gamma0 = gamma
         term = multinomial_recon_loss(x, gamma, beta, floor)
@@ -219,19 +198,12 @@ def intent_elbo_loss(
     return IntentLossParts(total, recon, kl, gamma0, mu, logvar)
 
 
-def item_intent_kl_loss(
-    phi: ItemIntentMatrix | Tensor,
-    gamma: Tensor,
-    x,
-    floor: float = PROB_FLOOR,
-) -> Tensor:
-    """sum over observed (i, j) of KL(phi_j || gamma_i), over the cells of x
-    (Cells or dense 0/1 rows), with the user side treated as constant:
-    gradients reach only the item network and the shared embedding, never
-    the user encoder heads."""
-    x = as_cells(x)
-    phi_t = phi.phi if isinstance(phi, ItemIntentMatrix) else phi  # (K, M)
-    phi_rows = ad.transpose(phi_t)  # (M, K)
+def item_intent_kl_loss(phi: Tensor, gamma: Tensor, x: Cells, floor: float = PROB_FLOOR) -> Tensor:
+    """sum over observed (i, j) of KL(phi_j || gamma_i), over the cells of x,
+    with phi (K, M) and the user side treated as constant: gradients reach
+    only the item network and the shared embedding, never the user encoder
+    heads."""
+    phi_rows = ad.transpose(phi)  # (M, K)
     log_gamma = np.log(np.maximum(gamma.data, floor))  # a constant: no gradient to the user side
     # sum_j c_j * sum_k phi_jk log phi_jk, with c_j the batch count of item j
     counts = Tensor(np.bincount(x.cols, weights=x.values, minlength=x.shape[1]))  # (M,)

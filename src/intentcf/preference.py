@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import Cells, as_cells
+from .data import Cells
 from .errors import ParameterError, ShapeError
 from .nn import MlpParams, diag_gaussian_kl, init_mlp, init_parameter, mlp_forward
 
@@ -58,16 +58,14 @@ def select_top_channels_batch(gamma: np.ndarray, top_l: int) -> tuple[np.ndarray
     return order.astype(np.intp), picked / picked.sum(axis=1, keepdims=True)
 
 
-def decompose_ratings_batch(ratings, phi: Tensor, channel_idx: np.ndarray) -> tuple[Cells, Tensor]:
+def decompose_ratings_batch(ratings: Cells, phi: Tensor, channel_idx: np.ndarray) -> tuple[Cells, Tensor]:
     """Channel-tailored inputs of a batch, at their cells: row b*L + l is
     l2norm(phi[channel_idx[b, l]] * R_b), nonzero only at user b's rated
-    items. ``ratings`` are the (B, C) rating cells (or dense rows) and phi
-    is (K, C).
+    items. ``ratings`` are the (B, C) rating cells and phi is (K, C).
 
     Returns the tailored cells over (B*L, C), whose values are the raw
     ratings, and the tailored values at those cells.
     """
-    ratings = as_cells(ratings)
     b, top_l = channel_idx.shape
     rows = (ratings.rows[:, None] * top_l + np.arange(top_l)).ravel()
     cols = np.repeat(ratings.cols, top_l)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import SplitDataset
 from .errors import ParameterError
-from .evaluation import Scorer, rank_items
+from .evaluation import IntentOverride, Scorer, rank_items
 from .intent import IntentModel
 from .ranking import top_n
 
@@ -23,26 +23,6 @@ class RankedList:
     user: int
     items: np.ndarray
     scores: np.ndarray
-
-
-@dataclass
-class IntentOverride:
-    """Sparse channel -> weight map replacing the predicted distribution.
-    Weights are nonnegative with at least one positive entry; they are
-    renormalized over the provided channels."""
-
-    weights: dict[int, float]
-
-    def __post_init__(self):
-        if not self.weights:
-            raise ParameterError("intent override must name at least one channel")
-        vals = np.array(list(self.weights.values()), dtype=np.float64)
-        if np.any(vals < 0) or vals.sum() <= 0:
-            raise ParameterError("override weights must be nonnegative with a positive sum")
-
-    def normalized(self) -> dict[int, float]:
-        total = sum(self.weights.values())
-        return {int(c): w / total for c, w in self.weights.items()}
 
 
 def _check_user(split: SplitDataset, user: int) -> None:
@@ -76,7 +56,7 @@ def recommend_with_intent(
     """Weighted-average prediction with the override in place of the
     predicted top-L weights."""
     _check_user(split, user)
-    return _ranked(split, user, scorer.override_scores(split.train, np.array([user]), override.normalized())[0], n)
+    return _ranked(split, user, scorer.override_scores(split.train, np.array([user]), override)[0], n)
 
 
 def similar_items(

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .contrast import AugmentationConfig, ContrastiveBatch, augmented_view, contrastive_loss, embed_original
-from .data import BinaryMatrix, Cells, SplitDataset, as_cells, binarize, item_batch
+from .data import BinaryMatrix, Cells, ItemBatch, SplitDataset, binarize, item_batch
 from .errors import CheckpointError, ParameterError, ShapeError, TrainingError, UsageError
 from .evaluation import Scorer, evaluate
 from .intent import (
@@ -254,31 +254,21 @@ class BatchLosses:
         return out
 
 
-def compute_batch_losses(
-    state: TrainerState,
-    xb,
-    rb,
-    eta: float,
-    tau: float,
-    step: int,
-    stage: str,
-    items: np.ndarray | None = None,
-) -> BatchLosses:
-    """All loss terms for one batch of users: binary cells xb and rating
-    cells rb (Cells, or dense rows) over the increasing item list ``items``
-    (all M items when None), zero at every item outside it. Pretraining
-    evaluates only the two intent terms.
+def compute_batch_losses(state: TrainerState, batch: ItemBatch, eta: float, tau: float, step: int,
+                         stage: str) -> BatchLosses:
+    """All loss terms for one batch of users: its binary cells and rating
+    cells over the increasing item list ``batch.items``, zero at every item
+    outside it. Pretraining evaluates only the two intent terms.
 
     Every loss reads only the batch's rated items (plus sampled zero
-    targets), so the losses run on views of both models over ``items``, at
-    the rated cells; only the encoders' first-layer inputs are dense rows.
-    They equal the losses over all M.
+    targets), so the losses run on views of both models over the batch's
+    items, at the rated cells; only the encoders' first-layer inputs are
+    dense rows. They equal the losses over all M.
     """
     cfg = state.cfg
-    xb, rb = as_cells(xb), as_cells(rb)
+    xb, rb, items = batch.binary, batch.ratings, batch.items
     b = rb.shape[0]
     m = state.n_items
-    items = np.arange(m) if items is None else np.asarray(items, dtype=np.intp)
     unified = stage == "unified" and (cfg.lambda3 > 0 or cfg.lambda4 > 0)
     negatives = None
     if unified and cfg.lambda3 > 0 and cfg.pref_zero_negatives:
@@ -299,7 +289,7 @@ def compute_batch_losses(
     if unified:
         pref = state.pref.over(items)
         idx, _ = select_top_channels_batch(l1.gamma.data, cfg.l)
-        phi_src = Tensor(phi.values) if cfg.detach_tailored else phi.phi
+        phi_src = Tensor(phi.data) if cfg.detach_tailored else phi
         cells, tails = decompose_ratings_batch(rb, phi_src, idx)
         if cfg.lambda3 > 0:
             # reconstructed at the rated cells (raw rating as value) and at
@@ -358,8 +348,7 @@ def run_epoch(state: TrainerState, data: SplitDataset, x_bin: BinaryMatrix, epoc
         eta, _ = warmup(state.global_batch, cfg.kappa, cfg.eta_max, cfg.tau_start, cfg.tau_end,
                         max(total_epochs - 1, 1))
         state.eta = eta
-        losses = compute_batch_losses(state, batch.binary, batch.ratings, eta, tau, state.global_batch, stage,
-                                      batch.items)
+        losses = compute_batch_losses(state, batch, eta, tau, state.global_batch, stage)
         scalars = losses.scalars()
         if not np.isfinite(scalars["total"]):
             raise TrainingError(

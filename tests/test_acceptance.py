@@ -23,6 +23,8 @@ from intentcf import synthetic
 from intentcf import training as tr
 from intentcf.autodiff import Tensor
 
+from cell_fixtures import cells, full_batch
+
 pytestmark = pytest.mark.acceptance
 
 METRICS_AT_10 = ("precision", "recall", "map", "ndcg")
@@ -52,7 +54,8 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def grad_fixture():
-    """4 users / 6 items / K=3 / L=2 / d=2 at a generic parameter point."""
+    """4 users / 6 items / K=3 / L=2 / d=2 at a generic parameter point; the
+    batch spans all 6 items."""
     cfg = tr.TrainConfig(k=3, d=2, l=2, intent_hidden=4, item_hidden=4, pref_hidden=4,
                          batch_size=4, seed=11)
     state = tr.build_state(cfg, 4, 6)
@@ -64,7 +67,7 @@ def grad_fixture():
     for u in range(4):
         items = rng.choice(6, size=rng.integers(2, 5), replace=False)
         rb[u, items] = rng.integers(1, 6, size=items.size)
-    return state, (rb > 0).astype(float), rb
+    return state, full_batch((rb > 0).astype(float), rb)
 
 
 @pytest.fixture(scope="session")
@@ -134,24 +137,24 @@ def grid_mean(grid, variant, key):
 
 
 def test_criterion_1_gradient_checks():
-    state, xb, rb = grad_fixture()
+    state, batch = grad_fixture()
     params = state.all_parameters()
     eta, tau, step = 0.7, 0.5, 3
     t0 = time.time()
 
     def losses():
-        return tr.compute_batch_losses(state, xb, rb, eta, tau, step, "unified")
+        return tr.compute_batch_losses(state, batch, eta, tau, step, "unified")
 
     # the item-intent KL applies a stop-gradient to gamma, so its oracle
     # evaluates the loss with gamma frozen at the base point; the analytic
     # gradients of the frozen and live paths must agree exactly
     noise = tr._stream_rng(state.cfg.seed, 2, step).standard_normal((1, 4, 3))
     gamma_frozen = Tensor(
-        it.intent_elbo_loss(state.intent, state.prior, xb, noise, eta, tau).gamma.data
+        it.intent_elbo_loss(state.intent, state.prior, batch.binary, noise, eta, tau).gamma.data
     )
 
     def l2_frozen():
-        return it.item_intent_kl_loss(it.item_intents(state.intent, tau), gamma_frozen, xb)
+        return it.item_intent_kl_loss(it.item_intents(state.intent, tau), gamma_frozen, batch.binary)
 
     live = ad.gradients(losses().l2, params)
     frozen = ad.gradients(l2_frozen(), params)
@@ -248,8 +251,8 @@ def test_criterion_5_stop_gradient():
         for u in range(5):
             xb[u, rng.choice(8, size=rng.integers(2, 6), replace=False)] = 1.0
         mu, logvar = it.encode_users(state.intent, xb)
-        gamma = it.sample_gamma(mu, logvar, rng.standard_normal((5, 4)), tau=0.4).gamma
-        loss = it.item_intent_kl_loss(it.item_intents(state.intent, 0.4), gamma, xb)
+        gamma = it.sample_gamma(mu, logvar, rng.standard_normal((5, 4)), tau=0.4)
+        loss = it.item_intent_kl_loss(it.item_intents(state.intent, 0.4), gamma, cells(xb))
         grads = ad.gradients(loss, state.intent.parameters())
         # every psi parameter downstream of the embedding is exactly zero;
         # the shared first-layer matrix W feeds the item net and is exempt

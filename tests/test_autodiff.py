@@ -98,12 +98,6 @@ class TestPrimitives:
             y = ad.mul(w, w)
         assert not y.requires_grad
 
-    def test_detach_stops_gradient(self):
-        w = ad.parameter(3.0, "w")
-        loss = ad.mul(w.detach(), w)
-        grads = ad.gradients(loss, [w])
-        assert grads["w"] == pytest.approx(3.0)
-
 
 class TestMlpForward:
     def test_identity_network(self):

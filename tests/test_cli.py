@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
 import os
+import shutil
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from intentcf import cli, synthetic
+from intentcf import cli, data, synthetic
+from intentcf.errors import IntentcfError
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +168,55 @@ class TestReports:
                   "--user", "u1", "--json"])
         b = capsys.readouterr().out
         assert a == b
+
+
+PREPARED_FILES = ("train.tsv", "valid.tsv", "test.tsv", "users.txt", "items.txt")
+MUTATIONS = ("duplicate", "rating", "unknown_id", "missing_field", "truncate")
+BAD_RATINGS = ("abc", "nan", "NaN", "inf", "-inf", "0", "-3", "")
+
+
+def mutate(lines: list[str], mutation: str, k: int, draw) -> None:
+    """Apply one mutation to line k of a prepared file (ids files hold one
+    field per line, so a rating mutation there replaces the id)."""
+    fields = lines[k].split("\t")
+    if mutation == "duplicate":
+        lines.insert(draw(st.integers(k + 1, len(lines))), lines[k])
+    elif mutation == "rating":
+        fields[-1] = draw(st.sampled_from(BAD_RATINGS))
+        lines[k] = "\t".join(fields)
+    elif mutation == "unknown_id":
+        fields[draw(st.integers(0, min(1, len(fields) - 1)))] = "no-such-id"
+        lines[k] = "\t".join(fields)
+    elif mutation == "missing_field":
+        del fields[draw(st.integers(0, len(fields) - 1))]
+        lines[k] = "\t".join(fields)
+    else:
+        lines[k] = lines[k][: draw(st.integers(0, len(lines[k]) - 1))]
+
+
+class TestPreparedDirectoryFuzz:
+    @given(st.sampled_from(PREPARED_FILES), st.sampled_from(MUTATIONS), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_only_typed_errors_escape(self, world, fname, mutation, data_draw):
+        with tempfile.TemporaryDirectory() as tmp:
+            prep = os.path.join(tmp, "prep")
+            shutil.copytree(world["prep"], prep)
+            path = os.path.join(prep, fname)
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+            mutate(lines, mutation, data_draw.draw(st.integers(0, len(lines) - 1)), data_draw.draw)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            try:
+                data.load_split(prep)
+                loaded = True
+            except IntentcfError:
+                loaded = False
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(["eval", "--checkpoint", world["ckpt"], "--data", prep])
+        if loaded:
+            assert code == 0, err.getvalue()
+        else:
+            assert code in (1, 2)
+            assert err.getvalue().startswith("error: ")

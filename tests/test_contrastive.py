@@ -9,12 +9,14 @@ from intentcf import preference as pr
 from intentcf.autodiff import Tensor
 from intentcf.errors import ParameterError
 
+from cell_fixtures import cells
+
 
 def augment_rows(rows, cfg, step):
     """augmented_view of dense tailored rows, given back as dense rows."""
-    cells = dt.Cells.from_dense(rows)
-    out = ct.augmented_view(Tensor(cells.values), cells, np.arange(rows.shape[1]), rows.shape[1], cfg, step)
-    return dt.Cells(cells.rows, cells.cols, out.data, cells.shape).dense()
+    tailored = cells(rows)
+    out = ct.augmented_view(Tensor(tailored.values), tailored, np.arange(rows.shape[1]), rows.shape[1], cfg, step)
+    return dt.Cells(tailored.rows, tailored.cols, out.data, tailored.shape).dense()
 
 
 class TestAugment:
@@ -60,19 +62,19 @@ class TestEmbedOriginal:
         model = pr.init_preference_model(4, 2, 3, np.random.default_rng(0))
         for b in model.encoder_theta.biases:
             b.data[...] = 0.0
-        out = ct.embed_original(model, np.zeros((1, 4)))
+        out = ct.embed_original(model, cells(np.zeros((1, 4))))
         np.testing.assert_array_equal(out.data, np.zeros((1, 2)))
 
     def test_identical_users_identical_embeddings(self):
         model = pr.init_preference_model(5, 3, 4, np.random.default_rng(2))
         rows = np.tile(np.array([0.0, 2.0, 5.0, 0.0, 1.0]), (2, 1))
-        out = ct.embed_original(model, rows).data
+        out = ct.embed_original(model, cells(rows)).data
         np.testing.assert_array_equal(out[0], out[1])
 
     def test_matches_hand_evaluated_mean(self):
         model = pr.init_preference_model(3, 2, 3, np.random.default_rng(4))
         r = np.array([[3.0, 4.0, 0.0]])
-        out = ct.embed_original(model, r).data
+        out = ct.embed_original(model, cells(r)).data
         t = model.encoder_theta
         x = r / np.linalg.norm(r)
         h = np.tanh(x @ t.weights[0].data + t.biases[0].data)

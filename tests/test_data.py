@@ -188,6 +188,54 @@ class TestSplitSerialization:
             dt.load_split(str(tmp_path))
 
 
+def prepared_dir(tmp_path):
+    m = make_matrix([{f"i{j}": float(j % 5 + 1) for j in range(14)} for _ in range(5)])
+    out = tmp_path / "prep"
+    dt.save_split(dt.split_per_user(m, seed=3), str(out))
+    return out
+
+
+def edit_lines(path, edit):
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestPreparedDirectoryChecks:
+    @pytest.mark.parametrize("rating", ["nan", "inf", "-3", "0"])
+    def test_bad_rating_names_file_and_line(self, tmp_path, rating):
+        out = prepared_dir(tmp_path)
+
+        def set_rating(lines):
+            user, item, _ = lines[1].split("\t")
+            lines[1] = f"{user}\t{item}\t{rating}"
+
+        edit_lines(out / "train.tsv", set_rating)
+        with pytest.raises(DataError, match="train.tsv line 2: ratings must be positive finite numbers"):
+            dt.load_split(str(out))
+
+    def test_repeated_line_names_file_and_line(self, tmp_path):
+        out = prepared_dir(tmp_path)
+        edit_lines(out / "train.tsv", lambda lines: lines.insert(3, lines[1]))
+        with pytest.raises(DataError, match="train.tsv line 4: user 'u0' rates item '.*' twice"):
+            dt.load_split(str(out))
+
+    def test_repeated_id_names_file_and_line(self, tmp_path):
+        out = prepared_dir(tmp_path)
+        edit_lines(out / "items.txt", lambda lines: lines.append(lines[2]))
+        with pytest.raises(DataError, match="items.txt line 15: id 'i10' is listed twice"):
+            dt.load_split(str(out))
+
+    def test_unknown_id_and_missing_field_name_file_and_line(self, tmp_path):
+        out = prepared_dir(tmp_path)
+        edit_lines(out / "valid.tsv", lambda lines: lines.__setitem__(0, "u0\tnowhere\t4.0"))
+        with pytest.raises(DataError, match="valid.tsv line 1: unknown id 'nowhere'"):
+            dt.load_split(str(out))
+        edit_lines(out / "valid.tsv", lambda lines: lines.__setitem__(0, "u0\t4.0"))
+        with pytest.raises(DataError, match="valid.tsv line 1: expected user, item and rating"):
+            dt.load_split(str(out))
+
+
 class TestGenreTable:
     def test_load_and_bind(self, tmp_path):
         path = write(tmp_path, "g.txt", "i0|drama,comedy\ni1|action\n")

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intentcf import data as dt
 from intentcf import evaluation as ev
+from intentcf import intent as it
 from intentcf import recommend as rc
 from intentcf import training as tr
 from intentcf.errors import ParameterError
@@ -163,7 +166,50 @@ class TestEvaluate:
         assert not set(split.train.rows[0][0].tolist()) & set(ranked.tolist())
 
 
+def reference_pair_success_rate(groups, genre_sets):
+    """The pooled and per-group shared-genre pair rates, pair by pair."""
+    total_pairs = 0
+    total_hits = 0
+    per_channel = []
+    for group in groups:
+        pairs = 0
+        hits = 0
+        for a in range(len(group)):
+            ga = genre_sets[group[a]]
+            for b in range(a + 1, len(group)):
+                pairs += 1
+                if ga & genre_sets[group[b]]:
+                    hits += 1
+        per_channel.append(hits / pairs if pairs else 0.0)
+        total_pairs += pairs
+        total_hits += hits
+    return (total_hits / total_pairs if total_pairs else 0.0), per_channel
+
+
 class TestCooccurrence:
+    @given(st.integers(1, 30), st.integers(0, 2**31 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_incidence_product_matches_pair_loop(self, m, seed):
+        rng = np.random.default_rng(seed)
+        labels = [f"g{c}" for c in range(int(rng.integers(1, 6)))]
+        # items with no genre, and groups of size 0 and 1, included
+        sizes = rng.integers(0, min(2, len(labels)) + 1, size=m)
+        genre_sets = [frozenset(rng.choice(labels, size=s, replace=False).tolist()) for s in sizes]
+        groups = [rng.choice(m, size=rng.integers(0, m + 1), replace=False) for _ in range(4)]
+        groups += [np.array([], dtype=np.intp), rng.choice(m, size=1)]
+        got = ev._pair_success_rate(groups, ev._genre_incidence(genre_sets))
+        assert got == reference_pair_success_rate(groups, genre_sets)
+
+        channel_item = rng.random((m, 3))
+        top_t = int(rng.integers(2, 8))
+        report = ev.cooccurrence_rate(channel_item, genre_sets, top_t=top_t, shuffles=7, seed=seed % 100)
+        top = [np.array([j for j, _ in c], dtype=np.intp) for c in it.top_items_per_channel(channel_item, top_t)]
+        rate, per_channel = reference_pair_success_rate(top, genre_sets)
+        draws = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed % 100, 9090])))
+        baseline = sum(reference_pair_success_rate([draws.choice(m, size=len(g), replace=False) for g in top],
+                                                   genre_sets)[0] for _ in range(7)) / 7
+        assert (report.rate, report.per_channel, report.baseline_rate) == (rate, per_channel, baseline)
+
     def test_all_same_genre_rate_one(self):
         channel_item = np.random.default_rng(0).random((10, 2))
         genres = [frozenset({"g"})] * 10

@@ -7,6 +7,8 @@ from intentcf import nn
 from intentcf.autodiff import Tensor
 from intentcf.errors import ParameterError
 
+from cell_fixtures import cells
+
 
 class TestLaplacePrior:
     def test_symmetric_alpha_k4(self):
@@ -93,16 +95,16 @@ class TestEncodeUser:
 class TestSampleGamma:
     def test_zero_mu_gives_uniform(self):
         out = it.sample_gamma(Tensor(np.zeros(3)), Tensor(np.zeros(3)), np.zeros(3), tau=0.7)
-        np.testing.assert_allclose(out.gamma.data, np.ones(3) / 3, atol=1e-12)
+        np.testing.assert_allclose(out.data, np.ones(3) / 3, atol=1e-12)
 
     def test_closed_form(self):
         out = it.sample_gamma(Tensor(np.array([1.0, 0.0])), Tensor(np.zeros(2)), np.zeros(2), tau=0.4)
-        np.testing.assert_allclose(out.gamma.data, [0.92414, 0.07586], atol=5e-6)
+        np.testing.assert_allclose(out.data, [0.92414, 0.07586], atol=5e-6)
 
     def test_smaller_tau_concentrates(self):
         mu = Tensor(np.array([0.5, 0.1, -0.2]))
-        hot = it.sample_gamma(mu, Tensor(np.zeros(3)), np.zeros(3), tau=0.2).gamma.data
-        mild = it.sample_gamma(mu, Tensor(np.zeros(3)), np.zeros(3), tau=1.0).gamma.data
+        hot = it.sample_gamma(mu, Tensor(np.zeros(3)), np.zeros(3), tau=0.2).data
+        mild = it.sample_gamma(mu, Tensor(np.zeros(3)), np.zeros(3), tau=1.0).data
         assert hot.max() > mild.max()
 
 
@@ -112,11 +114,11 @@ class TestItemIntents:
         for p in model.item_net_nu.parameters():
             p.data[...] = 0.0
         phi = it.item_intents(model, tau=0.4)
-        np.testing.assert_allclose(phi.values, np.full((3, 6), 1 / 3), atol=1e-12)
+        np.testing.assert_allclose(phi.data, np.full((3, 6), 1 / 3), atol=1e-12)
 
     def test_columns_sum_to_one(self):
         phi = it.item_intents(tiny_model(seed=3), tau=0.4)
-        np.testing.assert_allclose(phi.values.sum(axis=0), np.ones(6), atol=1e-10)
+        np.testing.assert_allclose(phi.data.sum(axis=0), np.ones(6), atol=1e-10)
 
     def test_single_item_closed_form(self):
         # craft nu so f_nu(W_0) = [1, 0]; tau=0.5 -> softmax([2, 0])
@@ -127,7 +129,7 @@ class TestItemIntents:
         model.item_net_nu.weights[1].data[...] = 0.0
         model.item_net_nu.biases[1].data[...] = np.array([1.0, 0.0])
         phi = it.item_intents(model, tau=0.5)
-        np.testing.assert_allclose(phi.values[:, 0], [0.88080, 0.11920], atol=5e-6)
+        np.testing.assert_allclose(phi.data[:, 0], [0.88080, 0.11920], atol=5e-6)
 
 
 class TestIntentElbo:
@@ -147,7 +149,7 @@ class TestIntentElbo:
         # beta gamma = [0.8, 0.2], X = [1, 0] -> recon = -log 0.8
         gamma = Tensor(np.array([[1.0]]))
         beta = Tensor(np.array([[0.8], [0.2]]))
-        x = np.array([[1.0, 0.0]])
+        x = cells([[1.0, 0.0]])
         loss = it.multinomial_recon_loss(x, gamma, beta)
         assert loss.item() == pytest.approx(-np.log(0.8), abs=1e-12)
         assert loss.item() == pytest.approx(0.22314, abs=5e-6)
@@ -159,7 +161,7 @@ class TestIntentElbo:
         x[0, [0, 1]] = 1.0
         x[1, [3, 5]] = 1.0
         noise = np.random.default_rng(0).standard_normal((2, 3))
-        parts = it.intent_elbo_loss(model, prior, x, noise, eta=0.7, tau=0.5)
+        parts = it.intent_elbo_loss(model, prior, cells(x), noise, eta=0.7, tau=0.5)
         assert parts.total.item() == pytest.approx(parts.recon.item() + 0.7 * parts.kl.item(), rel=1e-12)
 
     def test_multi_sample_reconstruction_averages(self):
@@ -169,9 +171,9 @@ class TestIntentElbo:
         x[0, [0, 1]] = 1.0
         x[1, [3]] = 1.0
         noise = np.random.default_rng(1).standard_normal((3, 2, 3))
-        multi = it.intent_elbo_loss(model, prior, x, noise, eta=0.0, tau=0.5, mc_samples=3)
+        multi = it.intent_elbo_loss(model, prior, cells(x), noise, eta=0.0, tau=0.5, mc_samples=3)
         singles = [
-            it.intent_elbo_loss(model, prior, x, noise[h], eta=0.0, tau=0.5).recon.item()
+            it.intent_elbo_loss(model, prior, cells(x), noise[h], eta=0.0, tau=0.5).recon.item()
             for h in range(3)
         ]
         assert multi.recon.item() == pytest.approx(np.mean(singles), rel=1e-12)
@@ -197,7 +199,7 @@ class TestItemIntentKl:
     def test_zero_when_phi_matches_gamma(self):
         phi = Tensor(np.array([[0.6, 0.25], [0.4, 0.75]]))  # (K=2, M=2)
         gamma = Tensor(np.array([[0.6, 0.4]]))
-        x = np.array([[1.0, 0.0]])  # only item 0 observed, phi_0 == gamma_0
+        x = cells([[1.0, 0.0]])  # only item 0 observed, phi_0 == gamma_0
         loss = it.item_intent_kl_loss(phi, gamma, x)
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
@@ -205,7 +207,7 @@ class TestItemIntentKl:
         eps = 1e-6
         phi = Tensor(np.array([[1 - eps], [eps]]))
         gamma = Tensor(np.array([[0.5, 0.5]]))
-        x = np.array([[1.0]])
+        x = cells([[1.0]])
         loss = it.item_intent_kl_loss(phi, gamma, x)
         expected = (1 - eps) * np.log((1 - eps) / 0.5) + eps * np.log(eps / 0.5)
         assert loss.item() == pytest.approx(expected, abs=1e-12)
@@ -217,9 +219,9 @@ class TestItemIntentKl:
         x[0, [0, 4]] = 1.0
         x[1, [2]] = 1.0
         mu, logvar = it.encode_users(model, x)
-        gamma = it.sample_gamma(mu, logvar, np.zeros((2, 3)), tau=0.4).gamma
+        gamma = it.sample_gamma(mu, logvar, np.zeros((2, 3)), tau=0.4)
         phi = it.item_intents(model, tau=0.4)
-        loss = it.item_intent_kl_loss(phi, gamma, x)
+        loss = it.item_intent_kl_loss(phi, gamma, cells(x))
         grads = ad.gradients(loss, model.parameters())
         # every psi parameter except the shared embedding gets exactly zero
         assert np.array_equal(grads["psi.b0"], np.zeros_like(grads["psi.b0"]))
@@ -233,8 +235,8 @@ class TestItemIntentKl:
     def test_counts_weight_repeated_items(self):
         phi = Tensor(np.array([[0.9, 0.3], [0.1, 0.7]]))
         gamma = Tensor(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        both = np.array([[1.0, 0.0], [1.0, 0.0]])
-        single = np.array([[1.0, 0.0]])
+        both = cells([[1.0, 0.0], [1.0, 0.0]])
+        single = cells([[1.0, 0.0]])
         l_both = it.item_intent_kl_loss(phi, gamma, both).item()
         l_single = it.item_intent_kl_loss(phi, Tensor(gamma.data[0:1]), single).item()
         assert l_both == pytest.approx(2 * l_single, rel=1e-12)

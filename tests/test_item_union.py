@@ -24,13 +24,15 @@ from intentcf.nn import diag_gaussian_kl, softmax_temp
 from intentcf.preference import encode_preference, select_top_channels_batch
 from intentcf.ranking import top_n
 
+from cell_fixtures import full_batch
+
 
 def dense_intent_elbo(model, prior, x, noise, eta, tau, mc_samples, floor):
     mu, logvar = encode_users(model, x)
     beta = model.beta()
     recon, gamma0 = None, None
     for h in range(mc_samples):
-        gamma = sample_gamma(mu, logvar, noise[h], tau).gamma
+        gamma = sample_gamma(mu, logvar, noise[h], tau)
         gamma0 = gamma if gamma0 is None else gamma0
         probs = ad.matmul(gamma, ad.transpose(beta))
         term = ad.mul(ad.tsum(ad.mul(Tensor(x), ad.log(ad.clip_min(probs, floor)))), -1.0)
@@ -42,7 +44,7 @@ def dense_intent_elbo(model, prior, x, noise, eta, tau, mc_samples, floor):
 
 def dense_item_intent_kl(phi, gamma, x, floor):
     phi_rows = ad.transpose(phi)
-    log_gamma = ad.log(ad.clip_min(gamma.detach(), floor))
+    log_gamma = ad.log(ad.clip_min(Tensor(gamma.data), floor))  # a constant: no gradient to the user side
     neg_entropy = ad.tsum(ad.mul(phi_rows, ad.log(ad.clip_min(phi_rows, floor))), axis=1)
     term1 = ad.tsum(ad.mul(Tensor(x.sum(axis=0)), neg_entropy))
     cross = ad.tsum(ad.mul(ad.matmul(Tensor(x), phi_rows), log_gamma))
@@ -84,12 +86,12 @@ def dense_batch_losses(state, xb, rb, eta, tau, step, stage):
     l1, kl_intent, gamma = dense_intent_elbo(state.intent, state.prior, xb, noise_i, eta, tau, cfg.mc_samples,
                                              cfg.prob_floor)
     phi = item_intents(state.intent, tau)
-    l2 = dense_item_intent_kl(phi.phi, gamma, xb, cfg.prob_floor)
+    l2 = dense_item_intent_kl(phi, gamma, xb, cfg.prob_floor)
     total = ad.add(l1, ad.mul(l2, cfg.lambda2))
     l3 = l4 = kl_pref = None
     if stage == "unified" and (cfg.lambda3 > 0 or cfg.lambda4 > 0):
         idx, _ = select_top_channels_batch(gamma.data, cfg.l)
-        phi_src = Tensor(phi.values) if cfg.detach_tailored else phi.phi
+        phi_src = Tensor(phi.data) if cfg.detach_tailored else phi
         tails = dense_decompose(rb, phi_src, idx)
         if cfg.lambda3 > 0:
             obs = np.repeat((rb > 0).astype(np.float64), cfg.l, axis=0)
@@ -172,7 +174,7 @@ class TestUnionLossesMatchDense:
         batch = dt.item_batch(ratings, x_bin, users)
         eta, tau = 0.7, 0.6
 
-        union = tr.compute_batch_losses(state, batch.binary, batch.ratings, eta, tau, step, stage, batch.items)
+        union = tr.compute_batch_losses(state, batch, eta, tau, step, stage)
         dense = dense_batch_losses(state, x_bin.dense(users), ratings.dense(users), eta, tau, step, stage)
         for key, want in dense.scalars().items():
             assert union.scalars()[key] == pytest.approx(want, rel=1e-10, abs=1e-12), key
@@ -180,7 +182,9 @@ class TestUnionLossesMatchDense:
         params = state.all_parameters()
         assert_close_grads(ad.gradients(union.total, params), ad.gradients(dense.total, params), 1e-10)
 
-    def test_full_width_rows_still_accepted(self):
+    def test_batch_over_all_items_equals_union_batch(self):
+        # U may hold items nobody in the batch rated: a batch over all M
+        # items gives the union batch's losses
         rows = [(np.array([0, 2], dtype=np.intp), np.array([5.0, 2.0])),
                 (np.array([1, 2, 3], dtype=np.intp), np.array([4.0, 4.0, 1.0]))]
         ratings = dt.RatingMatrix(["a", "b"], ["w", "x", "y", "z", "v"], rows)
@@ -188,10 +192,11 @@ class TestUnionLossesMatchDense:
                                2, 5, 3)
         x_bin = dt.binarize(ratings)
         users = np.arange(2)
-        full = tr.compute_batch_losses(state, x_bin.dense(users), ratings.dense(users), 0.5, 0.8, 4, "unified")
+        full = tr.compute_batch_losses(state, full_batch(x_bin.dense(users), ratings.dense(users)), 0.5, 0.8, 4,
+                                       "unified")
         batch = dt.item_batch(ratings, x_bin, users)
         np.testing.assert_array_equal(batch.items, [0, 1, 2, 3])
-        union = tr.compute_batch_losses(state, batch.binary, batch.ratings, 0.5, 0.8, 4, "unified", batch.items)
+        union = tr.compute_batch_losses(state, batch, 0.5, 0.8, 4, "unified")
         for key, want in full.scalars().items():
             assert union.scalars()[key] == pytest.approx(want, rel=1e-12, abs=1e-14), key
 
@@ -241,7 +246,8 @@ class TestScorerMatchesDense:
         np.testing.assert_allclose(scorer.gamma(ratings, users), gamma, **close)
         np.testing.assert_allclose(scorer.blended_scores(ratings, users), blended, **close)
         np.testing.assert_allclose(scorer.channel_scores(ratings, users, channel), single, **close)
-        np.testing.assert_allclose(scorer.override_scores(ratings, users, {0: 1.0, 2: 3.0}), override, **close)
+        np.testing.assert_allclose(scorer.override_scores(ratings, users, ev.IntentOverride({0: 1.0, 2: 3.0})),
+                                   override, **close)
 
 
 class TestCellOps:

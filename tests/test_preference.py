@@ -8,6 +8,8 @@ from intentcf import preference as pr
 from intentcf.autodiff import Tensor
 from intentcf.errors import ParameterError, ShapeError
 
+from cell_fixtures import cells
+
 
 def select(gamma, top_l):
     """select_top_channels_batch for one gamma: (L,) indices and weights."""
@@ -17,8 +19,8 @@ def select(gamma, top_l):
 
 def tailored_rows(r, phi, idx):
     """decompose_ratings_batch as dense (B*L, M) rows."""
-    cells, values = pr.decompose_ratings_batch(np.atleast_2d(r), phi, np.atleast_2d(idx))
-    return dt.Cells(cells.rows, cells.cols, values.data, cells.shape).dense()
+    tailored, values = pr.decompose_ratings_batch(cells(np.atleast_2d(r)), phi, np.atleast_2d(idx))
+    return dt.Cells(tailored.rows, tailored.cols, values.data, tailored.shape).dense()
 
 
 class TestSelectTopChannels:
@@ -169,11 +171,6 @@ class TestPredict:
         np.testing.assert_allclose(alone, paired, atol=1e-12)
 
 
-def cells_of(mask):
-    """Reconstruction cells at the nonzero entries of a 0/1 mask."""
-    return dt.Cells.from_dense(mask)
-
-
 class TestPreferenceElbo:
     def test_kl_zero_at_standard_normal(self):
         model = pr.init_preference_model(4, 2, 3, np.random.default_rng(0))
@@ -182,7 +179,7 @@ class TestPreferenceElbo:
         for b in model.encoder_theta.biases:
             b.data[...] = 0.0
         tailored = Tensor(np.zeros((2, 4)))
-        parts = pr.preference_elbo_loss(model, tailored, cells_of(np.zeros((2, 4))), np.zeros(0),
+        parts = pr.preference_elbo_loss(model, tailored, cells(np.zeros((2, 4))), np.zeros(0),
                                         np.zeros((2, 2)), eta=1.0)
         assert parts.kl.item() == pytest.approx(0.0, abs=1e-12)
 
@@ -192,7 +189,7 @@ class TestPreferenceElbo:
             w.data[...] = 0.0
         model.encoder_theta.biases[0].data[...] = 0.0
         model.encoder_theta.biases[1].data[...] = np.array([1.0, 0.0])  # mu=1, logvar=0
-        parts = pr.preference_elbo_loss(model, Tensor(np.zeros((1, 3))), cells_of(np.zeros((1, 3))),
+        parts = pr.preference_elbo_loss(model, Tensor(np.zeros((1, 3))), cells(np.zeros((1, 3))),
                                         np.zeros(0), np.zeros((1, 1)), eta=1.0)
         assert parts.kl.item() == pytest.approx(0.5, abs=1e-12)
 
@@ -202,7 +199,7 @@ class TestPreferenceElbo:
             p.data[...] = 0.0
         model.item_matrix.data[...] = 0.0
         targets = Tensor(np.zeros(2))
-        parts = pr.preference_elbo_loss(model, Tensor(np.zeros((1, 2))), cells_of(np.ones((1, 2))), targets,
+        parts = pr.preference_elbo_loss(model, Tensor(np.zeros((1, 2))), cells(np.ones((1, 2))), targets,
                                         np.zeros((1, 1)), eta=0.0)
         assert parts.recon.item() == pytest.approx(0.0, abs=1e-15)
 
@@ -210,8 +207,8 @@ class TestPreferenceElbo:
         model = pr.init_preference_model(2, 1, 2, np.random.default_rng(4))
         tailored = Tensor(np.array([[0.6, 0.8]]))
         noise = np.zeros((1, 1))
-        full = pr.preference_elbo_loss(model, tailored, cells_of(np.array([[1.0, 1.0]])), np.array([0.6, 0.8]),
+        full = pr.preference_elbo_loss(model, tailored, cells(np.array([[1.0, 1.0]])), np.array([0.6, 0.8]),
                                        noise, 0.0)
-        half = pr.preference_elbo_loss(model, tailored, cells_of(np.array([[1.0, 0.0]])), np.array([0.6]),
+        half = pr.preference_elbo_loss(model, tailored, cells(np.array([[1.0, 0.0]])), np.array([0.6]),
                                        noise, 0.0)
         assert half.recon.item() <= full.recon.item() + 1e-15

@@ -11,6 +11,8 @@ from intentcf import synthetic
 from intentcf import training as tr
 from intentcf.errors import CheckpointError, ParameterError, TrainingError, UsageError
 
+from cell_fixtures import full_batch
+
 def small_split(n_users=60, n_items=40, n_channels=3, seed=4):
     sd = synthetic.planted_channel_data(n_users=n_users, n_items=n_items, n_channels=n_channels, seed=seed)
     m = dt.filter_min_interactions(sd.rating_matrix(), 10)
@@ -99,9 +101,8 @@ class TestPretrainStructure:
         cfg = small_cfg(lambda2=0.0)
         state = tr.build_state(cfg, split.train.n_users, split.train.n_items)
         x_bin = dt.binarize(split.train)
-        xb = x_bin.dense(np.arange(8))
-        rb = split.train.dense(np.arange(8))
-        losses = tr.compute_batch_losses(state, xb, rb, 0.5, 0.8, 0, "pretrain")
+        batch = full_batch(x_bin.dense(np.arange(8)), split.train.dense(np.arange(8)))
+        losses = tr.compute_batch_losses(state, batch, 0.5, 0.8, 0, "pretrain")
         total = ad.add(losses.l1, ad.mul(losses.l2, cfg.lambda2))
         grads = ad.gradients(total, state.intent.parameters())
         for name in ("nu.w0", "nu.b0", "nu.w1", "nu.b1"):
@@ -301,11 +302,11 @@ class TestSchedulesInTraining:
         beta = state.intent.beta().data
         np.testing.assert_allclose(beta.sum(axis=0), np.ones(state.cfg.k), atol=1e-10)
         with ad.no_grad():
-            phi = item_intents(state.intent, state.tau).values
+            phi = item_intents(state.intent, state.tau).data
             np.testing.assert_allclose(phi.sum(axis=0), np.ones(split.train.n_items), atol=1e-10)
             x = dt.binarize(split.train).dense(np.arange(split.train.n_users))
             mu, logvar = encode_users(state.intent, x)
-            gamma = sample_gamma(mu, logvar, np.zeros(mu.data.shape), state.tau).gamma.data
+            gamma = sample_gamma(mu, logvar, np.zeros(mu.data.shape), state.tau).data
         np.testing.assert_allclose(gamma.sum(axis=1), np.ones(split.train.n_users), atol=1e-10)
         assert np.all(gamma > 0)
 
