@@ -282,14 +282,6 @@ def matmul_cells(a, b, rows, cols) -> Tensor:
     return _make(out, (a, b), vjp)
 
 
-def concat(parts: Sequence) -> Tensor:
-    """1-d tensors joined end to end."""
-    parts = [as_tensor(p) for p in parts]
-    bounds = np.cumsum([0] + [p.data.size for p in parts])
-    return _make(np.concatenate([p.data for p in parts]), parts,
-                 lambda g: tuple(g[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])))
-
-
 def take_along_last(a, idx) -> Tensor:
     """Per-row gather: out[i, j] = a[i, idx[i, j]] for a 2-d tensor."""
     a = as_tensor(a)

@@ -126,6 +126,14 @@ def _index_of(ids: list[str], ext_id: str, kind: str) -> int:
         raise UsageError(f"unknown {kind} id {ext_id!r}") from None
 
 
+def _number_list(flag: str, text: str, kind: type) -> tuple:
+    """The comma-separated numbers of a flag's value."""
+    try:
+        return tuple(kind(x) for x in text.split(","))
+    except ValueError:
+        raise UsageError(f"{flag} needs comma-separated {kind.__name__} values, got {text!r}") from None
+
+
 def cmd_prepare(args) -> int:
     from .data import GenreTable, filter_min_interactions, load_ratings, save_split, split_per_user
 
@@ -133,7 +141,7 @@ def cmd_prepare(args) -> int:
         raise UsageError(f"ratings file not found: {args.ratings}")
     if args.genres and not os.path.exists(args.genres):
         raise UsageError(f"genre file not found: {args.genres}")
-    fractions = tuple(float(x) for x in args.fractions.split(","))
+    fractions = _number_list("--fractions", args.fractions, float)
     if len(fractions) != 3:
         raise UsageError(f"--fractions needs three comma-separated values, got {args.fractions!r}")
     matrix = load_ratings(args.ratings, delimiter=args.delimiter, skip_header=args.skip_header)
@@ -175,11 +183,15 @@ def cmd_train(args) -> int:
     if args.config:
         if not os.path.exists(args.config):
             raise UsageError(f"config file not found: {args.config}")
-        with open(args.config, encoding="utf-8") as fh:
-            try:
+        try:
+            with open(args.config, encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"config file is not valid JSON: {exc}") from None
+        except OSError as exc:
+            raise UsageError(f"cannot read config file {args.config}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise UsageError(f"config file is not UTF-8 text: {args.config}") from None
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise UsageError("config file must hold a JSON object")
     data_dir = file_cfg.pop("data_dir", None) or args.data
@@ -214,7 +226,7 @@ def cmd_eval(args) -> int:
     from .training import scorer_from_state
 
     state, split = _load_state_and_data(args)
-    cutoffs = tuple(int(x) for x in args.cutoffs.split(","))
+    cutoffs = _number_list("--cutoffs", args.cutoffs, int)
     if args.valid:
         split = dataclasses.replace(split, test=split.valid)
     report = evaluate(scorer_from_state(state), split, cutoffs=cutoffs)

@@ -83,18 +83,18 @@ class ContrastiveBatch:
             )
 
 
-def contrastive_loss(batch: ContrastiveBatch, include_positive: bool = False) -> Tensor:
+def contrastive_loss(batch: ContrastiveBatch) -> Tensor:
     """sum over users and channel slots of
     -log exp(cos(ori_i, aug_il)/tau_c) / sum_{i' != i} exp(cos(ori_i, aug_i'l)/tau_c).
 
     Negatives are the other in-batch users' augmented views at the same
-    channel slot. The positive pair is excluded from the denominator unless
-    include_positive is set. Cosine of a zero vector is 0.
+    channel slot; the positive pair is excluded from the denominator.
+    Cosine of a zero vector is 0.
     """
     b = batch.originals.shape[0]
     ori_n = ad.l2norm_rows(batch.originals)
     inv_tau = 1.0 / batch.tau_c
-    denom_mask = np.ones((b, b)) if include_positive else 1.0 - np.eye(b)
+    denom_mask = 1.0 - np.eye(b)
     diag_idx = np.arange(b)[:, None]
     total = None
     for l in range(batch.n_channels):

@@ -3,6 +3,7 @@ binarization and genre tables."""
 
 from __future__ import annotations
 
+import io
 import os
 from dataclasses import dataclass, field
 
@@ -13,9 +14,27 @@ from .errors import DataError, ParameterError
 
 def _id_sort_key(ext_id: str):
     # numeric ids sort numerically, anything else lexicographically after
-    if ext_id.isdigit():
+    if ext_id.isdecimal():
         return (0, int(ext_id), "")
     return (1, 0, ext_id)
+
+
+def _read_lines(path: str, name: str | None = None) -> list[str]:
+    """The lines of a UTF-8 text file, with newlines read as text mode reads
+    them. A file that cannot be read, or bytes that are not UTF-8, raise
+    DataError naming the file (``name``, by default its path)."""
+    name = name or path
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {name}: {exc.strerror}") from None
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = io.StringIO(blob[: exc.start].decode("utf-8"), newline=None).read().count("\n") + 1
+        raise DataError(f"{name} line {line}: not UTF-8 text") from None
+    return io.StringIO(text, newline=None).readlines()
 
 
 @dataclass
@@ -167,10 +186,9 @@ def load_ratings(path: str, delimiter: str | None = None, skip_header: bool = Fa
     Duplicate (user, item) pairs keep the last occurrence. External ids map
     to dense indices in sorted order (numeric ids numerically).
     """
-    if not os.path.exists(path):
-        raise DataError(f"ratings file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    if delimiter == "":
+        raise ParameterError("the delimiter must not be empty")
+    lines = _read_lines(path)
     users, items, values, linenos = [], [], [], []
     start = 1 if skip_header else 0
     for lineno, raw in enumerate(lines[start:], start=start + 1):
@@ -188,8 +206,11 @@ def load_ratings(path: str, delimiter: str | None = None, skip_header: bool = Fa
             values.append(float(rating_s))
         except ValueError:
             raise DataError(f"line {lineno}: rating {rating_s!r} is not a number") from None
-        users.append(fields[0].strip())
-        items.append(fields[1].strip())
+        user, item = fields[0].strip(), fields[1].strip()
+        if not (user and item):
+            raise DataError(f"line {lineno}: empty user or item id in {line!r}")
+        users.append(user)
+        items.append(item)
         linenos.append(lineno)
     if not values:
         raise DataError(f"no ratings parsed from {path}")
@@ -255,8 +276,8 @@ def split_per_user(
     Rounding: floor(f_valid * n) validation items, floor(f_test * n) test
     items, remainder to train, which guarantees a nonempty training row.
     """
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ParameterError(f"fractions must sum to 1, got {fractions}")
+    if not (all(0.0 <= f <= 1.0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9):
+        raise ParameterError(f"fractions must lie in [0, 1] and sum to 1, got {fractions}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), 1717])))
     tr_rows, va_rows, te_rows = [], [], []
     for u in range(m.n_users):
@@ -296,21 +317,18 @@ class GenreTable:
 
     @classmethod
     def load(cls, path: str) -> "GenreTable":
-        if not os.path.exists(path):
-            raise DataError(f"genre file not found: {path}")
         table: dict[str, frozenset[str]] = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                if "|" not in line:
-                    raise DataError(f"line {lineno}: expected item_id|genre1,genre2, got {line!r}")
-                item, labels = line.split("|", 1)
-                labels = frozenset(g.strip() for g in labels.split(",") if g.strip())
-                if not labels:
-                    raise DataError(f"line {lineno}: item {item!r} has an empty genre set")
-                table[item.strip()] = labels
+        for lineno, raw in enumerate(_read_lines(path), start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if "|" not in line:
+                raise DataError(f"line {lineno}: expected item_id|genre1,genre2, got {line!r}")
+            item, labels = line.split("|", 1)
+            labels = frozenset(g.strip() for g in labels.split(",") if g.strip())
+            if not labels:
+                raise DataError(f"line {lineno}: item {item!r} has an empty genre set")
+            table[item.strip()] = labels
         if not table:
             raise DataError(f"no genres parsed from {path}")
         return cls(table)
@@ -366,15 +384,14 @@ def _read_ids(in_dir: str, fname: str) -> tuple[list[str], dict[str, int]]:
     """The ids of an id map file, one per nonblank line, and their indices."""
     ids: list[str] = []
     index: dict[str, int] = {}
-    with open(os.path.join(in_dir, fname), encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            ext_id = raw.rstrip("\n")
-            if ext_id in index:
-                raise DataError(f"{fname} line {lineno}: id {ext_id!r} is listed twice")
-            index[ext_id] = len(ids)
-            ids.append(ext_id)
+    for lineno, raw in enumerate(_read_lines(os.path.join(in_dir, fname), fname), start=1):
+        if not raw.strip():
+            continue
+        ext_id = raw.rstrip("\n")
+        if ext_id in index:
+            raise DataError(f"{fname} line {lineno}: id {ext_id!r} is listed twice")
+        index[ext_id] = len(ids)
+        ids.append(ext_id)
     return ids, index
 
 
@@ -390,38 +407,36 @@ def load_split(in_dir: str) -> SplitDataset:
 
     def read_matrix(fname: str) -> RatingMatrix:
         user_idx, item_idx, values, linenos = [], [], [], []
-        with open(os.path.join(in_dir, fname), encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    u, i, r = line.split("\t")
-                    rating = float(r)
-                except ValueError:
-                    raise DataError(f"{fname} line {lineno}: expected user, item and rating separated by tabs, "
-                                    f"got {line!r}") from None
-                try:
-                    user_idx.append(umap[u])
-                    item_idx.append(imap[i])
-                except KeyError as exc:
-                    raise DataError(f"{fname} line {lineno}: unknown id {exc}") from None
-                values.append(rating)
-                linenos.append(lineno)
+        for lineno, raw in enumerate(_read_lines(os.path.join(in_dir, fname), fname), start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                u, i, r = line.split("\t")
+                rating = float(r)
+            except ValueError:
+                raise DataError(f"{fname} line {lineno}: expected user, item and rating separated by tabs, "
+                                f"got {line!r}") from None
+            try:
+                user_idx.append(umap[u])
+                item_idx.append(imap[i])
+            except KeyError as exc:
+                raise DataError(f"{fname} line {lineno}: unknown id {exc}") from None
+            values.append(rating)
+            linenos.append(lineno)
         return _rating_matrix(list(users), list(items), user_idx, item_idx, values,
                               lambda k: f"{fname} line {linenos[k]}", keep_last=False)
 
     seed, fractions, threshold = 0, (0.6, 0.1, 0.3), 4.0
-    with open(os.path.join(in_dir, "manifest.txt"), encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                if line.startswith("seed:"):
-                    seed = int(line.split(":", 1)[1])
-                elif line.startswith("fractions:"):
-                    fractions = tuple(float(x) for x in line.split(":", 1)[1].strip().split("/"))
-                elif line.startswith("rating_threshold:"):
-                    threshold = float(line.split(":", 1)[1])
-            except ValueError:
-                raise DataError(f"manifest.txt line {lineno}: cannot read {line.strip()!r}") from None
+    for lineno, line in enumerate(_read_lines(os.path.join(in_dir, "manifest.txt"), "manifest.txt"), start=1):
+        try:
+            if line.startswith("seed:"):
+                seed = int(line.split(":", 1)[1])
+            elif line.startswith("fractions:"):
+                fractions = tuple(float(x) for x in line.split(":", 1)[1].strip().split("/"))
+            elif line.startswith("rating_threshold:"):
+                threshold = float(line.split(":", 1)[1])
+        except ValueError:
+            raise DataError(f"manifest.txt line {lineno}: cannot read {line.strip()!r}") from None
     return SplitDataset(read_matrix("train.tsv"), read_matrix("valid.tsv"), read_matrix("test.tsv"),
                         seed, fractions, threshold)

@@ -132,11 +132,11 @@ def item_intents(model: IntentModel, tau: float) -> Tensor:
     return ad.transpose(softmax_temp(logits, tau, axis=-1))
 
 
-def multinomial_recon_loss(x: Cells, gamma: Tensor, beta: Tensor, floor: float = PROB_FLOOR) -> Tensor:
+def multinomial_recon_loss(x: Cells, gamma: Tensor, beta: Tensor) -> Tensor:
     """-sum_i sum_{j observed} log (beta gamma_i)_j over the batch, taken at
     the observed cells of x only."""
     probs = ad.matmul_cells(gamma, ad.transpose(beta), x.rows, x.cols)
-    logp = ad.log(ad.clip_min(probs, floor))
+    logp = ad.log(ad.clip_min(probs, PROB_FLOOR))
     return ad.mul(ad.tsum(ad.mul(Tensor(x.values), logp)), -1.0)
 
 
@@ -164,7 +164,6 @@ def intent_elbo_loss(
     eta: float,
     tau: float,
     mc_samples: int = 1,
-    floor: float = PROB_FLOOR,
 ) -> IntentLossParts:
     """Negative ELBO of the intent network over a batch of binary cells x:
     the encoder reads them as dense rows, the reconstruction only at the
@@ -190,7 +189,7 @@ def intent_elbo_loss(
         gamma = sample_gamma(mu, logvar, noise[h], tau)
         if gamma0 is None:
             gamma0 = gamma
-        term = multinomial_recon_loss(x, gamma, beta, floor)
+        term = multinomial_recon_loss(x, gamma, beta)
         recon = term if recon is None else ad.add(recon, term)
     recon = ad.mul(recon, 1.0 / mc_samples)
     kl = intent_kl(mu, logvar, prior)
@@ -198,16 +197,16 @@ def intent_elbo_loss(
     return IntentLossParts(total, recon, kl, gamma0, mu, logvar)
 
 
-def item_intent_kl_loss(phi: Tensor, gamma: Tensor, x: Cells, floor: float = PROB_FLOOR) -> Tensor:
+def item_intent_kl_loss(phi: Tensor, gamma: Tensor, x: Cells) -> Tensor:
     """sum over observed (i, j) of KL(phi_j || gamma_i), over the cells of x,
     with phi (K, M) and the user side treated as constant: gradients reach
     only the item network and the shared embedding, never the user encoder
     heads."""
     phi_rows = ad.transpose(phi)  # (M, K)
-    log_gamma = np.log(np.maximum(gamma.data, floor))  # a constant: no gradient to the user side
+    log_gamma = np.log(np.maximum(gamma.data, PROB_FLOOR))  # a constant: no gradient to the user side
     # sum_j c_j * sum_k phi_jk log phi_jk, with c_j the batch count of item j
     counts = Tensor(np.bincount(x.cols, weights=x.values, minlength=x.shape[1]))  # (M,)
-    neg_entropy = ad.tsum(ad.mul(phi_rows, ad.log(ad.clip_min(phi_rows, floor))), axis=1)  # (M,)
+    neg_entropy = ad.tsum(ad.mul(phi_rows, ad.log(ad.clip_min(phi_rows, PROB_FLOOR))), axis=1)  # (M,)
     term1 = ad.tsum(ad.mul(counts, neg_entropy))
     # sum_i sum_k (X phi)_ik log gamma_ik = sum_j sum_k phi_jk (X^T log gamma)_jk
     x_log_gamma = ad.sum_rows_by(x.values[:, None] * log_gamma[x.rows], x.cols, x.shape[1])  # (M, K)

@@ -109,27 +109,26 @@ class PreferenceLossParts:
 
 def preference_elbo_loss(
     model: PreferenceModel,
-    inputs,
     cells: Cells,
-    targets,
+    tailored,
     noise: np.ndarray,
     eta: float,
 ) -> PreferenceLossParts:
-    """Negative ELBO of the preference network over tailored rows.
+    """Negative ELBO of the preference network over tailored rows given at
+    their cells, as decompose_ratings_batch returns them.
 
-    ``inputs`` are the dense (rows, C) tailored rows the encoder reads. The
-    squared-error reconstruction of u @ V is taken only at ``cells`` (the
-    observed entries plus any sampled zero targets), against ``targets``
-    (one per cell); eta weighs the KL of the posterior against the standard
-    normal prior.
+    The encoder reads the rows as dense (rows, C) inputs; the squared-error
+    reconstruction of u @ V is taken at the same cells, against the tailored
+    values. eta weighs the KL of the posterior against the standard normal
+    prior.
     """
     if eta < 0:
         raise ParameterError(f"eta must be nonnegative, got {eta}")
-    mu, logvar = encode_preference(model, inputs)
+    mu, logvar = encode_preference(model, dense_input(cells, tailored))
     sigma = ad.exp(ad.mul(logvar, 0.5))
     u = ad.add(mu, ad.mul(Tensor(np.asarray(noise, dtype=np.float64)), sigma))
     pred = ad.matmul_cells(u, model.item_matrix, cells.rows, cells.cols)
-    diff = ad.sub(pred, targets)
+    diff = ad.sub(pred, tailored)
     recon = ad.tsum(ad.mul(diff, diff))
     kl = diag_gaussian_kl(mu, logvar, 0.0, 1.0)
     return PreferenceLossParts(ad.add(recon, ad.mul(kl, eta)), recon, kl)

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import struct
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -17,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .contrast import AugmentationConfig, ContrastiveBatch, augmented_view, contrastive_loss, embed_original
-from .data import BinaryMatrix, Cells, ItemBatch, SplitDataset, binarize, item_batch
+from .data import BinaryMatrix, ItemBatch, SplitDataset, binarize, item_batch
 from .errors import CheckpointError, ParameterError, ShapeError, TrainingError, UsageError
 from .evaluation import Scorer, evaluate
 from .intent import (
@@ -44,11 +45,38 @@ from .preference import (
 VARIANTS = ("ddcf", "ddcf-n", "ddcf-s", "k1-baseline")
 
 # seed-sequence stream tags
-_INIT, _SHUFFLE, _NOISE_INTENT, _NOISE_PREF, _ZERO_NEG = 0, 1, 2, 3, 5
+_INIT, _SHUFFLE, _NOISE_INTENT, _NOISE_PREF = 0, 1, 2, 3
 
 
 def _stream_rng(seed: int, tag: int, step: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), tag, int(step)])))
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    return _is_real(v) and abs(v) <= sys.float_info.max  # false for nan, infinities and ints beyond floats
+
+
+# the value test and description of each TrainConfig annotation (a string)
+_FIELD_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_finite, "a finite number"),
+    "float | None": (lambda v: v is None or _is_finite(v), "a finite number or null"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+
+# Former options, each with the one value every run used. Checkpoint headers
+# and config files written while they existed carry them.
+_RETIRED = {"prob_floor": 1e-10, "include_positive_pair": False, "detach_tailored": False,
+            "pref_zero_negatives": False, "pref_target_raw": False}
 
 
 @dataclass
@@ -79,12 +107,7 @@ class TrainConfig:
     mc_samples: int = 1
     node_dropout: float = 0.1
     edge_dropout: float = 0.1
-    prob_floor: float = 1e-10
     intent_min_rating: float | None = None
-    include_positive_pair: bool = False
-    detach_tailored: bool = False
-    pref_zero_negatives: bool = False
-    pref_target_raw: bool = False
     skip_pretrain: bool = False
     variant: str = "ddcf"
 
@@ -97,6 +120,8 @@ class TrainConfig:
         for name in ("lambda2", "lambda3", "lambda4", "eta_max"):
             if getattr(self, name) < 0:
                 raise UsageError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
         if self.kappa < 1:
             raise UsageError(f"kappa must be >= 1, got {self.kappa}")
         if self.batch_size < 1:
@@ -119,10 +144,21 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        """The config a JSON object describes. Every value must have its
+        field's type; a retired key loads only at the value it always held,
+        and is dropped."""
+        for key, value in _RETIRED.items():
+            if key in d and not (type(d[key]) is type(value) and d[key] == value):
+                raise UsageError(f"config key {key!r} is retired; only {value!r} is accepted, got {d[key]!r}")
+        d = {key: value for key, value in d.items() if key not in _RETIRED}
+        fields = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(d) - set(fields)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in d.items():
+            accepts, kind = _FIELD_TYPES[fields[key]]
+            if not accepts(value):
+                raise UsageError(f"config key {key!r} needs {kind}, got {value!r}")
         return cls(**d)
 
     def config_hash(self) -> str:
@@ -207,30 +243,6 @@ def build_state(cfg: TrainConfig, n_users: int, n_items: int, arrays: dict[str, 
     return TrainerState(cfg, n_users, n_items, intent, pref, prior, Adam(cfg.learning_rate), tau=cfg.tau_start)
 
 
-def _zero_negatives(rb: Cells, items: np.ndarray, n_items: int, top_l: int, step: int,
-                    seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """One sampled unobserved item (a zero target) per observed item, drawn
-    from all n_items for each of the B*L tailored rows (user-major): the
-    tailored row and the item index (over all M) of each pick."""
-    rng = _stream_rng(seed, _ZERO_NEG, step)
-    rows, picks = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for r in range(rb.shape[0] * top_l):
-        observed = items[rb.cols[rb.rows == r // top_l]]
-        unobserved = np.ones(n_items, dtype=bool)
-        unobserved[observed] = False
-        unobs = np.flatnonzero(unobserved)
-        if observed.size == 0 or unobs.size == 0:
-            continue
-        picks.append(rng.choice(unobs, size=min(observed.size, unobs.size), replace=False))
-        rows.append(np.full(picks[-1].size, r, dtype=np.intp))
-    return np.concatenate(rows), np.concatenate(picks).astype(np.intp)
-
-
-def _widen(cells: Cells, items: np.ndarray, wider: np.ndarray) -> Cells:
-    """Cells over ``items`` as cells over the superset ``wider``."""
-    return Cells(cells.rows, np.searchsorted(wider, items[cells.cols]), cells.values, (cells.shape[0], wider.size))
-
-
 @dataclass
 class BatchLosses:
     total: Tensor
@@ -260,60 +272,38 @@ def compute_batch_losses(state: TrainerState, batch: ItemBatch, eta: float, tau:
     cells over the increasing item list ``batch.items``, zero at every item
     outside it. Pretraining evaluates only the two intent terms.
 
-    Every loss reads only the batch's rated items (plus sampled zero
-    targets), so the losses run on views of both models over the batch's
-    items, at the rated cells; only the encoders' first-layer inputs are
-    dense rows. They equal the losses over all M.
+    Every loss reads only the batch's rated items, so the losses run on
+    views of both models over the batch's items, at the rated cells; only
+    the encoders' first-layer inputs are dense rows. They equal the losses
+    over all M.
     """
     cfg = state.cfg
     xb, rb, items = batch.binary, batch.ratings, batch.items
     b = rb.shape[0]
-    m = state.n_items
-    unified = stage == "unified" and (cfg.lambda3 > 0 or cfg.lambda4 > 0)
-    negatives = None
-    if unified and cfg.lambda3 > 0 and cfg.pref_zero_negatives:
-        neg_rows, neg_items = _zero_negatives(rb, items, m, cfg.l, step, cfg.seed)
-        wider = np.union1d(items, neg_items).astype(np.intp)
-        if wider.size > items.size:
-            xb, rb, items = _widen(xb, items, wider), _widen(rb, items, wider), wider
-        negatives = Cells(neg_rows, np.searchsorted(items, neg_items), np.zeros(neg_rows.size),
-                          (b * cfg.l, items.size))
     intent = state.intent.over(items)
     noise_i = _stream_rng(cfg.seed, _NOISE_INTENT, step).standard_normal((cfg.mc_samples, b, cfg.k))
-    l1 = intent_elbo_loss(intent, state.prior, xb, noise_i, eta, tau, cfg.mc_samples, cfg.prob_floor)
+    l1 = intent_elbo_loss(intent, state.prior, xb, noise_i, eta, tau, cfg.mc_samples)
     phi = item_intents(intent, tau)
-    l2 = item_intent_kl_loss(phi, l1.gamma, xb, cfg.prob_floor)
+    l2 = item_intent_kl_loss(phi, l1.gamma, xb)
     total = ad.add(l1.total, ad.mul(l2, cfg.lambda2))
     l3 = l4 = kl_pref = None
 
-    if unified:
+    if stage == "unified" and (cfg.lambda3 > 0 or cfg.lambda4 > 0):
         pref = state.pref.over(items)
         idx, _ = select_top_channels_batch(l1.gamma.data, cfg.l)
-        phi_src = Tensor(phi.data) if cfg.detach_tailored else phi
-        cells, tails = decompose_ratings_batch(rb, phi_src, idx)
+        cells, tails = decompose_ratings_batch(rb, phi, idx)
         if cfg.lambda3 > 0:
-            # reconstructed at the rated cells (raw rating as value) and at
-            # the zero targets
-            recon, targets = cells, tails
-            if negatives is not None:
-                recon = Cells(*(np.concatenate([getattr(cells, f), getattr(negatives, f)])
-                                for f in ("rows", "cols", "values")), cells.shape)
-                targets = ad.concat([tails, negatives.values])
-            if cfg.pref_target_raw:
-                targets = Tensor(recon.values)
             noise_p = _stream_rng(cfg.seed, _NOISE_PREF, step).standard_normal((b * cfg.l, cfg.d))
-            parts3 = preference_elbo_loss(pref, dense_input(cells, tails), recon, targets, noise_p, eta)
+            parts3 = preference_elbo_loss(pref, cells, tails, noise_p, eta)
             l3, kl_pref = parts3.total, parts3.kl
             total = ad.add(total, ad.mul(l3, cfg.lambda3))
         if cfg.lambda4 > 0 and b >= 2:
             aug_cfg = AugmentationConfig(cfg.node_dropout, cfg.edge_dropout, cfg.seed)
             # the draws cover all M items, as the mask of a full-width batch
-            augmented = augmented_view(tails, cells, items, m, aug_cfg, step)
+            augmented = augmented_view(tails, cells, items, state.n_items, aug_cfg, step)
             u_aug, _ = encode_preference(pref, dense_input(cells, augmented))
             u_ori = embed_original(pref, rb)
-            l4 = contrastive_loss(
-                ContrastiveBatch(u_ori, u_aug, cfg.l, cfg.tau_c), cfg.include_positive_pair
-            )
+            l4 = contrastive_loss(ContrastiveBatch(u_ori, u_aug, cfg.l, cfg.tau_c))
             total = ad.add(total, ad.mul(l4, cfg.lambda4))
     return BatchLosses(total, l1.total, l2, l3, l4, l1.kl, kl_pref)
 
@@ -376,8 +366,7 @@ def run_epoch(state: TrainerState, data: SplitDataset, x_bin: BinaryMatrix, epoc
 
 
 def validation_recall_at_10(state: TrainerState, data: SplitDataset) -> float:
-    scorer = Scorer(state.intent, state.pref, state.cfg.l, state.tau, state.cfg.intent_min_rating)
-    report = evaluate(scorer, dataclasses.replace(data, test=data.valid), cutoffs=(10,))
+    report = evaluate(scorer_from_state(state), dataclasses.replace(data, test=data.valid), cutoffs=(10,))
     return report.values["recall"][10]
 
 
@@ -560,14 +549,6 @@ _COUNTERS = ("epoch", "global_batch", "adam_t", "best_val", "best_epoch", "bad_e
 _REAL_COUNTERS = ("best_val", "tau", "eta")
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _check_header(header) -> None:
     """Raise CheckpointError naming the first header section that is missing
     or mistyped, so a malformed header never surfaces as a raw exception."""
@@ -648,7 +629,7 @@ def load_checkpoint(path: str) -> TrainerState:
         try:
             cfg = TrainConfig.from_dict(header["config"])
             cfg.validate()
-        except (KeyError, TypeError, UsageError) as exc:
+        except UsageError as exc:
             raise CheckpointError(f"config section invalid: {exc}") from None
         # each array is read straight into the buffer the model keeps; no
         # copy of the whole file is held

@@ -15,6 +15,7 @@ from intentcf import data as dt
 from intentcf import synthetic
 from intentcf import training as tr
 from intentcf.errors import CheckpointError
+from intentcf.evaluation import evaluate
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +122,40 @@ def test_header_without_history_loads_an_empty_history(run, tmp_path):
     old = tmp_path / "old.ckpt"
     old.write_bytes(rewrite_header(blob, drop("history")))
     assert tr.load_checkpoint(str(old)).history == []
+
+
+# the five config keys retired from TrainConfig, at the values every run
+# used while they existed
+RETIRED = {"prob_floor": 1e-10, "include_positive_pair": False, "detach_tailored": False,
+           "pref_zero_negatives": False, "pref_target_raw": False}
+
+
+def with_config(**extra):
+    return lambda header: put({**header["config"], **extra}, "config")(header)
+
+
+def test_header_with_retired_keys_loads_and_resaves_in_the_new_header(run, tmp_path):
+    root, blob = run
+    old, current = tmp_path / "old.ckpt", tmp_path / "current.ckpt"
+    old.write_bytes(rewrite_header(blob, with_config(**RETIRED)))
+    current.write_bytes(blob)
+    split = dt.load_split(str(root / "prep"))
+
+    def report(path):
+        return evaluate(tr.scorer_from_state(tr.load_checkpoint(str(path))), split).as_dict()
+
+    assert report(old) == report(current)
+    resaved = tmp_path / "resaved.ckpt"
+    tr.save_checkpoint(str(resaved), tr.load_checkpoint(str(old)))
+    assert resaved.read_bytes() == blob
+
+
+def test_retired_key_at_another_value_names_the_key(run, tmp_path):
+    _, blob = run
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(rewrite_header(blob, with_config(**{**RETIRED, "pref_zero_negatives": True})))
+    with pytest.raises(CheckpointError, match="^config section invalid: config key 'pref_zero_negatives' is retired"):
+        tr.load_checkpoint(str(bad))
 
 
 @given(st.data())

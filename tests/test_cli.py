@@ -61,6 +61,31 @@ class TestPrepare:
                          "--out", "/tmp/xx", "--fractions", "0.5,0.5"])
         assert code == 2
 
+    @pytest.mark.parametrize("fractions", ["a,b,c", "0.6,,0.4", "nan,nan,nan"])
+    def test_unreadable_fractions_exit_2(self, world, tmp_path, capsys, fractions):
+        code = cli.main(["prepare", "--ratings", os.path.join(world["raw"], "ratings.tsv"),
+                         "--out", str(tmp_path / "prep"), "--fractions", fractions])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_empty_delimiter_exit_2(self, world, tmp_path, capsys):
+        code = cli.main(["prepare", "--ratings", os.path.join(world["raw"], "ratings.tsv"),
+                         "--out", str(tmp_path / "prep"), "--delimiter", ""])
+        assert code == 2
+        assert "delimiter" in capsys.readouterr().err
+
+    def test_directory_as_ratings_file_exit_1(self, tmp_path, capsys):
+        code = cli.main(["prepare", "--ratings", str(tmp_path), "--out", str(tmp_path / "prep")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read {tmp_path}")
+
+    def test_non_utf8_ratings_exit_1(self, tmp_path, capsys):
+        ratings = tmp_path / "r.tsv"
+        ratings.write_bytes(b"u1\ti1\t5\nu1\ti\xff\t4\n")
+        code = cli.main(["prepare", "--ratings", str(ratings), "--out", str(tmp_path / "prep")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestTrainCli:
     def test_unknown_config_key_exit_2(self, world, tmp_path, capsys):
@@ -70,6 +95,25 @@ class TestTrainCli:
                          "--config", str(cfg)])
         assert code == 2
         assert "bogus_key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", ["k=abc", "batch_size=1.5", "skip_pretrain=1", "pref_zero_negatives=true"])
+    def test_mistyped_or_retired_value_exit_2(self, world, tmp_path, capsys, setting):
+        code = cli.main(["train", "--data", world["prep"], "--out", str(tmp_path / "o"), "--set", setting])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and setting.split("=")[0] in err
+
+    def test_directory_as_config_exit_2(self, world, tmp_path, capsys):
+        code = cli.main(["train", "--data", world["prep"], "--out", str(tmp_path / "o"), "--config", str(tmp_path)])
+        assert code == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
+    def test_non_utf8_config_exit_2(self, world, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"k": "\xff"}')
+        code = cli.main(["train", "--data", world["prep"], "--out", str(tmp_path / "o"), "--config", str(cfg)])
+        assert code == 2
+        assert "not UTF-8" in capsys.readouterr().err
 
     def test_flags_override_config(self, world, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -143,6 +187,12 @@ class TestReports:
         payload = json.loads(capsys.readouterr().out)
         assert 0.0 <= payload["rate"] <= 1.0
         assert 0.0 <= payload["baseline_rate"] <= 1.0
+
+    @pytest.mark.parametrize("cutoffs", ["x", "5,", "2.5"])
+    def test_bad_cutoffs_exit_2(self, world, capsys, cutoffs):
+        code = cli.main(["eval", "--checkpoint", world["ckpt"], "--data", world["prep"], "--cutoffs", cutoffs])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --cutoffs")
 
     def test_unknown_user_exit_2(self, world, capsys):
         code = cli.main(["recommend", "--checkpoint", world["ckpt"], "--data", world["prep"],
@@ -220,3 +270,53 @@ class TestPreparedDirectoryFuzz:
         else:
             assert code in (1, 2)
             assert err.getvalue().startswith("error: ")
+
+
+RATINGS_MUTATIONS = ("flip", "non_utf8", "truncate", "rating", "missing_field")
+
+
+class TestRatingsFileFuzz:
+    @given(st.sampled_from(RATINGS_MUTATIONS), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_only_typed_errors_escape(self, world, mutation, data_draw):
+        draw = data_draw.draw
+        with open(os.path.join(world["raw"], "ratings.tsv"), "rb") as fh:
+            blob = bytearray(fh.read())
+        if mutation == "flip":
+            for _ in range(draw(st.integers(1, 3))):
+                blob[draw(st.integers(0, len(blob) - 1))] ^= draw(st.integers(1, 255))
+        elif mutation == "non_utf8":
+            at = draw(st.integers(0, len(blob)))
+            blob[at:at] = draw(st.sampled_from([b"\xff", b"\xfe", b"\x80", b"\xc3", b"\xed\xa0\x80"]))
+        elif mutation == "truncate":
+            blob = blob[: draw(st.integers(0, len(blob) - 1))]
+        else:
+            lines = bytes(blob).split(b"\n")
+            k = draw(st.integers(0, len(lines) - 2))
+            fields = lines[k].split(b"\t")
+            if mutation == "rating":
+                fields[2] = draw(st.sampled_from([b"nan", b"NaN", b"", b"-3", b"0", b"inf", b"abc"]))
+            else:
+                del fields[draw(st.integers(0, len(fields) - 1))]
+            lines[k] = b"\t".join(fields)
+            blob = bytearray(b"\n".join(lines))
+        with tempfile.TemporaryDirectory() as tmp:
+            ratings = os.path.join(tmp, "ratings.tsv")
+            with open(ratings, "wb") as fh:
+                fh.write(blob)
+            try:
+                data.load_ratings(ratings)
+                loaded = True
+            except IntentcfError:
+                loaded = False
+            err = io.StringIO()
+            prep = os.path.join(tmp, "prep")
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(["prepare", "--ratings", ratings, "--out", prep])
+            assert code in (0, 1, 2)
+            if code == 0:
+                data.load_split(prep)  # a prepared directory loads back
+            else:
+                assert err.getvalue().startswith("error: ")
+        if not loaded:
+            assert code != 0

@@ -53,6 +53,23 @@ class TestLoadRatings:
         with pytest.raises(DataError, match="line 1"):
             dt.load_ratings(path)
 
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"u1,i1,5\r\nu2,i\xff2,3\n")
+        with pytest.raises(DataError, match="r.csv line 2: not UTF-8 text"):
+            dt.load_ratings(str(path))
+
+    def test_empty_id_rejected(self, tmp_path):
+        # an empty id would be written to the prepared directory's id files
+        # as a blank line, which reloading skips
+        path = write(tmp_path, "r.tsv", "u1\ti1\t5\nu2\t\t3\t17\n")
+        with pytest.raises(DataError, match="line 2: empty user or item id"):
+            dt.load_ratings(path)
+
+    def test_superscript_digit_id_sorts_as_text(self, tmp_path):
+        path = write(tmp_path, "r.csv", "u1,\u00b2,5\nu1,3,2\n")
+        assert dt.load_ratings(path).item_ids == ["3", "\u00b2"]
+
     def test_header_skip(self, tmp_path):
         path = write(tmp_path, "r.csv", "user,item,rating\nu1,i1,5\n")
         m = dt.load_ratings(path, skip_header=True)
@@ -147,6 +164,12 @@ class TestSplit:
         with pytest.raises(ParameterError):
             dt.split_per_user(m, 0, fractions=(0.5, 0.1, 0.3))
 
+    @pytest.mark.parametrize("fractions", [(1.2, -0.5, 0.3), (float("nan"),) * 3])
+    def test_fractions_outside_the_unit_interval(self, fractions):
+        m = make_matrix([{f"i{j}": 1.0 for j in range(10)}])
+        with pytest.raises(ParameterError, match="lie in"):
+            dt.split_per_user(m, 0, fractions=fractions)
+
 
 class TestBinarize:
     def test_all_observed(self):
@@ -236,6 +259,17 @@ class TestPreparedDirectoryChecks:
             dt.load_split(str(out))
 
 
+    @pytest.mark.parametrize("fname", ["users.txt", "items.txt", "train.tsv", "valid.tsv", "test.tsv",
+                                       "manifest.txt"])
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, fname):
+        out = prepared_dir(tmp_path)
+        lines = (out / fname).read_bytes().split(b"\n")
+        lines[1] += b"\xff"
+        (out / fname).write_bytes(b"\n".join(lines))
+        with pytest.raises(DataError, match=f"{fname} line 2: not UTF-8 text"):
+            dt.load_split(str(out))
+
+
 class TestGenreTable:
     def test_load_and_bind(self, tmp_path):
         path = write(tmp_path, "g.txt", "i0|drama,comedy\ni1|action\n")
@@ -255,3 +289,9 @@ class TestGenreTable:
         path = write(tmp_path, "g.txt", "i0 drama\n")
         with pytest.raises(DataError, match="line 1"):
             dt.GenreTable.load(path)
+
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"i0|drama\ni1|act\xc3ion\n")
+        with pytest.raises(DataError, match="g.txt line 2: not UTF-8 text"):
+            dt.GenreTable.load(str(path))

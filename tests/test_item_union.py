@@ -19,7 +19,7 @@ from intentcf import evaluation as ev
 from intentcf import training as tr
 from intentcf.autodiff import Tensor
 from intentcf.contrast import AugmentationConfig, ContrastiveBatch, augmentation_mask, contrastive_loss
-from intentcf.intent import encode_users, intent_kl, item_intents, sample_gamma
+from intentcf.intent import PROB_FLOOR, encode_users, intent_kl, item_intents, sample_gamma
 from intentcf.nn import diag_gaussian_kl, softmax_temp
 from intentcf.preference import encode_preference, select_top_channels_batch
 from intentcf.ranking import top_n
@@ -27,7 +27,7 @@ from intentcf.ranking import top_n
 from cell_fixtures import full_batch
 
 
-def dense_intent_elbo(model, prior, x, noise, eta, tau, mc_samples, floor):
+def dense_intent_elbo(model, prior, x, noise, eta, tau, mc_samples):
     mu, logvar = encode_users(model, x)
     beta = model.beta()
     recon, gamma0 = None, None
@@ -35,17 +35,17 @@ def dense_intent_elbo(model, prior, x, noise, eta, tau, mc_samples, floor):
         gamma = sample_gamma(mu, logvar, noise[h], tau)
         gamma0 = gamma if gamma0 is None else gamma0
         probs = ad.matmul(gamma, ad.transpose(beta))
-        term = ad.mul(ad.tsum(ad.mul(Tensor(x), ad.log(ad.clip_min(probs, floor)))), -1.0)
+        term = ad.mul(ad.tsum(ad.mul(Tensor(x), ad.log(ad.clip_min(probs, PROB_FLOOR)))), -1.0)
         recon = term if recon is None else ad.add(recon, term)
     recon = ad.mul(recon, 1.0 / mc_samples)
     kl = intent_kl(mu, logvar, prior)
     return ad.add(recon, ad.mul(kl, eta)), kl, gamma0
 
 
-def dense_item_intent_kl(phi, gamma, x, floor):
+def dense_item_intent_kl(phi, gamma, x):
     phi_rows = ad.transpose(phi)
-    log_gamma = ad.log(ad.clip_min(Tensor(gamma.data), floor))  # a constant: no gradient to the user side
-    neg_entropy = ad.tsum(ad.mul(phi_rows, ad.log(ad.clip_min(phi_rows, floor))), axis=1)
+    log_gamma = ad.log(ad.clip_min(Tensor(gamma.data), PROB_FLOOR))  # a constant: no gradient to the user side
+    neg_entropy = ad.tsum(ad.mul(phi_rows, ad.log(ad.clip_min(phi_rows, PROB_FLOOR))), axis=1)
     term1 = ad.tsum(ad.mul(Tensor(x.sum(axis=0)), neg_entropy))
     cross = ad.tsum(ad.mul(ad.matmul(Tensor(x), phi_rows), log_gamma))
     return ad.sub(term1, cross)
@@ -57,25 +57,12 @@ def dense_decompose(r, phi, idx):
     return ad.l2norm_rows(ad.mul(phi_sel, Tensor(np.repeat(r, idx.shape[1], axis=0))))
 
 
-def dense_preference_elbo(model, tailored, targets, obs, noise, eta):
+def dense_preference_elbo(model, tailored, obs, noise, eta):
     mu, logvar = encode_preference(model, tailored)
     u = ad.add(mu, ad.mul(Tensor(noise), ad.exp(ad.mul(logvar, 0.5))))
-    diff = ad.mul(ad.sub(ad.matmul(u, model.item_matrix), targets), Tensor(obs))
+    diff = ad.mul(ad.sub(ad.matmul(u, model.item_matrix), tailored), Tensor(obs))
     kl = diag_gaussian_kl(mu, logvar, 0.0, 1.0)
     return ad.add(ad.tsum(ad.mul(diff, diff)), ad.mul(kl, eta)), kl
-
-
-def dense_zero_negative_mask(obs, step, seed):
-    rng = tr._stream_rng(seed, tr._ZERO_NEG, step)
-    out = obs.copy()
-    for r in range(obs.shape[0]):
-        unobs = np.flatnonzero(obs[r] == 0)
-        n = int(obs[r].sum())
-        if n == 0 or unobs.size == 0:
-            continue
-        pick = rng.choice(unobs, size=min(n, unobs.size), replace=False)
-        out[r, pick] = 1.0
-    return out
 
 
 def dense_batch_losses(state, xb, rb, eta, tau, step, stage):
@@ -83,23 +70,18 @@ def dense_batch_losses(state, xb, rb, eta, tau, step, stage):
     cfg = state.cfg
     b = xb.shape[0]
     noise_i = tr._stream_rng(cfg.seed, tr._NOISE_INTENT, step).standard_normal((cfg.mc_samples, b, cfg.k))
-    l1, kl_intent, gamma = dense_intent_elbo(state.intent, state.prior, xb, noise_i, eta, tau, cfg.mc_samples,
-                                             cfg.prob_floor)
+    l1, kl_intent, gamma = dense_intent_elbo(state.intent, state.prior, xb, noise_i, eta, tau, cfg.mc_samples)
     phi = item_intents(state.intent, tau)
-    l2 = dense_item_intent_kl(phi, gamma, xb, cfg.prob_floor)
+    l2 = dense_item_intent_kl(phi, gamma, xb)
     total = ad.add(l1, ad.mul(l2, cfg.lambda2))
     l3 = l4 = kl_pref = None
     if stage == "unified" and (cfg.lambda3 > 0 or cfg.lambda4 > 0):
         idx, _ = select_top_channels_batch(gamma.data, cfg.l)
-        phi_src = Tensor(phi.data) if cfg.detach_tailored else phi
-        tails = dense_decompose(rb, phi_src, idx)
+        tails = dense_decompose(rb, phi, idx)
         if cfg.lambda3 > 0:
             obs = np.repeat((rb > 0).astype(np.float64), cfg.l, axis=0)
-            if cfg.pref_zero_negatives:
-                obs = dense_zero_negative_mask(obs, step, cfg.seed)
-            targets = Tensor(np.repeat(rb, cfg.l, axis=0)) if cfg.pref_target_raw else tails
             noise_p = tr._stream_rng(cfg.seed, tr._NOISE_PREF, step).standard_normal((b * cfg.l, cfg.d))
-            l3, kl_pref = dense_preference_elbo(state.pref, tails, targets, obs, noise_p, eta)
+            l3, kl_pref = dense_preference_elbo(state.pref, tails, obs, noise_p, eta)
             total = ad.add(total, ad.mul(l3, cfg.lambda3))
         if cfg.lambda4 > 0 and b >= 2:
             aug_cfg = AugmentationConfig(cfg.node_dropout, cfg.edge_dropout, cfg.seed)
@@ -107,7 +89,7 @@ def dense_batch_losses(state, xb, rb, eta, tau, step, stage):
             augmented = ad.l2norm_rows(ad.mul(tails, Tensor(mask)))
             u_aug, _ = encode_preference(state.pref, augmented)
             u_ori, _ = encode_preference(state.pref, ad.l2norm_rows(Tensor(rb)))
-            l4 = contrastive_loss(ContrastiveBatch(u_ori, u_aug, cfg.l, cfg.tau_c), cfg.include_positive_pair)
+            l4 = contrastive_loss(ContrastiveBatch(u_ori, u_aug, cfg.l, cfg.tau_c))
             total = ad.add(total, ad.mul(l4, cfg.lambda4))
     return tr.BatchLosses(total, l1, l2, l3, l4, kl_intent, kl_pref)
 
@@ -134,9 +116,6 @@ def worlds(draw):
 
 CONFIGS = st.fixed_dictionaries({
     "variant": st.sampled_from(tr.VARIANTS),
-    "detach_tailored": st.booleans(),
-    "pref_zero_negatives": st.booleans(),
-    "pref_target_raw": st.booleans(),
     "mc_samples": st.integers(1, 2),
     # node dropout 1 zeroes every augmented row, so each dropout view is a
     # tailored row of norm zero

@@ -178,9 +178,7 @@ class TestPreferenceElbo:
             w.data[...] = 0.0
         for b in model.encoder_theta.biases:
             b.data[...] = 0.0
-        tailored = Tensor(np.zeros((2, 4)))
-        parts = pr.preference_elbo_loss(model, tailored, cells(np.zeros((2, 4))), np.zeros(0),
-                                        np.zeros((2, 2)), eta=1.0)
+        parts = pr.preference_elbo_loss(model, cells(np.zeros((2, 4))), np.zeros(0), np.zeros((2, 2)), eta=1.0)
         assert parts.kl.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_kl_half(self):
@@ -189,8 +187,7 @@ class TestPreferenceElbo:
             w.data[...] = 0.0
         model.encoder_theta.biases[0].data[...] = 0.0
         model.encoder_theta.biases[1].data[...] = np.array([1.0, 0.0])  # mu=1, logvar=0
-        parts = pr.preference_elbo_loss(model, Tensor(np.zeros((1, 3))), cells(np.zeros((1, 3))),
-                                        np.zeros(0), np.zeros((1, 1)), eta=1.0)
+        parts = pr.preference_elbo_loss(model, cells(np.zeros((1, 3))), np.zeros(0), np.zeros((1, 1)), eta=1.0)
         assert parts.kl.item() == pytest.approx(0.5, abs=1e-12)
 
     def test_perfect_reconstruction_zero(self):
@@ -198,17 +195,6 @@ class TestPreferenceElbo:
         for p in model.encoder_theta.parameters():
             p.data[...] = 0.0
         model.item_matrix.data[...] = 0.0
-        targets = Tensor(np.zeros(2))
-        parts = pr.preference_elbo_loss(model, Tensor(np.zeros((1, 2))), cells(np.ones((1, 2))), targets,
-                                        np.zeros((1, 1)), eta=0.0)
+        tailored = Tensor(np.zeros(2))  # zero tailored values at both cells
+        parts = pr.preference_elbo_loss(model, cells(np.ones((1, 2))), tailored, np.zeros((1, 1)), eta=0.0)
         assert parts.recon.item() == pytest.approx(0.0, abs=1e-15)
-
-    def test_recon_only_on_masked_entries(self):
-        model = pr.init_preference_model(2, 1, 2, np.random.default_rng(4))
-        tailored = Tensor(np.array([[0.6, 0.8]]))
-        noise = np.zeros((1, 1))
-        full = pr.preference_elbo_loss(model, tailored, cells(np.array([[1.0, 1.0]])), np.array([0.6, 0.8]),
-                                       noise, 0.0)
-        half = pr.preference_elbo_loss(model, tailored, cells(np.array([[1.0, 0.0]])), np.array([0.6]),
-                                       noise, 0.0)
-        assert half.recon.item() <= full.recon.item() + 1e-15

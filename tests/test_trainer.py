@@ -1,9 +1,16 @@
 
 import json
 import os
+import re
+from pathlib import Path
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intentcf import autodiff as ad
 from intentcf import data as dt
@@ -70,6 +77,52 @@ class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(UsageError, match="typo_key"):
             tr.TrainConfig.from_dict({"typo_key": 1})
+
+    @pytest.mark.parametrize("key,value", [
+        ("k", "abc"), ("k", True), ("k", 3.0), ("batch_size", 1.5), ("tau_c", "0.2"), ("lambda2", None),
+        ("learning_rate", math.nan), ("eta_max", math.inf), ("lambda2", 10**400), ("skip_pretrain", 1), ("variant", 3),
+        ("intent_min_rating", "4"), ("intent_min_rating", False),
+    ])
+    def test_mistyped_values_rejected(self, key, value):
+        with pytest.raises(UsageError, match=f"config key '{key}' needs"):
+            tr.TrainConfig.from_dict({key: value})
+
+    def test_values_of_the_field_type_accepted(self):
+        cfg = tr.TrainConfig.from_dict({"k": 4, "tau_c": 1, "lambda2": 0.5, "intent_min_rating": None,
+                                        "skip_pretrain": True, "variant": "ddcf-s"})
+        assert (cfg.k, cfg.tau_c, cfg.intent_min_rating, cfg.skip_pretrain) == (4, 1, None, True)
+        assert tr.TrainConfig.from_dict({"intent_min_rating": 3}).intent_min_rating == 3
+        assert tr.TrainConfig.from_dict(small_cfg().to_dict()) == small_cfg()
+
+    def test_retired_keys_load_only_at_their_former_value(self):
+        former = {"prob_floor": 1e-10, "include_positive_pair": False, "detach_tailored": False,
+                  "pref_zero_negatives": False, "pref_target_raw": False}
+        assert tr.TrainConfig.from_dict({**former, "k": 4}) == tr.TrainConfig(k=4)
+        for key, value in [("prob_floor", 1e-8), ("include_positive_pair", True), ("detach_tailored", 0),
+                           ("pref_zero_negatives", True), ("pref_target_raw", None)]:
+            with pytest.raises(UsageError, match=f"config key '{key}' is retired"):
+                tr.TrainConfig.from_dict({**former, key: value})
+
+    @given(st.dictionaries(
+        st.sampled_from([f.name for f in dataclasses.fields(tr.TrainConfig)] + ["prob_floor", "detach_tailored"]),
+        st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+                     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                                  max_size=3),
+                     max_leaves=6),
+        max_size=6,
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_random_json_values_raise_only_usage_errors(self, values):
+        try:
+            tr.TrainConfig.from_dict(values).validate()
+        except UsageError:
+            pass
+
+    def test_readme_table_names_every_field_and_default(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", section, flags=re.MULTILINE)
+        assert rows == [(f.name, json.dumps(f.default)) for f in dataclasses.fields(tr.TrainConfig)]
 
     def test_invariants(self):
         with pytest.raises(UsageError):
