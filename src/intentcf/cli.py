@@ -95,8 +95,18 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text + "\n")
 
 
-def _provenance(state) -> dict:
-    return {"config_hash": state.cfg.config_hash(), "seed": state.cfg.seed, "variant": state.cfg.variant}
+def _report(state, args, payload: dict, lines: list[str]) -> None:
+    """Emit a command's report: under --json the payload beside the
+    checkpoint's provenance (a payload key of the same name wins, as
+    cooccur's shuffle seed does), else the text lines under one provenance
+    line."""
+    prov = {"config_hash": state.cfg.config_hash(), "seed": state.cfg.seed, "variant": state.cfg.variant}
+    if args.json:
+        text = json.dumps({**prov, **payload}, indent=1, sort_keys=True)
+    else:
+        head = f"config_hash: {prov['config_hash']}  seed: {prov['seed']}  variant: {prov['variant']}"
+        text = "\n".join([head, *lines])
+    _emit(text, args.out)
 
 
 def _load_state_and_data(args):
@@ -231,13 +241,7 @@ def cmd_eval(args) -> int:
         split = dataclasses.replace(split, test=split.valid)
     report = evaluate(scorer_from_state(state), split, cutoffs=cutoffs)
     report.seed = state.cfg.seed
-    prov = _provenance(state)
-    if args.json:
-        payload = {**prov, "split": "valid" if args.valid else "test", **report.as_dict()}
-        _emit(json.dumps(payload, indent=1, sort_keys=True), args.out)
-    else:
-        head = f"config_hash: {prov['config_hash']}  seed: {prov['seed']}  variant: {prov['variant']}"
-        _emit(head + "\n" + report.text_table(), args.out)
+    _report(state, args, {"split": "valid" if args.valid else "test", **report.as_dict()}, [report.text_table()])
     return 0
 
 
@@ -250,26 +254,21 @@ def cmd_channels(args) -> int:
 
     state, split = _load_state_and_data(args)
     scorer = scorer_from_state(state)
-    beta = state.intent.beta().data  # (M, K)
-    prov = _provenance(state)
+    top = top_items_per_channel(state.intent.beta().data, args.top)
     items = split.train.item_ids
-    payload: dict = {**prov, "k": state.cfg.k, "top": args.top}
-    lines = [f"config_hash: {prov['config_hash']}  seed: {prov['seed']}  variant: {prov['variant']}"]
+    payload: dict = {"k": state.cfg.k, "top": args.top, "channels": []}
+    lines = []
     if args.user is not None:
         u = _index_of(split.train.user_ids, args.user, "user")
         gamma = scorer.gamma(split.train, np.array([u]))
         idx, weights = select_top_channels_batch(gamma, min(args.user_channels, state.cfg.k))
         payload["user"] = args.user
-        payload["channels"] = []
         lines.append(f"user {args.user}: top {idx.shape[1]} intent channels")
-        top = top_items_per_channel(beta, args.top)
         for c, w in zip(idx[0], weights[0]):
             names = [items[j] for j, _ in top[c]]
             payload["channels"].append({"channel": int(c), "weight": float(w), "top_items": names})
             lines.append(f"  channel {c} (weight {w:.3f}): {', '.join(names)}")
     else:
-        top = top_items_per_channel(beta, args.top)
-        payload["channels"] = []
         for c, channel in enumerate(top):
             names = [items[j] for j, _ in channel]
             probs = [p for _, p in channel]
@@ -277,7 +276,7 @@ def cmd_channels(args) -> int:
                 {"channel": c, "top_items": names, "probabilities": [round(p, 6) for p in probs]}
             )
             lines.append(f"channel {c}: {', '.join(names)}")
-    _emit(json.dumps(payload, indent=1, sort_keys=True) if args.json else "\n".join(lines), args.out)
+    _report(state, args, payload, lines)
     return 0
 
 
@@ -306,20 +305,14 @@ def cmd_recommend(args) -> int:
 
     state, split = _load_state_and_data(args)
     scorer = scorer_from_state(state)
-    prov = _provenance(state)
     items = split.train.item_ids
-    head = f"config_hash: {prov['config_hash']}  seed: {prov['seed']}  variant: {prov['variant']}"
     if args.similar_to is not None:
         j = _index_of(items, args.similar_to, "item")
         ranked = similar_items(state.intent, scorer.phi, j, args.n, measure=args.similarity)
         rows = [{"item": items[i], "similarity": round(s, 6)} for i, s in ranked]
-        if args.json:
-            _emit(json.dumps({**prov, "similar_to": args.similar_to, "items": rows}, indent=1, sort_keys=True),
-                  args.out)
-        else:
-            lines = [head, f"items similar to {args.similar_to} ({args.similarity}):"]
-            lines += [f"  {r['item']}  {r['similarity']:.4f}" for r in rows]
-            _emit("\n".join(lines), args.out)
+        lines = [f"items similar to {args.similar_to} ({args.similarity}):"]
+        lines += [f"  {r['item']}  {r['similarity']:.4f}" for r in rows]
+        _report(state, args, {"similar_to": args.similar_to, "items": rows}, lines)
         return 0
     if args.user is None:
         raise UsageError("recommend needs --user (or --similar-to ITEM)")
@@ -336,13 +329,9 @@ def cmd_recommend(args) -> int:
         ranked = recommend_blended(scorer, split, u, args.n)
         mode = "blended"
     rows = [{"item": items[i], "score": float(s)} for i, s in zip(ranked.items, ranked.scores)]
-    if args.json:
-        _emit(json.dumps({**prov, "user": args.user, "mode": mode, "items": rows}, indent=1, sort_keys=True),
-              args.out)
-    else:
-        lines = [head, f"recommendations for user {args.user} ({mode}):"]
-        lines += [f"  {r['item']}  {r['score']:.4f}" for r in rows]
-        _emit("\n".join(lines), args.out)
+    lines = [f"recommendations for user {args.user} ({mode}):"]
+    lines += [f"  {r['item']}  {r['score']:.4f}" for r in rows]
+    _report(state, args, {"user": args.user, "mode": mode, "items": rows}, lines)
     return 0
 
 
@@ -363,18 +352,12 @@ def cmd_cooccur(args) -> int:
         channel_item = scorer_from_state(state).phi.T  # phi is (K, M)
     report = cooccurrence_rate(channel_item, genre_sets, top_t=args.top,
                                shuffles=args.shuffles, seed=args.seed)
-    prov = _provenance(state)
-    if args.json:
-        _emit(json.dumps({**prov, "matrix": args.matrix, **report.as_dict()}, indent=1, sort_keys=True),
-              args.out)
-    else:
-        lines = [
-            f"config_hash: {prov['config_hash']}  seed: {prov['seed']}  variant: {prov['variant']}",
-            f"co-occurrence rate ({args.matrix}, top {report.top_t} items/channel): {report.rate:.4f}",
-            f"shuffled baseline ({report.shuffles} shuffles): {report.baseline_rate:.4f}",
-            "per-channel: " + ", ".join(f"{r:.3f}" for r in report.per_channel),
-        ]
-        _emit("\n".join(lines), args.out)
+    lines = [
+        f"co-occurrence rate ({args.matrix}, top {report.top_t} items/channel): {report.rate:.4f}",
+        f"shuffled baseline ({report.shuffles} shuffles): {report.baseline_rate:.4f}",
+        "per-channel: " + ", ".join(f"{r:.3f}" for r in report.per_channel),
+    ]
+    _report(state, args, {"matrix": args.matrix, **report.as_dict()}, lines)
     return 0
 
 

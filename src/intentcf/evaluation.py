@@ -10,13 +10,12 @@ import numpy as np
 from . import autodiff as ad
 from .data import BinaryMatrix, ItemBatch, RatingMatrix, SplitDataset, binarize, item_batch
 from .errors import ParameterError
-from .intent import IntentModel, encode_users, item_intents, top_items_per_channel
-from .nn import softmax_temp
+from .intent import IntentModel, item_intents, top_items_per_channel
+from .nn import encode_gaussian, softmax_temp
 from .preference import (
     PreferenceModel,
     decompose_ratings_batch,
     dense_input,
-    encode_preference,
     predict_ratings_batch,
     select_top_channels_batch,
 )
@@ -28,8 +27,9 @@ METRICS = ("precision", "recall", "map", "ndcg")
 @dataclass
 class IntentOverride:
     """Sparse channel -> weight map replacing the predicted distribution.
-    Weights are nonnegative with at least one positive entry; they are
-    renormalized over the provided channels."""
+    Weights are finite and nonnegative with a finite positive sum; they are
+    renormalized over the provided channels. {c: 1.0} ranks inside channel
+    c alone."""
 
     weights: dict[int, float]
 
@@ -37,6 +37,9 @@ class IntentOverride:
         if not self.weights:
             raise ParameterError("intent override must name at least one channel")
         vals = np.array(list(self.weights.values()), dtype=np.float64)
+        # normalized() divides by this sum
+        if not (np.all(np.isfinite(vals)) and np.isfinite(sum(self.weights.values()))):
+            raise ParameterError(f"override weights must be finite with a finite sum, got {self.weights}")
         if np.any(vals < 0) or vals.sum() <= 0:
             raise ParameterError("override weights must be nonnegative with a positive sum")
 
@@ -90,7 +93,7 @@ class Scorer:
 
     def _gamma(self, batch: ItemBatch) -> np.ndarray:
         with ad.no_grad():
-            mu, _ = encode_users(self.intent.over(batch.items), batch.binary.dense())
+            mu, _ = encode_gaussian(self.intent.encoder_psi.over(batch.items), batch.binary.dense())
             return softmax_temp(mu, self.tau).data
 
     def _embeddings(self, batch: ItemBatch, channel_idx: np.ndarray) -> np.ndarray:
@@ -98,7 +101,7 @@ class Scorer:
         channels (channel_idx is (B, L))."""
         with ad.no_grad():
             cells, tails = decompose_ratings_batch(batch.ratings, ad.Tensor(self.phi[:, batch.items]), channel_idx)
-            mu, _ = encode_preference(self.pref.over(batch.items), dense_input(cells, tails))
+            mu, _ = encode_gaussian(self.pref.encoder_theta.over(batch.items), dense_input(cells, tails))
         b, top_l = channel_idx.shape
         return mu.data.reshape(b, top_l, self.pref.d)
 
@@ -112,14 +115,6 @@ class Scorer:
         batch = self._batch(train, users)
         idx, weights = select_top_channels_batch(self._gamma(batch), self.top_l)
         return predict_ratings_batch(self._embeddings(batch, idx), weights, self.pref.item_matrix.data)
-
-    def channel_scores(self, train: RatingMatrix, users: np.ndarray, channel: int) -> np.ndarray:
-        """(B, M) single-channel predictions, no blending."""
-        if not 0 <= channel < self.intent.k:
-            raise ParameterError(f"channel {channel} out of range for K={self.intent.k}")
-        idx = np.full((len(users), 1), channel, dtype=np.intp)
-        emb = self._embeddings(self._batch(train, users), idx)
-        return predict_ratings_batch(emb, np.ones((len(users), 1)), self.pref.item_matrix.data)
 
     def override_scores(self, train: RatingMatrix, users: np.ndarray, override: IntentOverride) -> np.ndarray:
         """(B, M) predictions under a caller-supplied intent distribution."""
@@ -148,12 +143,9 @@ def _index_array(items) -> np.ndarray:
 
 
 def metrics_at_k(ranked_items: np.ndarray, positives, k: int):
-    """(P@k, R@k, AP@k, NDCG@k) with binary relevance.
-
-    For B ranked lists, ranked_items is (B, n) (-1 pads a short list) and
-    positives holds one collection of item indices per row; each metric is
-    then a (B,) array. A 1-d ranked_items with one collection of positives is
-    the B = 1 case and gives four floats.
+    """(P@k, R@k, AP@k, NDCG@k) with binary relevance, each a (B,) array,
+    for B ranked lists: ranked_items is (B, n) (-1 pads a short list) and
+    positives holds one collection of item indices per row.
 
     AP normalizes by min(|positives|, k); NDCG uses 1/log2(rank+1) gains with
     the ideal ranking placing min(|positives|, k) hits first.
@@ -161,8 +153,6 @@ def metrics_at_k(ranked_items: np.ndarray, positives, k: int):
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     ranked = np.asarray(ranked_items, dtype=np.intp)
-    if ranked.ndim == 1:
-        return tuple(float(v[0]) for v in metrics_at_k(ranked[None], [positives], k))
     b = ranked.shape[0]
     top = np.full((b, k), -1, dtype=np.intp)
     top[:, : min(k, ranked.shape[1])] = ranked[:, :k]
@@ -327,6 +317,8 @@ def cooccurrence_rate(
     """
     if top_t < 2:
         raise ParameterError(f"top_t must be >= 2 to form pairs, got {top_t}")
+    if shuffles < 1:
+        raise ParameterError(f"shuffles must be >= 1, got {shuffles}")
     m, k = channel_item.shape
     if len(genre_sets) != m:
         raise ParameterError(f"genre table covers {len(genre_sets)} items, expected {m}")

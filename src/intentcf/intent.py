@@ -15,6 +15,7 @@ from .errors import ParameterError, ShapeError
 from .nn import (
     MlpParams,
     diag_gaussian_kl,
+    encode_gaussian,
     gaussian_reparameterize,
     init_mlp,
     init_parameter,
@@ -89,10 +90,8 @@ class IntentModel:
         """View of the model on an item list: psi's first-layer rows (which
         also feed nu) and beta's rows at those items. Gradients scatter back
         into the full parameters."""
-        psi = self.encoder_psi
-        w0 = ad.gather_rows(psi.weights[0], items)
-        return IntentModel(MlpParams([w0, *psi.weights[1:]], psi.biases, psi.activation),
-                           self.beta_logits, self.item_net_nu, self.k, np.asarray(items, dtype=np.intp))
+        return IntentModel(self.encoder_psi.over(items), self.beta_logits, self.item_net_nu, self.k,
+                           np.asarray(items, dtype=np.intp))
 
     def parameters(self) -> list[Tensor]:
         return self.encoder_psi.parameters() + [self.beta_logits] + self.item_net_nu.parameters()
@@ -109,12 +108,6 @@ def init_intent_model(
                                  arrays)
     nu = init_mlp([hidden, item_hidden, k], rng, "nu", arrays=arrays)
     return IntentModel(psi, beta_logits, nu, k)
-
-
-def encode_users(model: IntentModel, x_dense: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Variational posterior parameters for dense 0/1 rows (B, M)."""
-    out = mlp_forward(model.encoder_psi, x_dense)
-    return ad.slice_cols(out, 0, model.k), ad.slice_cols(out, model.k, 2 * model.k)
 
 
 def sample_gamma(mu: Tensor, logvar: Tensor, noise, tau: float) -> Tensor:
@@ -140,20 +133,12 @@ def multinomial_recon_loss(x: Cells, gamma: Tensor, beta: Tensor) -> Tensor:
     return ad.mul(ad.tsum(ad.mul(Tensor(x.values), logp)), -1.0)
 
 
-def intent_kl(mu: Tensor, logvar: Tensor, prior: LaplacePrior) -> Tensor:
-    """Closed-form diagonal Gaussian KL against the prior, summed over the
-    batch."""
-    return diag_gaussian_kl(mu, logvar, prior.mu, prior.sigma_diag)
-
-
 @dataclass
 class IntentLossParts:
     total: Tensor
     recon: Tensor
     kl: Tensor
     gamma: Tensor  # first-sample channel distributions, (B, K)
-    mu: Tensor
-    logvar: Tensor
 
 
 def intent_elbo_loss(
@@ -181,7 +166,7 @@ def intent_elbo_loss(
         noise = noise[None]
     if noise.shape[0] < mc_samples:
         raise ShapeError(f"noise provides {noise.shape[0]} samples, need {mc_samples}")
-    mu, logvar = encode_users(model, x.dense())
+    mu, logvar = encode_gaussian(model.encoder_psi, x.dense())
     beta = model.beta()
     recon = None
     gamma0 = None
@@ -192,9 +177,9 @@ def intent_elbo_loss(
         term = multinomial_recon_loss(x, gamma, beta)
         recon = term if recon is None else ad.add(recon, term)
     recon = ad.mul(recon, 1.0 / mc_samples)
-    kl = intent_kl(mu, logvar, prior)
+    kl = diag_gaussian_kl(mu, logvar, prior.mu, prior.sigma_diag)
     total = ad.add(recon, ad.mul(kl, eta))
-    return IntentLossParts(total, recon, kl, gamma0, mu, logvar)
+    return IntentLossParts(total, recon, kl, gamma0)
 
 
 def item_intent_kl_loss(phi: Tensor, gamma: Tensor, x: Cells) -> Tensor:

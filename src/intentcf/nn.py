@@ -1,5 +1,6 @@
-"""Standard layers on top of the tape: MLPs, softmax with temperature,
-reparameterization, diagonal-Gaussian KL and Adam."""
+"""Standard layers on top of the tape: MLPs, the Gaussian encoder layer of
+both VAEs (row view, (mu, logvar) heads, reparameterization and
+diagonal-Gaussian KL), softmax with temperature and Adam."""
 
 from __future__ import annotations
 
@@ -53,6 +54,12 @@ class MlpParams:
             out.extend([w, b])
         return out
 
+    def over(self, items: np.ndarray) -> "MlpParams":
+        """View of the MLP on an item list: its first layer's rows at those
+        items, so it reads inputs over the list. Gradients scatter back into
+        the full first layer."""
+        return MlpParams([ad.gather_rows(self.weights[0], items), *self.weights[1:]], self.biases, self.activation)
+
 
 def stored_array(arrays: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
     """arrays[name], which must have ``shape``; ShapeError names the array
@@ -104,6 +111,14 @@ def mlp_forward(params: MlpParams, x) -> Tensor:
         if l != last:
             h = act(h)
     return h
+
+
+def encode_gaussian(params: MlpParams, x) -> tuple[Tensor, Tensor]:
+    """Posterior (mu, logvar) of a diagonal-Gaussian encoder: the MLP's
+    output split into two equal heads."""
+    out = mlp_forward(params, x)
+    half = params.weights[-1].shape[1] // 2
+    return ad.slice_cols(out, 0, half), ad.slice_cols(out, half, 2 * half)
 
 
 def softmax_temp(logits, tau: float, axis: int = -1) -> Tensor:
@@ -190,42 +205,3 @@ class Adam:
         self.t = t
         self.m = {k[len("adam.m."):]: v for k, v in arrays.items() if k.startswith("adam.m.")}
         self.v = {k[len("adam.v."):]: v for k, v in arrays.items() if k.startswith("adam.v.")}
-
-
-def finite_difference_gradients(
-    loss_fn: Callable[[], float], params: list[Tensor], h: float = 1e-5
-) -> dict[str, np.ndarray]:
-    """Central finite differences of loss_fn w.r.t. every parameter coordinate.
-
-    loss_fn reads the parameters' current ``.data`` in place; it must be
-    deterministic (fix any noise beforehand).
-    """
-    out = {}
-    for p in params:
-        g = np.zeros_like(p.data)
-        flat = p.data.ravel()
-        gflat = g.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = loss_fn()
-            flat[i] = orig - h
-            lo = loss_fn()
-            flat[i] = orig
-            gflat[i] = (hi - lo) / (2.0 * h)
-        out[p.name] = g
-    return out
-
-
-def max_relative_error(analytic: dict[str, np.ndarray], numeric: dict[str, np.ndarray]) -> float:
-    """max over coordinates of |ga - gn| / max(|ga|, |gn|), ignoring pairs
-    where both magnitudes are below 1e-8."""
-    worst = 0.0
-    for name, ga in analytic.items():
-        gn = numeric[name]
-        scale = np.maximum(np.abs(ga), np.abs(gn))
-        diff = np.abs(ga - gn)
-        mask = scale > 1e-8
-        if np.any(mask):
-            worst = max(worst, float((diff[mask] / scale[mask]).max()))
-    return worst

@@ -12,7 +12,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Cells
 from .errors import ParameterError, ShapeError
-from .nn import MlpParams, diag_gaussian_kl, init_mlp, init_parameter, mlp_forward
+from .nn import MlpParams, diag_gaussian_kl, encode_gaussian, gaussian_reparameterize, init_mlp, init_parameter
 
 
 @dataclass
@@ -28,10 +28,7 @@ class PreferenceModel:
         """View of the model on an item list: theta's first-layer rows and
         V's columns at those items. Gradients scatter back into the full
         parameters."""
-        theta = self.encoder_theta
-        w0 = ad.gather_rows(theta.weights[0], items)
-        return PreferenceModel(MlpParams([w0, *theta.weights[1:]], theta.biases, theta.activation),
-                               ad.gather_cols(self.item_matrix, items), self.d)
+        return PreferenceModel(self.encoder_theta.over(items), ad.gather_cols(self.item_matrix, items), self.d)
 
     def parameters(self) -> list[Tensor]:
         return self.encoder_theta.parameters() + [self.item_matrix]
@@ -80,12 +77,6 @@ def dense_input(cells: Cells, values) -> Tensor:
     return ad.scatter_cells(values, cells.rows, cells.cols, cells.shape)
 
 
-def encode_preference(model: PreferenceModel, r_il) -> tuple[Tensor, Tensor]:
-    """Posterior mean and log-variance heads for tailored inputs (rows)."""
-    out = mlp_forward(model.encoder_theta, r_il)
-    return ad.slice_cols(out, 0, model.d), ad.slice_cols(out, model.d, 2 * model.d)
-
-
 def predict_ratings_batch(u: np.ndarray, weights: np.ndarray, item_matrix: np.ndarray) -> np.ndarray:
     """Weighted average of per-channel inner products for B users: for user
     b and item j, sum_l weights[b, l] (u[b, l] . v_j), with u (B, L, d) and
@@ -124,9 +115,8 @@ def preference_elbo_loss(
     """
     if eta < 0:
         raise ParameterError(f"eta must be nonnegative, got {eta}")
-    mu, logvar = encode_preference(model, dense_input(cells, tailored))
-    sigma = ad.exp(ad.mul(logvar, 0.5))
-    u = ad.add(mu, ad.mul(Tensor(np.asarray(noise, dtype=np.float64)), sigma))
+    mu, logvar = encode_gaussian(model.encoder_theta, dense_input(cells, tailored))
+    u = gaussian_reparameterize(mu, ad.exp(ad.mul(logvar, 0.5)), noise)
     pred = ad.matmul_cells(u, model.item_matrix, cells.rows, cells.cols)
     diff = ad.sub(pred, tailored)
     recon = ad.tsum(ad.mul(diff, diff))

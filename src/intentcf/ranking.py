@@ -12,16 +12,12 @@ def top_n(scores: np.ndarray, n: int, exclude=None) -> np.ndarray:
 
     ``scores`` (B, M) ranks each row, with ``exclude`` one index list per row,
     and returns (B, n) indices where -1 pads a row left with fewer than n
-    candidates. ``scores`` (M,) is the B = 1 case, with ``exclude`` an index
-    list, and returns at most n indices.
+    candidates.
 
     A partition cut at each row's n-th best score keeps every candidate tied
     with it, so only those are sorted.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim == 1:
-        out = top_n(scores[None], n, None if exclude is None else [exclude])[0]
-        return out[out >= 0]
     b, m = scores.shape
     n = max(n, 0)
     neg = -scores  # row r, column c sits at r * m + c of neg.ravel()

@@ -12,7 +12,6 @@ from .data import SplitDataset
 from .errors import ParameterError
 from .evaluation import IntentOverride, Scorer, rank_items
 from .intent import IntentModel
-from .ranking import top_n
 
 
 @dataclass
@@ -45,9 +44,11 @@ def recommend_blended(scorer: Scorer, split: SplitDataset, user: int, n: int) ->
 
 def recommend_in_channel(scorer: Scorer, split: SplitDataset, user: int, channel: int, n: int) -> RankedList:
     """Rank under one intent channel only: scores are the channel embedding's
-    inner products, no cross-channel blending."""
+    inner products, no cross-channel blending. This is the intent override
+    that puts all weight on the channel."""
     _check_user(split, user)
-    return _ranked(split, user, scorer.channel_scores(split.train, np.array([user]), channel)[0], n)
+    override = IntentOverride({channel: 1.0})
+    return _ranked(split, user, scorer.override_scores(split.train, np.array([user]), override)[0], n)
 
 
 def recommend_with_intent(
@@ -85,4 +86,5 @@ def similar_items(
         kl_pq = (p * (np.log(p) - np.log(q))).sum(axis=0)
         kl_qp = (q * (np.log(q) - np.log(p))).sum(axis=0)
         sims = -(kl_pq + kl_qp)
-    return [(int(j), float(sims[j])) for j in top_n(sims, n, exclude=[item])]
+    top = rank_items(sims[None], [[item]], n)[0]
+    return [(int(j), float(sims[j])) for j in top if j >= 0]

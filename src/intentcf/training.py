@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .contrast import AugmentationConfig, ContrastiveBatch, augmented_view, contrastive_loss, embed_original
+from .contrast import augmented_view, contrastive_loss, embed_original
 from .data import BinaryMatrix, ItemBatch, SplitDataset, binarize, item_batch
 from .errors import CheckpointError, ParameterError, ShapeError, TrainingError, UsageError
 from .evaluation import Scorer, evaluate
@@ -31,12 +31,11 @@ from .intent import (
     laplace_prior,
     standard_prior,
 )
-from .nn import Adam, stored_array
+from .nn import Adam, encode_gaussian, stored_array
 from .preference import (
     PreferenceModel,
     decompose_ratings_batch,
     dense_input,
-    encode_preference,
     init_preference_model,
     preference_elbo_loss,
     select_top_channels_batch,
@@ -298,12 +297,12 @@ def compute_batch_losses(state: TrainerState, batch: ItemBatch, eta: float, tau:
             l3, kl_pref = parts3.total, parts3.kl
             total = ad.add(total, ad.mul(l3, cfg.lambda3))
         if cfg.lambda4 > 0 and b >= 2:
-            aug_cfg = AugmentationConfig(cfg.node_dropout, cfg.edge_dropout, cfg.seed)
             # the draws cover all M items, as the mask of a full-width batch
-            augmented = augmented_view(tails, cells, items, state.n_items, aug_cfg, step)
-            u_aug, _ = encode_preference(pref, dense_input(cells, augmented))
+            augmented = augmented_view(tails, cells, items, state.n_items, cfg.node_dropout, cfg.edge_dropout,
+                                       cfg.seed, step)
+            u_aug, _ = encode_gaussian(pref.encoder_theta, dense_input(cells, augmented))
             u_ori = embed_original(pref, rb)
-            l4 = contrastive_loss(ContrastiveBatch(u_ori, u_aug, cfg.l, cfg.tau_c))
+            l4 = contrastive_loss(u_ori, u_aug, cfg.l, cfg.tau_c)
             total = ad.add(total, ad.mul(l4, cfg.lambda4))
     return BatchLosses(total, l1.total, l2, l3, l4, l1.kl, kl_pref)
 

@@ -24,6 +24,7 @@ from intentcf import training as tr
 from intentcf.autodiff import Tensor
 
 from cell_fixtures import cells, full_batch
+from gradcheck import finite_difference_gradients, max_relative_error
 
 pytestmark = pytest.mark.acceptance
 
@@ -170,8 +171,8 @@ def test_criterion_1_gradient_checks():
     errs = {}
     for name, fn in fns.items():
         analytic = ad.gradients(fn(), params)
-        numeric = nn.finite_difference_gradients(lambda: fn().item(), params, h=1e-5)
-        errs[name] = nn.max_relative_error(analytic, numeric)
+        numeric = finite_difference_gradients(lambda: fn().item(), params, h=1e-5)
+        errs[name] = max_relative_error(analytic, numeric)
     elapsed = time.time() - t0
     ok = all(e < 1e-4 for e in errs.values()) and elapsed < 60
     report(1, ok, "gradient checks vs central differences (h=1e-5): "
@@ -221,9 +222,9 @@ def test_criterion_3_laplace_prior():
 
 
 def test_criterion_4_metric_oracle():
-    p, r, _, _ = ev.metrics_at_k(np.array([10, 11, 12, 13, 14]), {10, 12, 20, 21}, 5)
-    _, _, ap, _ = ev.metrics_at_k(np.array([10, 11, 12, 13, 14]), {10, 12}, 5)
-    _, _, _, ndcg = ev.metrics_at_k(np.array([10, 11, 12]), {10, 12}, 3)
+    (p,), (r,), _, _ = ev.metrics_at_k(np.array([[10, 11, 12, 13, 14]]), [{10, 12, 20, 21}], 5)
+    _, _, (ap,), _ = ev.metrics_at_k(np.array([[10, 11, 12, 13, 14]]), [{10, 12}], 5)
+    _, _, _, (ndcg,) = ev.metrics_at_k(np.array([[10, 11, 12]]), [{10, 12}], 3)
     expected = {
         "P@5": (p, 0.4),
         "R@5": (r, 0.5),
@@ -250,7 +251,7 @@ def test_criterion_5_stop_gradient():
         xb = np.zeros((5, 8))
         for u in range(5):
             xb[u, rng.choice(8, size=rng.integers(2, 6), replace=False)] = 1.0
-        mu, logvar = it.encode_users(state.intent, xb)
+        mu, logvar = nn.encode_gaussian(state.intent.encoder_psi, xb)
         gamma = it.sample_gamma(mu, logvar, rng.standard_normal((5, 4)), tau=0.4)
         loss = it.item_intent_kl_loss(it.item_intents(state.intent, 0.4), gamma, cells(xb))
         grads = ad.gradients(loss, state.intent.parameters())

@@ -8,11 +8,13 @@ from intentcf import nn
 from intentcf.autodiff import Tensor
 from intentcf.errors import ParameterError, ShapeError, TrainingError
 
+from gradcheck import finite_difference_gradients, max_relative_error
+
 
 def fd_check(loss_fn, params, h=1e-5, tol=1e-7):
     analytic = ad.gradients(loss_fn(), params)
-    numeric = nn.finite_difference_gradients(lambda: loss_fn().item(), params, h=h)
-    err = nn.max_relative_error(analytic, numeric)
+    numeric = finite_difference_gradients(lambda: loss_fn().item(), params, h=h)
+    err = max_relative_error(analytic, numeric)
     assert err < tol, f"max relative gradient error {err}"
 
 

@@ -210,6 +210,19 @@ class TestReports:
         assert code == 2
         assert "does not match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["cooccur", "--shuffles", "0"],
+        ["cooccur", "--shuffles", "-1"],
+        ["recommend", "--similar-to", "i0", "--n", "-2"],
+        ["recommend", "--user", "u0", "--intent", "0:nan"],
+        ["recommend", "--user", "u0", "--intent", "0:inf,1:1"],
+    ])
+    def test_out_of_range_values_exit_2(self, world, capsys, argv):
+        code = cli.main([*argv, "--checkpoint", world["ckpt"], "--data", world["prep"]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and captured.out == ""
+
     def test_determinism_same_command_same_output(self, world, capsys):
         cli.main(["recommend", "--checkpoint", world["ckpt"], "--data", world["prep"],
                   "--user", "u1", "--json"])

@@ -16,21 +16,21 @@ class TestMetricsAtK:
         # hits at ranks 1 and 3 among 4 positives, k=5
         ranked = np.array([10, 11, 12, 13, 14])
         positives = {10, 12, 20, 21}
-        p, r, _, _ = ev.metrics_at_k(ranked, positives, 5)
+        (p,), (r,), _, _ = ev.metrics_at_k(ranked[None], [positives], 5)
         assert p == pytest.approx(0.4, abs=1e-12)
         assert r == pytest.approx(0.5, abs=1e-12)
 
     def test_average_precision_fixture(self):
         ranked = np.array([10, 11, 12, 13, 14])
         positives = {10, 12}
-        _, _, ap, _ = ev.metrics_at_k(ranked, positives, 5)
+        _, _, (ap,), _ = ev.metrics_at_k(ranked[None], [positives], 5)
         assert ap == pytest.approx(0.5 * (1.0 + 2.0 / 3.0), abs=1e-12)
         assert ap == pytest.approx(0.83333, abs=5e-6)
 
     def test_ndcg_fixture(self):
         ranked = np.array([10, 11, 12])
         positives = {10, 12}
-        _, _, _, ndcg = ev.metrics_at_k(ranked, positives, 3)
+        _, _, _, (ndcg,) = ev.metrics_at_k(ranked[None], [positives], 3)
         expected = (1.0 + 1.0 / np.log2(4)) / (1.0 + 1.0 / np.log2(3))
         assert ndcg == pytest.approx(expected, abs=1e-12)
         assert ndcg == pytest.approx(0.91972, abs=5e-6)
@@ -42,12 +42,12 @@ class TestMetricsAtK:
             m = 50
             ranked = rng.permutation(m)[:10]
             pos = set(rng.choice(m, size=rng.integers(1, 8), replace=False).tolist())
-            p, r, _, _ = ev.metrics_at_k(ranked, pos, 10)
+            (p,), (r,), _, _ = ev.metrics_at_k(ranked[None], [pos], 10)
             assert p * 10 == pytest.approx(r * len(pos), abs=1e-9)
 
     def test_perfect_ranking_ndcg_one(self):
         ranked = np.array([1, 2, 3, 4, 5])
-        _, _, ap, ndcg = ev.metrics_at_k(ranked, {1, 2, 3}, 5)
+        _, _, (ap,), (ndcg,) = ev.metrics_at_k(ranked[None], [{1, 2, 3}], 5)
         assert ndcg == pytest.approx(1.0, abs=1e-12)
         assert ap == pytest.approx(1.0, abs=1e-12)
 
@@ -61,7 +61,7 @@ class TestMetricsAtK:
 
     def test_empty_positives_rejected(self):
         with pytest.raises(ParameterError):
-            ev.metrics_at_k(np.array([1, 2]), set(), 2)
+            ev.metrics_at_k(np.array([[1, 2]]), [set()], 2)
 
 
 def rank_one(scores, exclude, k):
@@ -136,7 +136,7 @@ class TestEvaluate:
             scores = rng.standard_normal(m)
             pos = rng.choice(m, size=n_pos, replace=False)
             ranked = rank_one(scores, np.array([], dtype=int), k)
-            _, r, _, _ = ev.metrics_at_k(ranked, set(pos.tolist()), k)
+            _, (r,), _, _ = ev.metrics_at_k(ranked[None], [set(pos.tolist())], k)
             recalls.append(r)
         mean = np.mean(recalls)
         per_seed_var = n_pos * (n_pos / m) * (1 - n_pos / m) / (n_pos**2)  # ~binomial hits / n_pos
@@ -244,6 +244,11 @@ class TestCooccurrence:
     def test_top_t_must_pair(self):
         with pytest.raises(ParameterError):
             ev.cooccurrence_rate(np.ones((5, 2)), [frozenset({"g"})] * 5, top_t=1)
+
+    @pytest.mark.parametrize("shuffles", [0, -1])
+    def test_shuffles_must_be_positive(self, shuffles):
+        with pytest.raises(ParameterError, match="shuffles must be >= 1"):
+            ev.cooccurrence_rate(np.ones((5, 2)), [frozenset({"g"})] * 5, top_t=2, shuffles=shuffles)
 
 
 class TestScorerPaths:

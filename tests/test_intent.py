@@ -58,7 +58,7 @@ class TestEncodeUser:
         model = tiny_model()
         for p in model.encoder_psi.parameters():
             p.data[...] = 0.0
-        mu, logvar = it.encode_users(model, one_row(6, [0, 2]))
+        mu, logvar = nn.encode_gaussian(model.encoder_psi, one_row(6, [0, 2]))
         np.testing.assert_array_equal(mu.data[0], np.zeros(3))
         np.testing.assert_array_equal(logvar.data[0], np.zeros(3))
 
@@ -66,7 +66,7 @@ class TestEncodeUser:
         model = tiny_model(seed=5)
         j = 4
         w0, b0 = model.encoder_psi.weights[0].data, model.encoder_psi.biases[0].data
-        mu, _ = it.encode_users(model, one_row(6, [j]))
+        mu, _ = nn.encode_gaussian(model.encoder_psi, one_row(6, [j]))
         h = np.tanh(w0[j] + b0)
         expected = (h @ model.encoder_psi.weights[1].data + model.encoder_psi.biases[1].data)[:3]
         np.testing.assert_allclose(mu.data[0], expected, atol=1e-12)
@@ -75,8 +75,8 @@ class TestEncodeUser:
         # a one-row batch over the item union equals the row over all items
         model = tiny_model(seed=7)
         idx = np.array([1, 3])
-        mu_s, lv_s = it.encode_users(model.over(idx), np.ones((1, 2)))
-        mu_b, lv_b = it.encode_users(model, one_row(6, idx))
+        mu_s, lv_s = nn.encode_gaussian(model.over(idx).encoder_psi, np.ones((1, 2)))
+        mu_b, lv_b = nn.encode_gaussian(model.encoder_psi, one_row(6, idx))
         np.testing.assert_allclose(mu_s.data, mu_b.data, atol=1e-12)
         np.testing.assert_allclose(lv_s.data, lv_b.data, atol=1e-12)
 
@@ -137,12 +137,12 @@ class TestIntentElbo:
         prior = it.laplace_prior(np.ones(3))
         mu = Tensor(np.tile(prior.mu, (2, 1)))
         logvar = Tensor(np.tile(np.log(prior.sigma_diag), (2, 1)))
-        kl = it.intent_kl(mu, logvar, prior)
+        kl = nn.diag_gaussian_kl(mu, logvar, prior.mu, prior.sigma_diag)
         assert kl.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_kl_half(self):
         prior = it.LaplacePrior(np.ones(1), np.zeros(1), np.ones(1))
-        kl = it.intent_kl(Tensor(np.array([[1.0]])), Tensor(np.array([[0.0]])), prior)
+        kl = nn.diag_gaussian_kl(Tensor(np.array([[1.0]])), Tensor(np.array([[0.0]])), prior.mu, prior.sigma_diag)
         assert kl.item() == pytest.approx(0.5, abs=1e-12)
 
     def test_single_observation_reconstruction(self):
@@ -218,7 +218,7 @@ class TestItemIntentKl:
         x = np.zeros((2, 6))
         x[0, [0, 4]] = 1.0
         x[1, [2]] = 1.0
-        mu, logvar = it.encode_users(model, x)
+        mu, logvar = nn.encode_gaussian(model.encoder_psi, x)
         gamma = it.sample_gamma(mu, logvar, np.zeros((2, 3)), tau=0.4)
         phi = it.item_intents(model, tau=0.4)
         loss = it.item_intent_kl_loss(phi, gamma, cells(x))

@@ -18,17 +18,17 @@ from intentcf import data as dt
 from intentcf import evaluation as ev
 from intentcf import training as tr
 from intentcf.autodiff import Tensor
-from intentcf.contrast import AugmentationConfig, ContrastiveBatch, augmentation_mask, contrastive_loss
-from intentcf.intent import PROB_FLOOR, encode_users, intent_kl, item_intents, sample_gamma
-from intentcf.nn import diag_gaussian_kl, softmax_temp
-from intentcf.preference import encode_preference, select_top_channels_batch
+from intentcf.contrast import augmentation_mask, contrastive_loss
+from intentcf.intent import PROB_FLOOR, item_intents, sample_gamma
+from intentcf.nn import diag_gaussian_kl, encode_gaussian, softmax_temp
+from intentcf.preference import select_top_channels_batch
 from intentcf.ranking import top_n
 
 from cell_fixtures import full_batch
 
 
 def dense_intent_elbo(model, prior, x, noise, eta, tau, mc_samples):
-    mu, logvar = encode_users(model, x)
+    mu, logvar = encode_gaussian(model.encoder_psi, x)
     beta = model.beta()
     recon, gamma0 = None, None
     for h in range(mc_samples):
@@ -38,7 +38,7 @@ def dense_intent_elbo(model, prior, x, noise, eta, tau, mc_samples):
         term = ad.mul(ad.tsum(ad.mul(Tensor(x), ad.log(ad.clip_min(probs, PROB_FLOOR)))), -1.0)
         recon = term if recon is None else ad.add(recon, term)
     recon = ad.mul(recon, 1.0 / mc_samples)
-    kl = intent_kl(mu, logvar, prior)
+    kl = diag_gaussian_kl(mu, logvar, prior.mu, prior.sigma_diag)
     return ad.add(recon, ad.mul(kl, eta)), kl, gamma0
 
 
@@ -58,7 +58,7 @@ def dense_decompose(r, phi, idx):
 
 
 def dense_preference_elbo(model, tailored, obs, noise, eta):
-    mu, logvar = encode_preference(model, tailored)
+    mu, logvar = encode_gaussian(model.encoder_theta, tailored)
     u = ad.add(mu, ad.mul(Tensor(noise), ad.exp(ad.mul(logvar, 0.5))))
     diff = ad.mul(ad.sub(ad.matmul(u, model.item_matrix), tailored), Tensor(obs))
     kl = diag_gaussian_kl(mu, logvar, 0.0, 1.0)
@@ -84,12 +84,11 @@ def dense_batch_losses(state, xb, rb, eta, tau, step, stage):
             l3, kl_pref = dense_preference_elbo(state.pref, tails, obs, noise_p, eta)
             total = ad.add(total, ad.mul(l3, cfg.lambda3))
         if cfg.lambda4 > 0 and b >= 2:
-            aug_cfg = AugmentationConfig(cfg.node_dropout, cfg.edge_dropout, cfg.seed)
-            mask = augmentation_mask((b * cfg.l, rb.shape[1]), aug_cfg, step)
+            mask = augmentation_mask((b * cfg.l, rb.shape[1]), cfg.node_dropout, cfg.edge_dropout, cfg.seed, step)
             augmented = ad.l2norm_rows(ad.mul(tails, Tensor(mask)))
-            u_aug, _ = encode_preference(state.pref, augmented)
-            u_ori, _ = encode_preference(state.pref, ad.l2norm_rows(Tensor(rb)))
-            l4 = contrastive_loss(ContrastiveBatch(u_ori, u_aug, cfg.l, cfg.tau_c))
+            u_aug, _ = encode_gaussian(state.pref.encoder_theta, augmented)
+            u_ori, _ = encode_gaussian(state.pref.encoder_theta, ad.l2norm_rows(Tensor(rb)))
+            l4 = contrastive_loss(u_ori, u_aug, cfg.l, cfg.tau_c)
             total = ad.add(total, ad.mul(l4, cfg.lambda4))
     return tr.BatchLosses(total, l1, l2, l3, l4, kl_intent, kl_pref)
 
@@ -205,13 +204,13 @@ class TestScorerMatchesDense:
         users = np.arange(ratings.n_users)
 
         with ad.no_grad():
-            mu, _ = encode_users(state.intent, dt.binarize(ratings, min_rating).dense(users))
+            mu, _ = encode_gaussian(state.intent.encoder_psi, dt.binarize(ratings, min_rating).dense(users))
             gamma = softmax_temp(mu, 0.6).data
 
         def dense_embeddings(idx):
             with ad.no_grad():
                 tails = dense_decompose(ratings.dense(users), Tensor(scorer.phi), idx)
-                mu, _ = encode_preference(state.pref, tails)
+                mu, _ = encode_gaussian(state.pref.encoder_theta, tails)
             return mu.data.reshape(idx.shape[0], idx.shape[1], -1)
 
         v = state.pref.item_matrix.data
@@ -224,7 +223,8 @@ class TestScorerMatchesDense:
         close = dict(rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(scorer.gamma(ratings, users), gamma, **close)
         np.testing.assert_allclose(scorer.blended_scores(ratings, users), blended, **close)
-        np.testing.assert_allclose(scorer.channel_scores(ratings, users, channel), single, **close)
+        np.testing.assert_allclose(scorer.override_scores(ratings, users, ev.IntentOverride({channel: 1.0})), single,
+                                   **close)
         np.testing.assert_allclose(scorer.override_scores(ratings, users, ev.IntentOverride({0: 1.0, 2: 3.0})),
                                    override, **close)
 
@@ -283,6 +283,12 @@ def lexsort_top(scores, n, exclude):
     return order[:n]
 
 
+def top_one(scores, n, exclude=None):
+    """top_n of one score row, padding dropped."""
+    items = top_n(scores[None], n, None if exclude is None else [exclude])[0]
+    return items[items >= 0]
+
+
 def reference_metrics(ranked, positives, k):
     """One user's (P, R, AP, NDCG)@k, rank by rank."""
     pos = set(int(p) for p in positives)
@@ -319,7 +325,7 @@ class TestTopN:
     def test_matches_lexsort_with_planted_ties(self, levels, n, data):
         scores = np.array(levels, dtype=np.float64) / 4.0  # few levels, so many ties
         exclude = data.draw(st.lists(st.integers(0, len(levels) - 1), unique=True, max_size=len(levels)))
-        np.testing.assert_array_equal(top_n(scores, n, exclude), lexsort_top(scores, n, exclude))
+        np.testing.assert_array_equal(top_one(scores, n, exclude), lexsort_top(scores, n, exclude))
 
     @given(score_rows())
     @settings(max_examples=200, deadline=None)
@@ -334,12 +340,12 @@ class TestTopN:
 
     def test_n_beyond_candidates_returns_all_in_order(self):
         scores = np.array([0.5, 0.9, 0.5, 0.1])
-        np.testing.assert_array_equal(top_n(scores, 10, [1]), [0, 2, 3])
+        np.testing.assert_array_equal(top_one(scores, 10, [1]), [0, 2, 3])
 
     def test_infinite_and_nan_scores_rank_last(self):
         scores = np.array([np.nan, 1.0, -np.inf, 2.0, np.nan])
-        np.testing.assert_array_equal(top_n(scores, 4), lexsort_top(scores, 4, []))
-        np.testing.assert_array_equal(top_n(scores, 2), [3, 1])
+        np.testing.assert_array_equal(top_one(scores, 4), lexsort_top(scores, 4, []))
+        np.testing.assert_array_equal(top_one(scores, 2), [3, 1])
 
 
 class TestMetricRows:
@@ -361,7 +367,7 @@ class TestMetricRows:
             want = reference_metrics(ranked[r], positives[r], k)
             for metric, value in zip(got, want):
                 assert metric[r] == pytest.approx(value, rel=1e-12, abs=1e-15)
-            single = ev.metrics_at_k(ranked[r][ranked[r] >= 0], set(positives[r].tolist()), k)
+            single = tuple(v[0] for v in ev.metrics_at_k(ranked[r : r + 1], [set(positives[r].tolist())], k))
             assert single == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_row_without_positives_rejected(self):

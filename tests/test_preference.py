@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intentcf import data as dt
+from intentcf import nn
 from intentcf import preference as pr
 from intentcf.autodiff import Tensor
 from intentcf.errors import ParameterError, ShapeError
@@ -108,7 +109,7 @@ class TestEncodePreference:
         model = pr.init_preference_model(5, 2, 3, np.random.default_rng(0))
         for b in model.encoder_theta.biases:
             b.data[...] = 0.0
-        mu, logvar = pr.encode_preference(model, np.zeros((1, 5)))
+        mu, logvar = nn.encode_gaussian(model.encoder_theta, np.zeros((1, 5)))
         np.testing.assert_array_equal(mu.data, np.zeros((1, 2)))
         np.testing.assert_array_equal(logvar.data, np.zeros((1, 2)))
 
@@ -117,14 +118,14 @@ class TestEncodePreference:
         for w in model.encoder_theta.weights:
             w.data[...] = 0.0
         model.encoder_theta.biases[1].data[...] = np.array([1.0, -1.0, 0.5, 0.25])
-        mu, logvar = pr.encode_preference(model, np.ones((2, 5)))
+        mu, logvar = nn.encode_gaussian(model.encoder_theta, np.ones((2, 5)))
         np.testing.assert_allclose(mu.data, np.tile([1.0, -1.0], (2, 1)))
         np.testing.assert_allclose(logvar.data, np.tile([0.5, 0.25], (2, 1)))
 
     def test_matches_hand_forward(self):
         model = pr.init_preference_model(4, 2, 3, np.random.default_rng(9))
         x = np.array([[0.0, 0.6, 0.8, 0.0]])
-        mu, logvar = pr.encode_preference(model, x)
+        mu, logvar = nn.encode_gaussian(model.encoder_theta, x)
         t = model.encoder_theta
         h = np.tanh(x @ t.weights[0].data + t.biases[0].data)
         out = h @ t.weights[1].data + t.biases[1].data

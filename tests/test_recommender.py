@@ -59,6 +59,15 @@ class TestChannelAndOverride:
             np.testing.assert_array_equal(a.items, b.items)
             np.testing.assert_allclose(a.scores, b.scores, atol=1e-12)
 
+    def test_channel_is_the_one_channel_override_bit_for_bit(self, trained):
+        scorer, split, state = trained
+        for user in (0, 2, 7):
+            for channel in range(state.cfg.k):
+                a = rc.recommend_in_channel(scorer, split, user, channel, 12)
+                b = rc.recommend_with_intent(scorer, split, user, rc.IntentOverride({channel: 1.0}), 12)
+                np.testing.assert_array_equal(a.items, b.items)
+                np.testing.assert_array_equal(a.scores, b.scores)
+
     def test_override_scaling_invariance(self, trained):
         scorer, split, _ = trained
         a = rc.recommend_with_intent(scorer, split, 4, rc.IntentOverride({0: 0.5, 2: 0.5}), 8)
@@ -87,6 +96,12 @@ class TestChannelAndOverride:
             rc.IntentOverride({1: 0.0, 2: 0.0})
         with pytest.raises(ParameterError):
             rc.IntentOverride({})
+
+    @pytest.mark.parametrize("weights", [{0: np.nan}, {0: np.inf, 1: 1.0}, {0: 1.0, 1: -np.inf},
+                                         {0: 1e308, 1: 1e308}])
+    def test_non_finite_override_rejected(self, weights):
+        with pytest.raises(ParameterError, match="finite"):
+            rc.IntentOverride(weights)
 
     def test_k1_model_channel_equals_blended(self, tmp_path):
         sd = synthetic.planted_channel_data(n_users=50, n_items=30, n_channels=2, seed=3)
@@ -188,6 +203,12 @@ class TestSimilarItems:
         ])
         out = rc.similar_items(None, phi, 0, 2, measure="symkl")
         assert out[0][0] == 1  # identical distribution most similar
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_non_positive_n_rejected(self, n):
+        phi = np.random.default_rng(2).dirichlet(np.ones(3), size=6).T
+        with pytest.raises(ParameterError, match="cutoff must be >= 1"):
+            rc.similar_items(None, phi, 1, n)
 
     def test_unknown_item(self):
         with pytest.raises(ParameterError, match="unknown item"):

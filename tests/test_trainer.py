@@ -346,7 +346,8 @@ class TestSchedulesInTraining:
 
     def test_simplex_invariants_after_training(self, tmp_path):
         from intentcf.intent import item_intents
-        from intentcf.intent import encode_users, sample_gamma
+        from intentcf.intent import sample_gamma
+        from intentcf.nn import encode_gaussian
         from intentcf import autodiff as ad
 
         split = small_split()
@@ -358,7 +359,7 @@ class TestSchedulesInTraining:
             phi = item_intents(state.intent, state.tau).data
             np.testing.assert_allclose(phi.sum(axis=0), np.ones(split.train.n_items), atol=1e-10)
             x = dt.binarize(split.train).dense(np.arange(split.train.n_users))
-            mu, logvar = encode_users(state.intent, x)
+            mu, logvar = encode_gaussian(state.intent.encoder_psi, x)
             gamma = sample_gamma(mu, logvar, np.zeros(mu.data.shape), state.tau).data
         np.testing.assert_allclose(gamma.sum(axis=1), np.ones(split.train.n_users), atol=1e-10)
         assert np.all(gamma > 0)
