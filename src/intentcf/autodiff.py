@@ -212,19 +212,6 @@ def gather_rows(a, idx) -> Tensor:
     return _make(a.data[idx], (a,), lambda g: (sum_rows_by(g, idx, n_rows),))
 
 
-def gather_cols(a, idx) -> Tensor:
-    """a[:, idx] for a 2-d tensor and an integer index vector."""
-    a = as_tensor(a)
-    idx = np.asarray(idx, dtype=np.intp)
-    n_rows, n_cols = a.data.shape
-
-    def vjp(g):
-        flat = (np.arange(n_rows)[:, None] * n_cols + idx).ravel()
-        return (_scatter_add(a.data.shape, flat, g),)
-
-    return _make(a.data[:, idx], (a,), vjp)
-
-
 def gather_cells(a, rows, cols) -> Tensor:
     """a[rows, cols] for a 2-d tensor: the values at a list of cells (a cell
     may repeat; its gradients add up)."""
@@ -322,14 +309,9 @@ def l2norm_rows(a) -> Tensor:
     return _make(out, (a,), vjp)
 
 
-def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(node) into ``.grad`` over the recorded tape.
-
-    The loss must be scalar. Each recorded node is visited exactly once, in
-    reverse topological order.
-    """
-    if loss.data.ndim != 0:
-        raise ParameterError(f"backward expects a scalar loss, got shape {loss.data.shape}")
+def _tape(loss: Tensor) -> list[Tensor]:
+    """The recorded nodes ``loss`` depends on that need a gradient, loss
+    included, each once, in topological order (a node after its parents)."""
     topo: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
@@ -345,7 +327,23 @@ def backward(loss: Tensor) -> None:
         for p in node._parents:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
+    return topo
 
+
+def leaves(loss: Tensor) -> list[Tensor]:
+    """The leaves on the tape of ``loss`` that need a gradient."""
+    return [node for node in _tape(loss) if not node._parents]
+
+
+def backward(loss: Tensor) -> None:
+    """Accumulate d(loss)/d(node) into ``.grad`` over the recorded tape.
+
+    The loss must be scalar. Each recorded node is visited exactly once, in
+    reverse topological order.
+    """
+    if loss.data.ndim != 0:
+        raise ParameterError(f"backward expects a scalar loss, got shape {loss.data.shape}")
+    topo = _tape(loss)
     loss.grad = np.ones((), dtype=np.float64)
     for node in reversed(topo):
         if node._vjp is None or node.grad is None:

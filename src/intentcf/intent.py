@@ -87,9 +87,9 @@ class IntentModel:
         return beta if self.items is None else ad.gather_rows(beta, self.items)
 
     def over(self, items: np.ndarray) -> "IntentModel":
-        """View of the model on an item list: psi's first-layer rows (which
-        also feed nu) and beta's rows at those items. Gradients scatter back
-        into the full parameters."""
+        """View of the model on an increasing item list: psi's first-layer
+        rows (a RowView, which also feeds nu) and beta's rows at those
+        items."""
         return IntentModel(self.encoder_psi.over(items), self.beta_logits, self.item_net_nu, self.k,
                            np.asarray(items, dtype=np.intp))
 

@@ -1,6 +1,7 @@
 """Standard layers on top of the tape: MLPs, the Gaussian encoder layer of
 both VAEs (row view, (mu, logvar) heads, reparameterization and
-diagonal-Gaussian KL), softmax with temperature and Adam."""
+diagonal-Gaussian KL), softmax with temperature, row-sparse gradients and
+Adam."""
 
 from __future__ import annotations
 
@@ -55,10 +56,34 @@ class MlpParams:
         return out
 
     def over(self, items: np.ndarray) -> "MlpParams":
-        """View of the MLP on an item list: its first layer's rows at those
-        items, so it reads inputs over the list. Gradients scatter back into
-        the full first layer."""
-        return MlpParams([ad.gather_rows(self.weights[0], items), *self.weights[1:]], self.biases, self.activation)
+        """View of the MLP on an increasing item list: its first layer's rows
+        at those items (a RowView), so it reads inputs over the list."""
+        return MlpParams([RowView(self.weights[0], items), *self.weights[1:]], self.biases, self.activation)
+
+
+class RowView(Tensor):
+    """A leaf holding a parameter's rows (axis 0) or columns (axis 1) at an
+    increasing index list, under the parameter's name. Its gradient is the
+    parameter's gradient at those rows; it reaches the optimizer as a
+    RowGrad, and no full-size gradient is formed."""
+
+    __slots__ = ("rows", "axis")
+
+    def __init__(self, source: Tensor, rows: np.ndarray, axis: int = 0):
+        rows = np.asarray(rows, dtype=np.intp)
+        super().__init__(source.data[rows] if axis == 0 else source.data[:, rows], source.requires_grad, source.name)
+        self.rows = rows
+        self.axis = axis
+
+
+@dataclass(frozen=True)
+class RowGrad:
+    """A gradient that is zero off ``rows``: ``values`` holds it at those
+    rows (axis 0) or columns (axis 1) of the parameter, in order."""
+
+    rows: np.ndarray
+    values: np.ndarray
+    axis: int = 0
 
 
 def stored_array(arrays: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -155,8 +180,21 @@ def diag_gaussian_kl(mu_q: Tensor, logvar_q: Tensor, mu_p, var_p) -> Tensor:
     return ad.mul(ad.tsum(total), 0.5)
 
 
+_BLOCK = 1 << 15  # elements per Adam block; a block's temporaries stay in cache
+
+
+def _as_rows(a: np.ndarray, axis: int) -> np.ndarray:
+    """A 2-D view of ``a`` whose rows are its slices along ``axis``."""
+    return a.T if axis == 1 else np.atleast_2d(a)
+
+
 class Adam:
-    """Adaptive-moment optimizer over named parameters. Deterministic."""
+    """Adaptive-moment optimizer over named parameters. Deterministic.
+
+    A parameter's gradient is a dense array or a RowGrad. Both go through
+    one blocked update; a RowGrad's rows are read as zeros plus its values,
+    so the update equals the dense one on the densified gradient.
+    """
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         if lr <= 0:
@@ -169,27 +207,54 @@ class Adam:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
-    def step(self, params: list[Tensor], grads: dict[str, np.ndarray]) -> None:
-        for p in params:
-            g = grads.get(p.name)
-            if g is not None and not np.all(np.isfinite(g)):
-                raise TrainingError(f"non-finite gradient for parameter {p.name!r}")
+    def step(self, params: list[Tensor], grads: dict[str, np.ndarray | RowGrad]) -> None:
+        """One update of every parameter; a parameter without a gradient
+        gets a zero one. Every gradient is checked before anything moves."""
+        checked = [(p, _checked_grad(p, grads.get(p.name))) for p in params]
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p in params:
-            g = grads.get(p.name)
-            if g is None:
-                g = np.zeros_like(p.data)
-            if g.shape != p.data.shape:
-                raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.name!r} {p.data.shape}")
-            m = self.m.setdefault(p.name, np.zeros_like(p.data))
-            v = self.v.setdefault(p.name, np.zeros_like(p.data))
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        for p, g in checked:
+            if p.name not in self.m:
+                self.m[p.name] = np.zeros_like(p.data)
+                self.v[p.name] = np.zeros_like(p.data)
+            axis = g.axis if isinstance(g, RowGrad) else 0
+            rows, values = (g.rows, g.values) if isinstance(g, RowGrad) else (None, g)
+            self._update(*(_as_rows(a, axis) for a in (p.data, self.m[p.name], self.v[p.name], values)), rows, c1, c2)
+
+    def _update(self, p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, rows: np.ndarray | None,
+                c1: float, c2: float) -> None:
+        """Adam on the row views p, m, v in blocks of about _BLOCK elements,
+        for the gradient g at ``rows`` (every row when None)."""
+        n, width = p.shape
+        per = max(1, _BLOCK // max(width, 1))
+        for lo in range(0, n, per):
+            hi = min(lo + per, n)
+            if rows is None:
+                gb = g[lo:hi]
+            else:
+                a, b = np.searchsorted(rows, (lo, hi))
+                gb = np.zeros((hi - lo, width))
+                gb[rows[a:b] - lo] += g[a:b]
+            self._kernel(p[lo:hi], m[lo:hi], v[lo:hi], gb, c1, c2)
+
+    def _kernel(self, p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, c1: float, c2: float) -> None:
+        """The Adam update of one block, in place."""
+        t1, t2 = np.empty(g.shape), np.empty(g.shape)
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=t1)
+        v *= self.beta2
+        np.multiply(g, g, out=t1)
+        t1 *= 1.0 - self.beta2
+        v += t1
+        # lr * (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(m, c1, out=t1)
+        t1 *= self.lr
+        np.divide(v, c2, out=t2)
+        np.sqrt(t2, out=t2)
+        t2 += self.eps
+        t1 /= t2
+        p -= t1
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {}
@@ -205,3 +270,28 @@ class Adam:
         self.t = t
         self.m = {k[len("adam.m."):]: v for k, v in arrays.items() if k.startswith("adam.m.")}
         self.v = {k[len("adam.v."):]: v for k, v in arrays.items() if k.startswith("adam.v.")}
+
+
+def _checked_grad(p: Tensor, g) -> np.ndarray | RowGrad:
+    """``g`` for parameter ``p`` (zeros when None) after checking its shape,
+    its rows and that it is finite."""
+    if g is None:
+        return np.zeros_like(p.data)
+    if isinstance(g, RowGrad):
+        rows = np.asarray(g.rows)
+        n = p.data.shape[g.axis] if g.axis in (0, 1) and p.data.ndim == 2 else -1
+        if n < 0 or rows.ndim != 1 or rows.dtype.kind not in "iu":
+            raise ShapeError(f"row gradient for {p.name!r} needs integer rows along axis 0 or 1 of a matrix, "
+                             f"got rows {rows.shape} on axis {g.axis} of {p.data.shape}")
+        if rows.size and (rows[0] < 0 or rows[-1] >= n or np.any(np.diff(rows) <= 0)):
+            raise ShapeError(f"row gradient for {p.name!r} needs strictly increasing rows in [0, {n})")
+        shape = list(p.data.shape)
+        shape[g.axis] = rows.size
+        values = g.values
+    else:
+        shape, values = list(p.data.shape), g
+    if list(values.shape) != shape:
+        raise ShapeError(f"gradient shape {values.shape} does not match parameter {p.name!r} {tuple(shape)}")
+    if not np.all(np.isfinite(values)):
+        raise TrainingError(f"non-finite gradient for parameter {p.name!r}")
+    return g

@@ -12,7 +12,15 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Cells
 from .errors import ParameterError, ShapeError
-from .nn import MlpParams, diag_gaussian_kl, encode_gaussian, gaussian_reparameterize, init_mlp, init_parameter
+from .nn import (
+    MlpParams,
+    RowView,
+    diag_gaussian_kl,
+    encode_gaussian,
+    gaussian_reparameterize,
+    init_mlp,
+    init_parameter,
+)
 
 
 @dataclass
@@ -25,10 +33,9 @@ class PreferenceModel:
     d: int
 
     def over(self, items: np.ndarray) -> "PreferenceModel":
-        """View of the model on an item list: theta's first-layer rows and
-        V's columns at those items. Gradients scatter back into the full
-        parameters."""
-        return PreferenceModel(self.encoder_theta.over(items), ad.gather_cols(self.item_matrix, items), self.d)
+        """View of the model on an increasing item list: theta's first-layer
+        rows and V's columns at those items, each a RowView."""
+        return PreferenceModel(self.encoder_theta.over(items), RowView(self.item_matrix, items, axis=1), self.d)
 
     def parameters(self) -> list[Tensor]:
         return self.encoder_theta.parameters() + [self.item_matrix]

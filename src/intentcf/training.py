@@ -31,7 +31,7 @@ from .intent import (
     laplace_prior,
     standard_prior,
 )
-from .nn import Adam, encode_gaussian, stored_array
+from .nn import Adam, RowGrad, RowView, encode_gaussian, stored_array
 from .preference import (
     PreferenceModel,
     decompose_ratings_batch,
@@ -274,7 +274,8 @@ def compute_batch_losses(state: TrainerState, batch: ItemBatch, eta: float, tau:
     Every loss reads only the batch's rated items, so the losses run on
     views of both models over the batch's items, at the rated cells; only
     the encoders' first-layer inputs are dense rows. They equal the losses
-    over all M.
+    over all M. psi's and theta's first-layer rows and V's columns enter
+    as RowView leaves (see batch_gradients).
     """
     cfg = state.cfg
     xb, rb, items = batch.binary, batch.ratings, batch.items
@@ -305,6 +306,21 @@ def compute_batch_losses(state: TrainerState, batch: ItemBatch, eta: float, tau:
             l4 = contrastive_loss(u_ori, u_aug, cfg.l, cfg.tau_c)
             total = ad.add(total, ad.mul(l4, cfg.lambda4))
     return BatchLosses(total, l1.total, l2, l3, l4, l1.kl, kl_pref)
+
+
+def batch_gradients(loss: Tensor, params: list[Tensor]) -> dict[str, np.ndarray | RowGrad]:
+    """Gradients of a batch loss for ``params``, keyed by name. A parameter
+    the loss reads through a RowView gets a RowGrad at the view's rows, and
+    no full-size gradient; every other one a dense array. A parameter read
+    through a RowView must be read through that one view alone."""
+    views: dict[str, RowView] = {}
+    for leaf in ad.leaves(loss):
+        if isinstance(leaf, RowView) and views.setdefault(leaf.name, leaf) is not leaf:
+            raise ParameterError(f"the loss reads parameter {leaf.name!r} through two row views")
+    leaves = [views.get(p.name, p) for p in params]
+    grads = ad.gradients(loss, leaves)
+    return {x.name: RowGrad(x.rows, grads[x.name], x.axis) if isinstance(x, RowView) else grads[x.name]
+            for x in leaves}
 
 
 @dataclass
@@ -345,8 +361,7 @@ def run_epoch(state: TrainerState, data: SplitDataset, x_bin: BinaryMatrix, epoc
                 + ", ".join(f"{k}={v:.6g}" for k, v in scalars.items())
             )
         params = state.parameters(stage)
-        grads = ad.gradients(losses.total, params)
-        state.opt.step(params, grads)
+        state.opt.step(params, batch_gradients(losses.total, params))
         state.global_batch += 1
         for key in sums:
             sums[key] += scalars.get(key, 0.0)

@@ -1,11 +1,13 @@
-"""Central finite differences and the relative error the gradient checks
-compare them by."""
+"""Central finite differences, the relative error the gradient checks
+compare them by, and full-size gradients of a batch loss."""
 
 from typing import Callable
 
 import numpy as np
 
+from intentcf import training as tr
 from intentcf.autodiff import Tensor
+from intentcf.nn import RowGrad
 
 
 def finite_difference_gradients(
@@ -45,3 +47,15 @@ def max_relative_error(analytic: dict[str, np.ndarray], numeric: dict[str, np.nd
         if np.any(mask):
             worst = max(worst, float((diff[mask] / scale[mask]).max()))
     return worst
+
+
+def full_gradients(loss: Tensor, params: list[Tensor]) -> dict[str, np.ndarray]:
+    """training.batch_gradients of ``loss`` with each RowGrad spread into
+    the full-size gradient it stands for."""
+    out = tr.batch_gradients(loss, params)
+    for p in params:
+        g = out[p.name]
+        if isinstance(g, RowGrad):
+            out[p.name] = np.zeros_like(p.data)
+            np.moveaxis(out[p.name], g.axis, 0)[g.rows] = np.moveaxis(g.values, g.axis, 0)
+    return out

@@ -24,7 +24,7 @@ from intentcf import training as tr
 from intentcf.autodiff import Tensor
 
 from cell_fixtures import cells, full_batch
-from gradcheck import finite_difference_gradients, max_relative_error
+from gradcheck import finite_difference_gradients, full_gradients, max_relative_error
 
 pytestmark = pytest.mark.acceptance
 
@@ -157,7 +157,7 @@ def test_criterion_1_gradient_checks():
     def l2_frozen():
         return it.item_intent_kl_loss(it.item_intents(state.intent, tau), gamma_frozen, batch.binary)
 
-    live = ad.gradients(losses().l2, params)
+    live = full_gradients(losses().l2, params)
     frozen = ad.gradients(l2_frozen(), params)
     agree = all(np.allclose(live[p.name], frozen[p.name], atol=1e-12) for p in params)
     assert agree, "stop-gradient path must equal frozen-gamma path analytically"
@@ -170,7 +170,7 @@ def test_criterion_1_gradient_checks():
     }
     errs = {}
     for name, fn in fns.items():
-        analytic = ad.gradients(fn(), params)
+        analytic = full_gradients(fn(), params)
         numeric = finite_difference_gradients(lambda: fn().item(), params, h=1e-5)
         errs[name] = max_relative_error(analytic, numeric)
     elapsed = time.time() - t0

@@ -248,6 +248,60 @@ class TestAdam:
         with pytest.raises(TrainingError, match="layer.w"):
             opt.step([p], {"layer.w": np.array(np.nan)})
 
+    def test_mis_shaped_later_gradient_moves_nothing(self):
+        a, b = ad.parameter(np.ones(2), "a"), ad.parameter(np.ones(3), "b")
+        opt = nn.Adam(lr=0.1)
+        with pytest.raises(ShapeError, match="'b'"):
+            opt.step([a, b], {"a": np.ones(2), "b": np.ones(2)})
+        np.testing.assert_array_equal(a.data, np.ones(2))
+        assert opt.t == 0 and not opt.m and not opt.v
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.ones(3), ShapeError),
+        (np.full((4, 3), np.inf), TrainingError),
+        (nn.RowGrad(np.array([1, 4]), np.ones((2, 3))), ShapeError),  # row out of range
+        (nn.RowGrad(np.array([-1, 1]), np.ones((2, 3))), ShapeError),
+        (nn.RowGrad(np.array([2, 2]), np.ones((2, 3))), ShapeError),  # repeated row
+        (nn.RowGrad(np.array([3, 1]), np.ones((2, 3))), ShapeError),  # decreasing rows
+        (nn.RowGrad(np.array([0.0, 1.0]), np.ones((2, 3))), ShapeError),  # rows not integers
+        (nn.RowGrad(np.array([0, 1]), np.ones((2, 2))), ShapeError),
+        (nn.RowGrad(np.array([0, 1]), np.ones((3, 2)), axis=1), ShapeError),
+        (nn.RowGrad(np.array([0, 1]), np.ones((4, 2)), axis=2), ShapeError),
+        (nn.RowGrad(np.array([0, 1]), np.array([[1.0, 1.0, 1.0], [np.nan, 1.0, 1.0]])), TrainingError),
+    ])
+    def test_bad_gradient_is_found_before_anything_moves(self, bad, error):
+        a, w = ad.parameter(np.ones(2), "a"), ad.parameter(np.ones((4, 3)), "w")
+        opt = nn.Adam(lr=0.1)
+        opt.step([a, w], {"a": np.ones(2), "w": np.ones((4, 3))})
+        before = [x.copy() for x in (a.data, w.data, *opt.m.values(), *opt.v.values())]
+        with pytest.raises(error, match="'w'"):
+            opt.step([a, w], {"a": np.ones(2), "w": bad})
+        assert opt.t == 1
+        for x, y in zip(before, (a.data, w.data, *opt.m.values(), *opt.v.values())):
+            np.testing.assert_array_equal(x, y)
+
+    @given(st.integers(1, 9), st.integers(1, 5), st.sampled_from([0, 1]), st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_row_gradient_step_equals_dense_step_bitwise(self, n, width, axis, seed):
+        rng = np.random.default_rng(seed)
+        shape = (n, width) if axis == 0 else (width, n)
+        rows = np.flatnonzero(rng.random(n) < 0.5)
+        values = np.moveaxis(rng.standard_normal((rows.size, width)), 0, axis)
+        values[rng.random(values.shape) < 0.2] = -0.0
+        start = rng.standard_normal(shape)
+        sparse, dense = ad.parameter(start, "w"), ad.parameter(start, "w")
+        opts = nn.Adam(lr=0.01), nn.Adam(lr=0.01)
+        for _ in range(2):
+            g = rng.standard_normal(shape)
+            for p, opt in zip((sparse, dense), opts):
+                opt.step([p], {"w": g})
+        full = np.zeros(shape)
+        np.moveaxis(full, axis, 0)[rows] = np.moveaxis(values, axis, 0)
+        opts[0].step([sparse], {"w": nn.RowGrad(rows, values, axis)})
+        opts[1].step([dense], {"w": full})
+        for x, y in ((sparse.data, dense.data), (opts[0].m["w"], opts[1].m["w"]), (opts[0].v["w"], opts[1].v["w"])):
+            assert x.tobytes() == y.tobytes()
+
 
 class TestDiagGaussianKl:
     def test_zero_when_equal(self):

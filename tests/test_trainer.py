@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from intentcf import autodiff as ad
 from intentcf import data as dt
+from intentcf import nn
 from intentcf import synthetic
 from intentcf import training as tr
 from intentcf.errors import CheckpointError, ParameterError, TrainingError, UsageError
@@ -194,6 +195,47 @@ class TestPretrainStructure:
         x_bin = dt.binarize(split.train)
         with pytest.raises(TrainingError, match="l1="):
             tr.run_epoch(state, split, x_bin, 0, "pretrain")
+
+class TestRowSparseStep:
+    def test_unified_step_hands_adam_row_gradients(self, monkeypatch):
+        split = small_split(n_items=200)
+        cfg = small_cfg(batch_size=8)
+        state = tr.build_state(cfg, split.train.n_users, split.train.n_items)
+        x_bin = dt.binarize(split.train)
+        seen, step = [], nn.Adam.step
+
+        def spy(opt, params, grads):
+            seen.append(grads)
+            return step(opt, params, grads)
+
+        monkeypatch.setattr(nn.Adam, "step", spy)
+        tr.run_epoch(state, split, x_bin, 0, "unified")
+        n = split.train.n_users
+        perm = tr._stream_rng(cfg.seed, tr._SHUFFLE, 0).permutation(n)
+        starts = range(0, n, cfg.batch_size)
+        assert len(seen) == len(starts) >= 2
+        shapes = {p.name: p.data.shape for p in state.all_parameters()}
+        for lo, grads in zip(starts, seen):
+            items = dt.item_batch(split.train, x_bin, perm[lo : lo + cfg.batch_size]).items
+            assert items.size < split.train.n_items
+            assert set(grads) == set(shapes)
+            for name, g in grads.items():
+                if name in ("psi.w0", "theta.w0", "item.V"):
+                    assert isinstance(g, nn.RowGrad) and g.axis == (name == "item.V"), name
+                    np.testing.assert_array_equal(g.rows, items)
+                else:
+                    assert isinstance(g, np.ndarray) and g.shape == shapes[name], name
+
+
+    def test_two_views_of_one_parameter_rejected(self):
+        w = ad.parameter(np.ones((4, 2)), "w")
+        loss = ad.tsum(ad.add(nn.RowView(w, [0, 1]), nn.RowView(w, [2, 3])))
+        with pytest.raises(ParameterError, match="two row views"):
+            tr.batch_gradients(loss, [w])
+        grads = tr.batch_gradients(ad.tsum(ad.mul(nn.RowView(w, [1, 3]), 2.0)), [w])
+        np.testing.assert_array_equal(grads["w"].rows, [1, 3])
+        np.testing.assert_array_equal(grads["w"].values, np.full((2, 2), 2.0))
+
 
 class TestDeterminismAndPersistence:
     def test_two_runs_bit_identical(self, tmp_path):
