@@ -15,27 +15,26 @@ from .preference import PreferenceModel, dense_input
 _AUG_STREAM = 4242  # seed-sequence tag separating augmentation draws
 
 
-def augmentation_mask(shape: tuple[int, int], node_dropout_rate: float, edge_dropout_rate: float, seed: int,
-                      step: int) -> np.ndarray:
-    """0/1 dropout mask for a (rows, M) batch of tailored inputs; one node
-    draw per row, one edge draw per entry, from the (seed, step) stream."""
+def augmentation_mask(rows: np.ndarray, n_rows: int, node_dropout_rate: float, edge_dropout_rate: float,
+                      seed: int, step: int) -> np.ndarray:
+    """0/1 dropout mask of a batch of tailored inputs given at their cells,
+    where cell c lies in row rows[c] of n_rows: one edge draw per cell, then
+    one node draw per row, from the (seed, step) stream."""
     for name, rate in (("node_dropout_rate", node_dropout_rate), ("edge_dropout_rate", edge_dropout_rate)):
         if not 0.0 <= rate <= 1.0:
             raise ParameterError(f"{name} must lie in [0, 1], got {rate}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), _AUG_STREAM, int(step), 0])))
-    edge = (rng.random(shape) >= edge_dropout_rate).astype(np.float64)
-    node = (rng.random(shape[0]) >= node_dropout_rate).astype(np.float64)
-    return edge * node[:, None]
+    edge = rng.random(len(rows)) >= edge_dropout_rate
+    node = rng.random(n_rows) >= node_dropout_rate
+    return (edge & node[rows]).astype(np.float64)
 
 
-def augmented_view(tailored: Tensor, cells: Cells, items: np.ndarray, n_items: int, node_dropout_rate: float,
-                   edge_dropout_rate: float, seed: int, step: int) -> Tensor:
-    """Dropout view of tailored inputs given at their cells (item ``items[c]``
-    in column c): the (rows, n_items) draws of augmentation_mask read at each
-    cell, then re-L2-normalization per row. Deterministic given (seed,
-    step)."""
-    mask = augmentation_mask((cells.shape[0], n_items), node_dropout_rate, edge_dropout_rate, seed, step)
-    mask = mask[cells.rows, np.asarray(items)[cells.cols]]
+def augmented_view(tailored: Tensor, cells: Cells, node_dropout_rate: float, edge_dropout_rate: float, seed: int,
+                   step: int) -> Tensor:
+    """Dropout view of tailored inputs given at their cells: the values
+    times augmentation_mask's draws at the cells, then re-L2-normalized per
+    row. Deterministic given (seed, step) and the cells."""
+    mask = augmentation_mask(cells.rows, cells.shape[0], node_dropout_rate, edge_dropout_rate, seed, step)
     return ad.l2norm_cells(ad.mul(tailored, Tensor(mask)), cells.rows, cells.shape[0])
 
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import is_finite
 from .errors import DataError, ParameterError
 
 
@@ -278,6 +279,8 @@ def split_per_user(
     """
     if not (all(0.0 <= f <= 1.0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9):
         raise ParameterError(f"fractions must lie in [0, 1] and sum to 1, got {fractions}")
+    if not is_finite(rating_threshold):
+        raise ParameterError(f"rating_threshold must be a finite number, got {rating_threshold}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), 1717])))
     tr_rows, va_rows, te_rows = [], [], []
     for u in range(m.n_users):

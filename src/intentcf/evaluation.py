@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .checks import is_finite, is_int
 from .data import BinaryMatrix, ItemBatch, RatingMatrix, SplitDataset, binarize, item_batch
 from .errors import ParameterError
 from .intent import IntentModel, item_intents, top_items_per_channel
@@ -36,10 +37,12 @@ class IntentOverride:
     def __post_init__(self):
         if not self.weights:
             raise ParameterError("intent override must name at least one channel")
-        vals = np.array(list(self.weights.values()), dtype=np.float64)
+        if not all(is_int(c) for c in self.weights):
+            raise ParameterError(f"override channels must be integers, got {list(self.weights)}")
         # normalized() divides by this sum
-        if not (np.all(np.isfinite(vals)) and np.isfinite(sum(self.weights.values()))):
-            raise ParameterError(f"override weights must be finite with a finite sum, got {self.weights}")
+        if not (all(is_finite(w) for w in self.weights.values()) and is_finite(sum(self.weights.values()))):
+            raise ParameterError(f"override weights must be finite numbers with a finite sum, got {self.weights}")
+        vals = np.array(list(self.weights.values()), dtype=np.float64)
         if np.any(vals < 0) or vals.sum() <= 0:
             raise ParameterError("override weights must be nonnegative with a positive sum")
 
@@ -133,8 +136,8 @@ def rank_items(scores: np.ndarray, exclude, k_cut: int) -> np.ndarray:
     """The k_cut best-scored items of each row of scores (B, M), the row's
     ``exclude`` items (its training items) left out, ties broken by item
     index: (B, k_cut), -1 padding a row with fewer candidates."""
-    if k_cut < 1:
-        raise ParameterError(f"cutoff must be >= 1, got {k_cut}")
+    if not (is_int(k_cut) and k_cut >= 1):
+        raise ParameterError(f"cutoff must be >= 1 and an integer, got {k_cut}")
     return top_n(scores, k_cut, exclude)
 
 
@@ -317,8 +320,8 @@ def cooccurrence_rate(
     """
     if top_t < 2:
         raise ParameterError(f"top_t must be >= 2 to form pairs, got {top_t}")
-    if shuffles < 1:
-        raise ParameterError(f"shuffles must be >= 1, got {shuffles}")
+    if not (is_int(shuffles) and shuffles >= 1):
+        raise ParameterError(f"shuffles must be >= 1 and an integer, got {shuffles}")
     m, k = channel_item.shape
     if len(genre_sets) != m:
         raise ParameterError(f"genre table covers {len(genre_sets)} items, expected {m}")

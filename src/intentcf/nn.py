@@ -218,14 +218,13 @@ class Adam:
             if p.name not in self.m:
                 self.m[p.name] = np.zeros_like(p.data)
                 self.v[p.name] = np.zeros_like(p.data)
-            axis = g.axis if isinstance(g, RowGrad) else 0
-            rows, values = (g.rows, g.values) if isinstance(g, RowGrad) else (None, g)
+            rows, values, axis = (g.rows, g.values, g.axis) if isinstance(g, RowGrad) else (None, g, 0)
             self._update(*(_as_rows(a, axis) for a in (p.data, self.m[p.name], self.v[p.name], values)), rows, c1, c2)
 
     def _update(self, p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, rows: np.ndarray | None,
                 c1: float, c2: float) -> None:
-        """Adam on the row views p, m, v in blocks of about _BLOCK elements,
-        for the gradient g at ``rows`` (every row when None)."""
+        """Adam on the row views p, m, v, in place, in blocks of about _BLOCK
+        elements, for the gradient g at ``rows`` (every row when None)."""
         n, width = p.shape
         per = max(1, _BLOCK // max(width, 1))
         for lo in range(0, n, per):
@@ -236,25 +235,22 @@ class Adam:
                 a, b = np.searchsorted(rows, (lo, hi))
                 gb = np.zeros((hi - lo, width))
                 gb[rows[a:b] - lo] += g[a:b]
-            self._kernel(p[lo:hi], m[lo:hi], v[lo:hi], gb, c1, c2)
-
-    def _kernel(self, p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, c1: float, c2: float) -> None:
-        """The Adam update of one block, in place."""
-        t1, t2 = np.empty(g.shape), np.empty(g.shape)
-        m *= self.beta1
-        m += np.multiply(g, 1.0 - self.beta1, out=t1)
-        v *= self.beta2
-        np.multiply(g, g, out=t1)
-        t1 *= 1.0 - self.beta2
-        v += t1
-        # lr * (m / c1) / (sqrt(v / c2) + eps)
-        np.divide(m, c1, out=t1)
-        t1 *= self.lr
-        np.divide(v, c2, out=t2)
-        np.sqrt(t2, out=t2)
-        t2 += self.eps
-        t1 /= t2
-        p -= t1
+            pb, mb, vb = p[lo:hi], m[lo:hi], v[lo:hi]
+            t1, t2 = np.empty(gb.shape), np.empty(gb.shape)
+            mb *= self.beta1
+            mb += np.multiply(gb, 1.0 - self.beta1, out=t1)
+            vb *= self.beta2
+            np.multiply(gb, gb, out=t1)
+            t1 *= 1.0 - self.beta2
+            vb += t1
+            # lr * (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(mb, c1, out=t1)
+            t1 *= self.lr
+            np.divide(vb, c2, out=t2)
+            np.sqrt(t2, out=t2)
+            t2 += self.eps
+            t1 /= t2
+            pb -= t1
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {}

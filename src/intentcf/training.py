@@ -9,7 +9,6 @@ import json
 import math
 import os
 import struct
-import sys
 import time
 from dataclasses import dataclass, field
 
@@ -17,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .checks import is_finite, is_int, is_real
 from .contrast import augmented_view, contrastive_loss, embed_original
 from .data import BinaryMatrix, ItemBatch, SplitDataset, binarize, item_batch
 from .errors import CheckpointError, ParameterError, ShapeError, TrainingError, UsageError
@@ -51,23 +51,11 @@ def _stream_rng(seed: int, tag: int, step: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), tag, int(step)])))
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_finite(v) -> bool:
-    return _is_real(v) and abs(v) <= sys.float_info.max  # false for nan, infinities and ints beyond floats
-
-
 # the value test and description of each TrainConfig annotation (a string)
 _FIELD_TYPES = {
-    "int": (_is_int, "an integer"),
-    "float": (_is_finite, "a finite number"),
-    "float | None": (lambda v: v is None or _is_finite(v), "a finite number or null"),
+    "int": (is_int, "an integer"),
+    "float": (is_finite, "a finite number"),
+    "float | None": (lambda v: v is None or is_finite(v), "a finite number or null"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
 }
@@ -129,6 +117,9 @@ class TrainConfig:
             raise UsageError("all layer widths must be >= 1")
         if self.pretrain_epochs < 0 or self.unified_epochs < 0:
             raise UsageError("epoch counts must be >= 0")
+        if _effective_pretrain_epochs(self) + self.unified_epochs < 1:
+            raise UsageError("a run needs at least one epoch: pretrain_epochs (0 under skip_pretrain) plus "
+                             "unified_epochs is 0")
         if self.mc_samples < 1:
             raise UsageError(f"mc_samples must be >= 1, got {self.mc_samples}")
         for name in ("node_dropout", "edge_dropout"):
@@ -298,9 +289,7 @@ def compute_batch_losses(state: TrainerState, batch: ItemBatch, eta: float, tau:
             l3, kl_pref = parts3.total, parts3.kl
             total = ad.add(total, ad.mul(l3, cfg.lambda3))
         if cfg.lambda4 > 0 and b >= 2:
-            # the draws cover all M items, as the mask of a full-width batch
-            augmented = augmented_view(tails, cells, items, state.n_items, cfg.node_dropout, cfg.edge_dropout,
-                                       cfg.seed, step)
+            augmented = augmented_view(tails, cells, cfg.node_dropout, cfg.edge_dropout, cfg.seed, step)
             u_aug, _ = encode_gaussian(pref.encoder_theta, dense_input(cells, augmented))
             u_ori = embed_original(pref, rb)
             l4 = contrastive_loss(u_ori, u_aug, cfg.l, cfg.tau_c)
@@ -573,9 +562,9 @@ def _check_header(header) -> None:
 
     need(isinstance(header, dict), "header", "not a JSON object")
     payload = header.get("payload_bytes")
-    need(_is_int(payload) and payload >= 0, "payload_bytes", f"expected a non-negative integer, got {payload!r}")
+    need(is_int(payload) and payload >= 0, "payload_bytes", f"expected a non-negative integer, got {payload!r}")
     for key in ("n", "m"):
-        need(_is_int(header.get(key)) and header[key] >= 1, key,
+        need(is_int(header.get(key)) and header[key] >= 1, key,
              f"expected a positive integer, got {header.get(key)!r}")
     need(isinstance(header.get("config"), dict), "config", "expected an object")
     counters = header.get("counters")
@@ -584,9 +573,9 @@ def _check_header(header) -> None:
         need(name in counters, "counters", f"{name} missing")
         value = counters[name]
         if name in _REAL_COUNTERS:
-            ok = _is_real(value) or (name == "best_val" and value is None)
+            ok = is_real(value) or (name == "best_val" and value is None)
         else:
-            ok = _is_int(value)
+            ok = is_int(value)
         need(ok, "counters", f"{name} is {value!r}")
     history = header.get("history", [])
     need(isinstance(history, list) and all(isinstance(r, dict) for r in history), "history",
@@ -597,9 +586,9 @@ def _check_header(header) -> None:
     for entry in arrays:
         need(isinstance(entry, dict) and isinstance(entry.get("name"), str), "arrays", f"entry {entry!r} has no name")
         name, shape, offset = entry["name"], entry.get("shape"), entry.get("offset")
-        need(isinstance(shape, list) and all(_is_int(n) and n >= 0 for n in shape), "arrays",
+        need(isinstance(shape, list) and all(is_int(n) and n >= 0 for n in shape), "arrays",
              f"array {name!r} has shape {shape!r}")
-        need(_is_int(offset) and offset >= 0, "arrays", f"array {name!r} has offset {offset!r}")
+        need(is_int(offset) and offset >= 0, "arrays", f"array {name!r} has offset {offset!r}")
         spans.append((offset, offset + math.prod(shape) * 8, name))
         need(spans[-1][1] <= payload, "arrays", f"array {name!r} extends past the payload")
     names = [name for _, _, name in spans]

@@ -35,6 +35,14 @@ def world(tmp_path_factory):
 
 
 class TestPrepare:
+    def test_non_finite_rating_threshold_exits_2(self, world, tmp_path, capsys):
+        out = tmp_path / "prep"
+        code = cli.main(["prepare", "--ratings", os.path.join(world["raw"], "ratings.tsv"), "--out", str(out),
+                         "--rating-threshold", "nan"])
+        assert code == 2
+        assert "rating_threshold" in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists()
+
     def test_manifest_contents(self, world):
         manifest = open(os.path.join(world["prep"], "manifest.txt")).read()
         assert "min_interactions: 10" in manifest
@@ -140,6 +148,16 @@ class TestTrainCli:
                          "--set", "pretrain_epochs=0", "--set", "patience=20"])
         assert code == 0
         assert "pretraining skipped" in open(os.path.join(out, "run_manifest.txt")).read()
+
+    @pytest.mark.parametrize("skip", [[], ["--skip-pretrain"]])
+    def test_zero_epoch_run_exits_2(self, world, tmp_path, capsys, skip):
+        out = tmp_path / "run"
+        code = cli.main(["train", "--data", world["prep"], "--out", str(out), "--quiet", *skip,
+                         "--set", "pretrain_epochs=0" if not skip else "pretrain_epochs=3",
+                         "--set", "unified_epochs=0"])
+        assert code == 2
+        assert "at least one epoch" in capsys.readouterr().err
+        assert not (out / "best.ckpt").exists()
 
 
 class TestReports:

@@ -16,9 +16,13 @@ from cell_fixtures import cells
 def augment_rows(rows, cfg, step):
     """augmented_view of dense tailored rows, given back as dense rows."""
     tailored = cells(rows)
-    out = ct.augmented_view(Tensor(tailored.values), tailored, np.arange(rows.shape[1]), rows.shape[1], **cfg,
-                            step=step)
+    out = ct.augmented_view(Tensor(tailored.values), tailored, **cfg, step=step)
     return dt.Cells(tailored.rows, tailored.cols, out.data, tailored.shape).dense()
+
+
+def grid_rows(n_rows, n_cols):
+    """The row of each cell of a full (n_rows, n_cols) grid, row by row."""
+    return np.repeat(np.arange(n_rows), n_cols)
 
 
 class TestAugment:
@@ -48,15 +52,31 @@ class TestAugment:
 
     def test_rate_bounds(self):
         with pytest.raises(ParameterError):
-            ct.augmentation_mask((2, 3), node_dropout_rate=-0.1, edge_dropout_rate=0.1, seed=0, step=0)
+            ct.augmentation_mask(grid_rows(2, 3), 2, node_dropout_rate=-0.1, edge_dropout_rate=0.1, seed=0, step=0)
         with pytest.raises(ParameterError):
-            ct.augmentation_mask((2, 3), node_dropout_rate=0.1, edge_dropout_rate=1.5, seed=0, step=0)
+            ct.augmentation_mask(grid_rows(2, 3), 2, node_dropout_rate=0.1, edge_dropout_rate=1.5, seed=0, step=0)
 
     def test_mask_batch_matches_rates_roughly(self):
         cfg = dict(node_dropout_rate=0.25, edge_dropout_rate=0.4, seed=5)
-        mask = ct.augmentation_mask((400, 50), **cfg, step=0)
+        mask = ct.augmentation_mask(grid_rows(400, 50), 400, **cfg, step=0).reshape(400, 50)
         kept_rows = (mask.sum(axis=1) > 0).mean()
         assert kept_rows == pytest.approx(0.75, abs=0.08)
+
+    def test_cell_draws_match_rates_and_repeat(self):
+        # one edge draw per cell and one node draw per row: a dropped row
+        # loses every cell, a kept row keeps each cell at 1 - edge rate
+        rng = np.random.default_rng(0)
+        rows = np.sort(rng.integers(0, 3000, size=60000))
+        cfg = dict(node_dropout_rate=0.3, edge_dropout_rate=0.2, seed=9)
+        mask = ct.augmentation_mask(rows, 3000, **cfg, step=4)
+        assert mask.shape == rows.shape and set(np.unique(mask)) <= {0.0, 1.0}
+        kept = np.bincount(rows, weights=mask, minlength=3000) > 0
+        present = np.bincount(rows, minlength=3000) > 0
+        assert kept[present].mean() == pytest.approx(0.7, abs=0.03)
+        assert mask[kept[rows]].mean() == pytest.approx(0.8, abs=0.01)
+        np.testing.assert_array_equal(mask, ct.augmentation_mask(rows, 3000, **cfg, step=4))
+        assert not np.array_equal(mask, ct.augmentation_mask(rows, 3000, **cfg, step=5))
+        assert not np.array_equal(mask, ct.augmentation_mask(rows, 3000, **{**cfg, "seed": 10}, step=4))
 
 
 class TestEmbedOriginal:
@@ -145,7 +165,7 @@ class TestContrastiveLoss:
         tailored = rng.random((3, 6))
         tailored /= np.linalg.norm(tailored, axis=1, keepdims=True)
         cfg = dict(node_dropout_rate=0.0, edge_dropout_rate=0.0, seed=0)
-        mask = ct.augmentation_mask(tailored.shape, **cfg, step=0)
+        mask = ct.augmentation_mask(grid_rows(*tailored.shape), tailored.shape[0], **cfg, step=0).reshape(tailored.shape)
         np.testing.assert_array_equal(mask, np.ones_like(mask))
         mu, _ = nn.encode_gaussian(model.encoder_theta, tailored * mask)
         mu_direct, _ = nn.encode_gaussian(model.encoder_theta, tailored)

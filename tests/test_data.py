@@ -171,6 +171,14 @@ class TestSplit:
             dt.split_per_user(m, 0, fractions=fractions)
 
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf"),
+                                           pytest.param(10**400, id="10**400")])
+    def test_non_finite_rating_threshold_rejected(self, threshold):
+        m = make_matrix([{f"i{j}": 1.0 for j in range(10)}])
+        with pytest.raises(ParameterError, match="rating_threshold"):
+            dt.split_per_user(m, 0, rating_threshold=threshold)
+
+
 class TestBinarize:
     def test_all_observed(self):
         m = make_matrix([{"a": 5.0, "b": 2.0}])

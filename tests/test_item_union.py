@@ -85,7 +85,12 @@ def dense_batch_losses(state, xb, rb, eta, tau, step, stage):
             l3, kl_pref = dense_preference_elbo(state.pref, tails, obs, noise_p, eta)
             total = ad.add(total, ad.mul(l3, cfg.lambda3))
         if cfg.lambda4 > 0 and b >= 2:
-            mask = augmentation_mask((b * cfg.l, rb.shape[1]), cfg.node_dropout, cfg.edge_dropout, cfg.seed, step)
+            # the draws of the tailored cells, user by user, item by item, channel slot by slot
+            rated_rows, rated_cols = np.nonzero(rb)
+            cell_rows = (rated_rows[:, None] * cfg.l + np.arange(cfg.l)).ravel()
+            mask = np.zeros(tails.shape)
+            mask[cell_rows, np.repeat(rated_cols, cfg.l)] = augmentation_mask(
+                cell_rows, b * cfg.l, cfg.node_dropout, cfg.edge_dropout, cfg.seed, step)
             augmented = ad.l2norm_rows(ad.mul(tails, Tensor(mask)))
             u_aug, _ = encode_gaussian(state.pref.encoder_theta, augmented)
             u_ori, _ = encode_gaussian(state.pref.encoder_theta, ad.l2norm_rows(Tensor(rb)))

@@ -98,9 +98,16 @@ class TestChannelAndOverride:
             rc.IntentOverride({})
 
     @pytest.mark.parametrize("weights", [{0: np.nan}, {0: np.inf, 1: 1.0}, {0: 1.0, 1: -np.inf},
-                                         {0: 1e308, 1: 1e308}])
+                                         {0: 1e308, 1: 1e308}, pytest.param({0: 10**400}, id="10**400"),
+                                         {0: 1.0, 1: "2"}])
     def test_non_finite_override_rejected(self, weights):
         with pytest.raises(ParameterError, match="finite"):
+            rc.IntentOverride(weights)
+
+    @pytest.mark.parametrize("weights", [{0.5: 1.0, 0: 1.0}, {True: 1.0}, {"1": 1.0}])
+    def test_non_integer_override_channel_rejected(self, weights):
+        # int(0.5) would fold channel 0.5 into channel 0 and drop half the weight
+        with pytest.raises(ParameterError, match="channels must be integers"):
             rc.IntentOverride(weights)
 
     def test_k1_model_channel_equals_blended(self, tmp_path):

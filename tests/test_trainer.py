@@ -88,6 +88,13 @@ class TestConfig:
         with pytest.raises(UsageError, match=f"config key '{key}' needs"):
             tr.TrainConfig.from_dict({key: value})
 
+    @pytest.mark.parametrize("epochs", [dict(pretrain_epochs=0, unified_epochs=0),
+                                        dict(pretrain_epochs=5, unified_epochs=0, skip_pretrain=True)])
+    def test_zero_effective_epochs_rejected(self, epochs):
+        with pytest.raises(UsageError, match="at least one epoch"):
+            small_cfg(**epochs).validate()
+        small_cfg(**{**epochs, "unified_epochs": 1}).validate()
+
     def test_values_of_the_field_type_accepted(self):
         cfg = tr.TrainConfig.from_dict({"k": 4, "tau_c": 1, "lambda2": 0.5, "intent_min_rating": None,
                                         "skip_pretrain": True, "variant": "ddcf-s"})
