@@ -279,7 +279,7 @@ def _checked_grad(p: Tensor, g) -> np.ndarray | RowGrad:
         if n < 0 or rows.ndim != 1 or rows.dtype.kind not in "iu":
             raise ShapeError(f"row gradient for {p.name!r} needs integer rows along axis 0 or 1 of a matrix, "
                              f"got rows {rows.shape} on axis {g.axis} of {p.data.shape}")
-        if rows.size and (rows[0] < 0 or rows[-1] >= n or np.any(np.diff(rows) <= 0)):
+        if rows.size and (rows[0] < 0 or rows[-1] >= n or np.any(rows[1:] <= rows[:-1])):
             raise ShapeError(f"row gradient for {p.name!r} needs strictly increasing rows in [0, {n})")
         shape = list(p.data.shape)
         shape[g.axis] = rows.size

@@ -263,6 +263,7 @@ class TestAdam:
         (nn.RowGrad(np.array([-1, 1]), np.ones((2, 3))), ShapeError),
         (nn.RowGrad(np.array([2, 2]), np.ones((2, 3))), ShapeError),  # repeated row
         (nn.RowGrad(np.array([3, 1]), np.ones((2, 3))), ShapeError),  # decreasing rows
+        (nn.RowGrad(np.array([3, 1], dtype=np.uint64), np.ones((2, 3))), ShapeError),
         (nn.RowGrad(np.array([0.0, 1.0]), np.ones((2, 3))), ShapeError),  # rows not integers
         (nn.RowGrad(np.array([0, 1]), np.ones((2, 2))), ShapeError),
         (nn.RowGrad(np.array([0, 1]), np.ones((3, 2)), axis=1), ShapeError),
