@@ -43,7 +43,7 @@ class Tensor:
         self.name = name
         self.requires_grad = requires_grad and _grad_enabled
         self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = None
+        self._vjp: Callable[[np.ndarray], tuple[np.ndarray | None, ...]] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -90,23 +90,34 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data + b.data
-    return _make(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
+
+    def vjp(g):
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
+
+    return _make(out, (a, b), vjp)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data - b.data
-    return _make(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
+
+    def vjp(g):
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
+
+    return _make(out, (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data * b.data
-    return _make(
-        out,
-        (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)),
-    )
+
+    def vjp(g):
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
+
+    return _make(out, (a, b), vjp)
 
 
 def matmul(a, b) -> Tensor:
@@ -119,9 +130,10 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
 
     def vjp(g):
-        if a.data.ndim == 1:
-            return g @ b.data.T, np.outer(a.data, g)
-        return g @ b.data.T, a.data.T @ g
+        ga = g @ b.data.T if a.requires_grad else None
+        if not b.requires_grad:
+            return ga, None
+        return ga, (np.outer(a.data, g) if a.data.ndim == 1 else a.data.T @ g)
 
     return _make(out, (a, b), vjp)
 
@@ -263,8 +275,8 @@ def matmul_cells(a, b, rows, cols) -> Tensor:
 
     def vjp(g):
         g = g[:, None]
-        return (sum_rows_by(g * b_cols, rows, a.data.shape[0]),
-                sum_rows_by(g * a_rows, cols, b.data.shape[1]).T)
+        return (sum_rows_by(g * b_cols, rows, a.data.shape[0]) if a.requires_grad else None,
+                sum_rows_by(g * a_rows, cols, b.data.shape[1]).T if b.requires_grad else None)
 
     return _make(out, (a, b), vjp)
 
@@ -339,7 +351,8 @@ def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(node) into ``.grad`` over the recorded tape.
 
     The loss must be scalar. Each recorded node is visited exactly once, in
-    reverse topological order.
+    reverse topological order. A VJP returns None for a parent that needs
+    no gradient (a constant operand), so that product is never formed.
     """
     if loss.data.ndim != 0:
         raise ParameterError(f"backward expects a scalar loss, got shape {loss.data.shape}")
@@ -349,7 +362,7 @@ def backward(loss: Tensor) -> None:
         if node._vjp is None or node.grad is None:
             continue
         for p, g in zip(node._parents, node._vjp(node.grad)):
-            if not p.requires_grad:
+            if g is None or not p.requires_grad:
                 continue
             if p.grad is None:
                 # no VJP writes into its inputs or outputs, so g is kept without a copy

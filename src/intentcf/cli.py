@@ -109,7 +109,9 @@ def _report(state, args, payload: dict, lines: list[str]) -> None:
     _emit(text, args.out)
 
 
-def _load_state_and_data(args):
+def _load_state_and_data(args, parts: tuple[str, ...] = ("train",)):
+    """The checkpoint and the split parts a command reads (train alone
+    unless it scores held-out ratings)."""
     from .data import load_split
     from .training import load_checkpoint
 
@@ -118,7 +120,7 @@ def _load_state_and_data(args):
     if not os.path.isdir(args.data):
         raise UsageError(f"prepared data directory not found: {args.data}")
     state = load_checkpoint(args.checkpoint)
-    split = load_split(args.data)
+    split = load_split(args.data, parts)
     if split.train.n_items != state.n_items or split.train.n_users != state.n_users:
         raise UsageError(
             f"checkpoint (N={state.n_users}, M={state.n_items}) does not match "
@@ -235,7 +237,7 @@ def cmd_eval(args) -> int:
     from .evaluation import evaluate
     from .training import scorer_from_state
 
-    state, split = _load_state_and_data(args)
+    state, split = _load_state_and_data(args, ("train", "valid" if args.valid else "test"))
     cutoffs = _number_list("--cutoffs", args.cutoffs, int)
     if args.valid:
         split = dataclasses.replace(split, test=split.valid)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import is_finite
+from .checks import is_finite, is_int
 from .errors import DataError, ParameterError
 
 
@@ -256,11 +256,12 @@ def filter_min_interactions(m: RatingMatrix, min_count: int) -> RatingMatrix:
 @dataclass
 class SplitDataset:
     """Per-user disjoint train/validation/test matrices sharing one index
-    space, plus the split provenance."""
+    space, plus the split provenance. A part that load_split was not asked
+    to read is None."""
 
     train: RatingMatrix
-    valid: RatingMatrix
-    test: RatingMatrix
+    valid: RatingMatrix | None
+    test: RatingMatrix | None
     seed: int
     fractions: tuple[float, float, float]
     rating_threshold: float = 4.0
@@ -281,6 +282,8 @@ def split_per_user(
         raise ParameterError(f"fractions must lie in [0, 1] and sum to 1, got {fractions}")
     if not is_finite(rating_threshold):
         raise ParameterError(f"rating_threshold must be a finite number, got {rating_threshold}")
+    if not (is_int(seed) and seed >= 0):
+        raise ParameterError(f"seed must be >= 0 and an integer, got {seed}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), 1717])))
     tr_rows, va_rows, te_rows = [], [], []
     for u in range(m.n_users):
@@ -398,11 +401,15 @@ def _read_ids(in_dir: str, fname: str) -> tuple[list[str], dict[str, int]]:
     return ids, index
 
 
-def load_split(in_dir: str) -> SplitDataset:
+def load_split(in_dir: str, parts: tuple[str, ...] = tuple(_SPLIT_FILES)) -> SplitDataset:
     """Reload a directory written by save_split, preserving the shared index
-    space (users/items present only in valid/test stay addressable). Every
-    malformed line raises DataError naming its file and line."""
-    for fname in ["users.txt", "items.txt", "manifest.txt", *(_SPLIT_FILES.values())]:
+    space (users/items present only in valid/test stay addressable). Only
+    the rating files of ``parts``, which must include train, are read; a
+    part not read is None. Every malformed line of a file read raises
+    DataError naming its file and line."""
+    if "train" not in parts or not set(parts) <= set(_SPLIT_FILES):
+        raise ParameterError(f"parts must include 'train' and name only {sorted(_SPLIT_FILES)}, got {parts}")
+    for fname in ["users.txt", "items.txt", "manifest.txt", *(_SPLIT_FILES[p] for p in parts)]:
         if not os.path.exists(os.path.join(in_dir, fname)):
             raise DataError(f"prepared dataset is missing {fname} in {in_dir}")
     users, umap = _read_ids(in_dir, "users.txt")
@@ -441,5 +448,5 @@ def load_split(in_dir: str) -> SplitDataset:
                 threshold = float(line.split(":", 1)[1])
         except ValueError:
             raise DataError(f"manifest.txt line {lineno}: cannot read {line.strip()!r}") from None
-    return SplitDataset(read_matrix("train.tsv"), read_matrix("valid.tsv"), read_matrix("test.tsv"),
-                        seed, fractions, threshold)
+    train, valid, test = (read_matrix(fname) if name in parts else None for name, fname in _SPLIT_FILES.items())
+    return SplitDataset(train, valid, test, seed, fractions, threshold)

@@ -228,8 +228,12 @@ def evaluate(
     chunk: int = 512,
 ) -> MetricReport:
     """Mean ranking metrics over users holding >= 1 positive test item. Each
-    chunk of users is scored, ranked and measured at once."""
+    chunk of users is scored, ranked and measured at once. A cutoff is an
+    integer from 1 to the number of items."""
     train = split.train
+    bad = [k for k in cutoffs if not (is_int(k) and 1 <= k <= train.n_items)]
+    if bad or not cutoffs:
+        raise ParameterError(f"cutoffs must be integers from 1 to the {train.n_items} items, got {tuple(cutoffs)}")
     users = np.arange(train.n_users) if users is None else np.asarray(users)
     kmax = max(cutoffs)
     per_user = {m: {k: [] for k in cutoffs} for m in METRICS}
@@ -322,6 +326,8 @@ def cooccurrence_rate(
         raise ParameterError(f"top_t must be >= 2 to form pairs, got {top_t}")
     if not (is_int(shuffles) and shuffles >= 1):
         raise ParameterError(f"shuffles must be >= 1 and an integer, got {shuffles}")
+    if not (is_int(seed) and seed >= 0):
+        raise ParameterError(f"seed must be >= 0 and an integer, got {seed}")
     m, k = channel_item.shape
     if len(genre_sets) != m:
         raise ParameterError(f"genre table covers {len(genre_sets)} items, expected {m}")

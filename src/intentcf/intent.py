@@ -204,5 +204,5 @@ def top_items_per_channel(beta_values: np.ndarray, top_t: int) -> list[list[tupl
     by item index."""
     if top_t < 1:
         raise ParameterError(f"top_t must be >= 1, got {top_t}")
-    top = top_n(beta_values.T, top_t)  # (K, top_t), -1 past the last item
+    top = top_n(beta_values.T, min(top_t, beta_values.shape[0]))  # -1 past the last item
     return [[(int(j), float(beta_values[j, c])) for j in row if j >= 0] for c, row in enumerate(top)]

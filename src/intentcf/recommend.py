@@ -30,8 +30,9 @@ def _check_user(split: SplitDataset, user: int) -> None:
 
 
 def _ranked(split: SplitDataset, user: int, scores: np.ndarray, n: int) -> RankedList:
-    """The user's scores over all items ranked as one row of rank_items."""
-    items = rank_items(scores[None], [split.train.rows[user][0]], n)[0]
+    """The user's scores over all items ranked as one row of rank_items (n
+    beyond the item count lists every candidate)."""
+    items = rank_items(scores[None], [split.train.rows[user][0]], min(n, scores.size))[0]
     items = items[items >= 0]
     return RankedList(user, items, scores[items])
 
@@ -86,5 +87,5 @@ def similar_items(
         kl_pq = (p * (np.log(p) - np.log(q))).sum(axis=0)
         kl_qp = (q * (np.log(q) - np.log(p))).sum(axis=0)
         sims = -(kl_pq + kl_qp)
-    top = rank_items(sims[None], [[item]], n)[0]
+    top = rank_items(sims[None], [[item]], min(n, m))[0]
     return [(int(j), float(sims[j])) for j in top if j >= 0]

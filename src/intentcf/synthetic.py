@@ -91,15 +91,22 @@ def genre_world_data(
 ) -> SyntheticData:
     """MovieLens-100k-scale world: items carry 1-3 genres, users carry sparse
     genre affinities that drive which items they touch, and ratings reflect
-    item quality plus personal taste."""
+    item quality plus personal taste.
+
+    Each user's ratings come from a few array operations. A seed names one
+    world through the order and sizes of the random draws: a vector normal
+    draw consumes the stream as that many scalar draws do, and the bounded
+    integer draws stay scalar because a vector of them would not."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), 12])))
     names = (_GENRE_NAMES * ((n_genres // len(_GENRE_NAMES)) + 1))[:n_genres]
     names = [f"{nm}{idx // len(_GENRE_NAMES) or ''}" for idx, nm in enumerate(names)]
 
     genre_popularity = rng.dirichlet(np.full(n_genres, 1.5))
+    cdf = genre_popularity.cumsum()  # what rng.choice(n_genres, p=genre_popularity) searches
+    cdf /= cdf[-1]
     item_genres = np.zeros((n_items, n_genres))
     for j in range(n_items):
-        primary = rng.choice(n_genres, p=genre_popularity)
+        primary = cdf.searchsorted(rng.random(), side="right")
         item_genres[j, primary] = 1.0
         if rng.random() < 0.4:
             item_genres[j, rng.integers(n_genres)] = 1.0
@@ -110,21 +117,22 @@ def genre_world_data(
 
     triples = []
     genre_share = item_genres / item_genres.sum(axis=1, keepdims=True)
+    log_popularity = np.log(popularity)
     for u in range(n_users):
         affinity = rng.dirichlet(np.full(n_genres, 0.3))
         match = genre_share @ affinity  # (M,) how well each item fits this user
-        weights = np.log(popularity) + 6.0 * np.log(match + 1e-9)
+        weights = log_popularity + 6.0 * np.log(match + 1e-9)
         n_u = int(np.clip(rng.lognormal(np.log(mean_items), 0.55), 20, 360))
         n_u = min(n_u, n_items)
         gumbel = rng.gumbel(size=n_items)
-        chosen = np.argpartition(-(weights + gumbel), n_u - 1)[:n_u]
+        chosen = np.sort(np.argpartition(-(weights + gumbel), n_u - 1)[:n_u])
         base = rng.normal(3.4, 0.3)
         taste = rng.normal(0.0, 0.4, size=n_genres)
-        for j in sorted(chosen.tolist()):
-            fit = genre_share[j] @ taste
-            value = base + quality[j] + 1.2 * fit + rng.normal(0.0, 0.7)
-            rating = float(np.clip(round(value), 1, 5))
-            triples.append((f"u{u}", f"i{j}", rating))
+        fit = genre_share[chosen] @ taste
+        value = base + quality[chosen] + 1.2 * fit + rng.normal(0.0, 0.7, size=n_u)
+        ratings = np.clip(np.round(value), 1, 5)  # np.round, like round, rounds half to even
+        user = f"u{u}"
+        triples.extend([(user, f"i{j}", r) for j, r in zip(chosen.tolist(), ratings.tolist())])
     genres = {
         f"i{j}": frozenset(names[g] for g in np.flatnonzero(item_genres[j]))
         for j in range(n_items)

@@ -101,6 +101,41 @@ class TestPrimitives:
         assert not y.requires_grad
 
 
+BINARY_OPS = {
+    "add": (ad.add, (3, 4), (4,)),
+    "sub": (ad.sub, (3, 4), (3, 4)),
+    "mul": (ad.mul, (3, 4), ()),
+    "matmul": (ad.matmul, (5, 4), (4, 3)),
+    "matmul_vector": (ad.matmul, (4,), (4, 3)),
+    "matmul_cells": (lambda a, b: ad.matmul_cells(a, b, [0, 2, 2], [1, 0, 2]), (3, 4), (4, 3)),
+}
+
+
+class TestConstantOperands:
+    @pytest.mark.parametrize("name", sorted(BINARY_OPS))
+    @pytest.mark.parametrize("constant", [0, 1])
+    def test_vjp_forms_no_product_for_a_constant(self, name, constant):
+        op, shape_a, shape_b = BINARY_OPS[name]
+        rng = np.random.default_rng(12)
+        a, b = rng.standard_normal(shape_a), rng.standard_normal(shape_b)
+        both = op(ad.parameter(a, "a"), ad.parameter(b, "b"))
+        g = rng.standard_normal(both.shape)
+        want = both._vjp(g)
+        one = op(*(Tensor(x) if k == constant else ad.parameter(x, "p") for k, x in enumerate((a, b))))
+        got = one._vjp(g)
+        assert got[constant] is None
+        np.testing.assert_array_equal(got[1 - constant], want[1 - constant])
+
+    def test_gradients_through_a_constant_input_are_unchanged(self):
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.standard_normal((6, 5)))
+        w = ad.parameter(rng.standard_normal((5, 4)), "w")
+        c = rng.standard_normal((6, 4))
+        grads = ad.gradients(ad.tsum(ad.mul(ad.matmul(x, w), Tensor(c))), [w])
+        np.testing.assert_array_equal(grads["w"], x.data.T @ c)
+        assert x.grad is None
+
+
 class TestMlpForward:
     def test_identity_network(self):
         params = nn.MlpParams(

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intentcf import cli, data, synthetic
-from intentcf.errors import IntentcfError
+from intentcf.errors import IntentcfError, ParameterError
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +41,14 @@ class TestPrepare:
                          "--rating-threshold", "nan"])
         assert code == 2
         assert "rating_threshold" in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists()
+
+    def test_negative_split_seed_exit_2(self, world, tmp_path, capsys):
+        out = tmp_path / "prep"
+        code = cli.main(["prepare", "--ratings", os.path.join(world["raw"], "ratings.tsv"), "--out", str(out),
+                         "--seed", "-1"])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
         assert not (out / "manifest.txt").exists()
 
     def test_manifest_contents(self, world):
@@ -234,6 +242,8 @@ class TestReports:
         ["recommend", "--similar-to", "i0", "--n", "-2"],
         ["recommend", "--user", "u0", "--intent", "0:nan"],
         ["recommend", "--user", "u0", "--intent", "0:inf,1:1"],
+        ["cooccur", "--seed", "-1"],
+        ["eval", "--cutoffs", "5,100000"],
     ])
     def test_out_of_range_values_exit_2(self, world, capsys, argv):
         code = cli.main([*argv, "--checkpoint", world["ckpt"], "--data", world["prep"]])
@@ -249,6 +259,39 @@ class TestReports:
                   "--user", "u1", "--json"])
         b = capsys.readouterr().out
         assert a == b
+
+
+class TestSplitParts:
+    def test_only_eval_reads_the_scored_part(self, world, tmp_path, capsys):
+        prep = tmp_path / "prep"
+        shutil.copytree(world["prep"], prep)
+        with open(prep / "test.tsv", "a", encoding="utf-8") as fh:
+            fh.write("u0\tno-such-item\t4.0\n")
+        serve = ["--checkpoint", world["ckpt"], "--data"]
+        for argv in (["recommend", "--user", "u1", "--json"], ["channels", "--user", "u1"],
+                     ["cooccur", "--shuffles", "5"], ["eval", "--valid"]):
+            assert cli.main([*argv, *serve, world["prep"]]) == 0
+            intact = capsys.readouterr().out
+            assert cli.main([*argv, *serve, str(prep)]) == 0, argv
+            assert capsys.readouterr().out == intact
+        assert cli.main(["eval", *serve, str(prep)]) == 1
+        assert "test.tsv line" in capsys.readouterr().err
+
+    def test_parts_must_include_train(self, world):
+        with pytest.raises(ParameterError, match="train"):
+            data.load_split(world["prep"], ("test",))
+        split = data.load_split(world["prep"], ("train", "test"))
+        assert split.valid is None and split.test.n_entries > 0
+
+
+class TestArgumentRanges:
+    def test_huge_counts_list_every_candidate(self, world, capsys):
+        serve = ["--checkpoint", world["ckpt"], "--data", world["prep"], "--json"]
+        for argv in (["recommend", "--user", "u1"], ["recommend", "--similar-to", "i1"], ["channels"]):
+            assert cli.main([*argv, *serve, "--top" if argv[0] == "channels" else "--n", "100000"]) == 0
+            small = capsys.readouterr().out
+            assert cli.main([*argv, *serve, "--top" if argv[0] == "channels" else "--n", str(10**30)]) == 0
+            assert capsys.readouterr().out.replace(str(10**30), "100000") == small
 
 
 PREPARED_FILES = ("train.tsv", "valid.tsv", "test.tsv", "users.txt", "items.txt")
@@ -289,7 +332,7 @@ class TestPreparedDirectoryFuzz:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(lines) + "\n")
             try:
-                data.load_split(prep)
+                data.load_split(prep, ("train", "test"))  # the parts eval reads
                 loaded = True
             except IntentcfError:
                 loaded = False
