@@ -1,4 +1,4 @@
-"""Command-line surface: prepare, train, eval, channels, recommend, cooccur.
+"""Command-line surface: prepare, train, eval, channels, recommend, cooccur, inspect.
 
 Heavy imports happen inside handlers so --threads can pin BLAS thread
 counts before numpy is loaded. Exit codes: 0 success, 1 runtime failure,
@@ -85,6 +85,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", choices=["beta", "phi"], default="beta")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
+
+    p = sub.add_parser("inspect", help="print a checkpoint's header without reading its arrays", parents=[common])
+    p.add_argument("checkpoint")
+    p.add_argument("--json", action="store_true")
+    p.add_argument("--out", default=None)
     return parser
 
 
@@ -95,12 +100,12 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text + "\n")
 
 
-def _report(state, args, payload: dict, lines: list[str]) -> None:
+def _report(cfg, args, payload: dict, lines: list[str]) -> None:
     """Emit a command's report: under --json the payload beside the
-    checkpoint's provenance (a payload key of the same name wins, as
-    cooccur's shuffle seed does), else the text lines under one provenance
-    line."""
-    prov = {"config_hash": state.cfg.config_hash(), "seed": state.cfg.seed, "variant": state.cfg.variant}
+    provenance of the checkpoint's config (a payload key of the same name
+    wins, as cooccur's shuffle seed does), else the text lines under one
+    provenance line."""
+    prov = {"config_hash": cfg.config_hash(), "seed": cfg.seed, "variant": cfg.variant}
     if args.json:
         text = json.dumps({**prov, **payload}, indent=1, sort_keys=True)
     else:
@@ -109,24 +114,30 @@ def _report(state, args, payload: dict, lines: list[str]) -> None:
     _emit(text, args.out)
 
 
+def _require_checkpoint(path: str) -> None:
+    if not os.path.exists(path):
+        raise UsageError(f"checkpoint not found: {path}")
+
+
 def _load_state_and_data(args, parts: tuple[str, ...] = ("train",)):
-    """The checkpoint and the split parts a command reads (train alone
-    unless it scores held-out ratings)."""
-    from .data import load_split
+    """The checkpoint, the prepared directory's user and item ids, and the
+    split parts a command reads: train alone unless it scores held-out
+    ratings, none (the split is then None) if it needs only the ids."""
+    from .data import load_ids, load_split
     from .training import load_checkpoint
 
-    if not os.path.exists(args.checkpoint):
-        raise UsageError(f"checkpoint not found: {args.checkpoint}")
+    _require_checkpoint(args.checkpoint)
     if not os.path.isdir(args.data):
         raise UsageError(f"prepared data directory not found: {args.data}")
     state = load_checkpoint(args.checkpoint)
-    split = load_split(args.data, parts)
-    if split.train.n_items != state.n_items or split.train.n_users != state.n_users:
+    split = load_split(args.data, parts) if parts else None
+    users, items = (split.train.user_ids, split.train.item_ids) if split else load_ids(args.data)
+    if len(items) != state.n_items or len(users) != state.n_users:
         raise UsageError(
             f"checkpoint (N={state.n_users}, M={state.n_items}) does not match "
-            f"dataset (N={split.train.n_users}, M={split.train.n_items})"
+            f"dataset (N={len(users)}, M={len(items)})"
         )
-    return state, split
+    return state, users, items, split
 
 
 def _index_of(ids: list[str], ext_id: str, kind: str) -> int:
@@ -237,13 +248,14 @@ def cmd_eval(args) -> int:
     from .evaluation import evaluate
     from .training import scorer_from_state
 
-    state, split = _load_state_and_data(args, ("train", "valid" if args.valid else "test"))
+    state, _, _, split = _load_state_and_data(args, ("train", "valid" if args.valid else "test"))
     cutoffs = _number_list("--cutoffs", args.cutoffs, int)
     if args.valid:
         split = dataclasses.replace(split, test=split.valid)
     report = evaluate(scorer_from_state(state), split, cutoffs=cutoffs)
     report.seed = state.cfg.seed
-    _report(state, args, {"split": "valid" if args.valid else "test", **report.as_dict()}, [report.text_table()])
+    _report(state.cfg, args, {"split": "valid" if args.valid else "test", **report.as_dict()},
+            [report.text_table()])
     return 0
 
 
@@ -254,14 +266,14 @@ def cmd_channels(args) -> int:
     from .preference import select_top_channels_batch
     from .training import scorer_from_state
 
-    state, split = _load_state_and_data(args)
-    scorer = scorer_from_state(state)
+    # the channel list needs only the item ids; a user's view scores the user
+    state, users, items, split = _load_state_and_data(args, () if args.user is None else ("train",))
     top = top_items_per_channel(state.intent.beta().data, args.top)
-    items = split.train.item_ids
     payload: dict = {"k": state.cfg.k, "top": args.top, "channels": []}
     lines = []
     if args.user is not None:
-        u = _index_of(split.train.user_ids, args.user, "user")
+        scorer = scorer_from_state(state)
+        u = _index_of(users, args.user, "user")
         gamma = scorer.gamma(split.train, np.array([u]))
         idx, weights = select_top_channels_batch(gamma, min(args.user_channels, state.cfg.k))
         payload["user"] = args.user
@@ -278,7 +290,7 @@ def cmd_channels(args) -> int:
                 {"channel": c, "top_items": names, "probabilities": [round(p, 6) for p in probs]}
             )
             lines.append(f"channel {c}: {', '.join(names)}")
-    _report(state, args, payload, lines)
+    _report(state.cfg, args, payload, lines)
     return 0
 
 
@@ -305,20 +317,20 @@ def cmd_recommend(args) -> int:
     )
     from .training import scorer_from_state
 
-    state, split = _load_state_and_data(args)
+    # an item-similarity ranking needs only the item ids
+    state, users, items, split = _load_state_and_data(args, () if args.similar_to is not None else ("train",))
     scorer = scorer_from_state(state)
-    items = split.train.item_ids
     if args.similar_to is not None:
         j = _index_of(items, args.similar_to, "item")
         ranked = similar_items(state.intent, scorer.phi, j, args.n, measure=args.similarity)
         rows = [{"item": items[i], "similarity": round(s, 6)} for i, s in ranked]
         lines = [f"items similar to {args.similar_to} ({args.similarity}):"]
         lines += [f"  {r['item']}  {r['similarity']:.4f}" for r in rows]
-        _report(state, args, {"similar_to": args.similar_to, "items": rows}, lines)
+        _report(state.cfg, args, {"similar_to": args.similar_to, "items": rows}, lines)
         return 0
     if args.user is None:
         raise UsageError("recommend needs --user (or --similar-to ITEM)")
-    u = _index_of(split.train.user_ids, args.user, "user")
+    u = _index_of(users, args.user, "user")
     if args.intent is not None and args.channel is not None:
         raise UsageError("--intent and --channel are mutually exclusive")
     if args.intent is not None:
@@ -333,7 +345,7 @@ def cmd_recommend(args) -> int:
     rows = [{"item": items[i], "score": float(s)} for i, s in zip(ranked.items, ranked.scores)]
     lines = [f"recommendations for user {args.user} ({mode}):"]
     lines += [f"  {r['item']}  {r['score']:.4f}" for r in rows]
-    _report(state, args, {"user": args.user, "mode": mode, "items": rows}, lines)
+    _report(state.cfg, args, {"user": args.user, "mode": mode, "items": rows}, lines)
     return 0
 
 
@@ -342,12 +354,12 @@ def cmd_cooccur(args) -> int:
     from .evaluation import cooccurrence_rate
     from .training import scorer_from_state
 
-    state, split = _load_state_and_data(args)
+    state, _, items, _ = _load_state_and_data(args, ())
     genres_path = args.genres or os.path.join(args.data, "genres.txt")
     if not os.path.exists(genres_path):
         raise UsageError(f"genre file not found: {genres_path} (pass --genres)")
     table = GenreTable.load(genres_path)
-    genre_sets = table.for_matrix(split.train)
+    genre_sets = table.for_items(items)
     if args.matrix == "beta":
         channel_item = state.intent.beta().data  # (M, K)
     else:
@@ -359,7 +371,25 @@ def cmd_cooccur(args) -> int:
         f"shuffled baseline ({report.shuffles} shuffles): {report.baseline_rate:.4f}",
         "per-channel: " + ", ".join(f"{r:.3f}" for r in report.per_channel),
     ]
-    _report(state, args, {"matrix": args.matrix, **report.as_dict()}, lines)
+    _report(state.cfg, args, {"matrix": args.matrix, **report.as_dict()}, lines)
+    return 0
+
+
+def cmd_inspect(args) -> int:
+    from .training import read_header
+
+    _require_checkpoint(args.checkpoint)
+    header, cfg = read_header(args.checkpoint)
+    counters = header["counters"]
+    arrays = header["arrays"]
+    lines = [
+        f"users: {header['n']}  items: {header['m']}  k: {cfg.k}  d: {cfg.d}  l: {cfg.l}",
+        "counters: " + "  ".join(f"{name}: {value}" for name, value in counters.items()),
+        f"history: {len(header.get('history', []))} epoch records",
+        f"arrays: {len(arrays)} ({header['payload_bytes']} bytes)",
+        *(f"  {a['name']}  {tuple(a['shape'])}" for a in arrays),
+    ]
+    _report(cfg, args, header, lines)
     return 0
 
 
@@ -370,6 +400,7 @@ _HANDLERS = {
     "channels": cmd_channels,
     "recommend": cmd_recommend,
     "cooccur": cmd_cooccur,
+    "inspect": cmd_inspect,
 }
 
 

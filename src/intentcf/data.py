@@ -339,10 +339,14 @@ class GenreTable:
             raise DataError(f"no genres parsed from {path}")
         return cls(table)
 
+    def for_items(self, item_ids: list[str]) -> list[frozenset[str]]:
+        """Genre sets aligned to a list of external item ids; items missing
+        from the table get empty sets."""
+        return [self.genres.get(ext, frozenset()) for ext in item_ids]
+
     def for_matrix(self, m: RatingMatrix) -> list[frozenset[str]]:
-        """Genre sets aligned to the matrix's internal item indices; items
-        missing from the table get empty sets."""
-        return [self.genres.get(ext, frozenset()) for ext in m.item_ids]
+        """Genre sets aligned to the matrix's internal item indices."""
+        return self.for_items(m.item_ids)
 
 
 _SPLIT_FILES = {"train": "train.tsv", "valid": "valid.tsv", "test": "test.tsv"}
@@ -401,6 +405,19 @@ def _read_ids(in_dir: str, fname: str) -> tuple[list[str], dict[str, int]]:
     return ids, index
 
 
+def _require_files(in_dir: str, fnames) -> None:
+    for fname in ["users.txt", "items.txt", "manifest.txt", *fnames]:
+        if not os.path.exists(os.path.join(in_dir, fname)):
+            raise DataError(f"prepared dataset is missing {fname} in {in_dir}")
+
+
+def load_ids(in_dir: str) -> tuple[list[str], list[str]]:
+    """The user and item ids of a directory written by save_split, for a
+    command that needs no ratings; no rating file is read."""
+    _require_files(in_dir, [])
+    return _read_ids(in_dir, "users.txt")[0], _read_ids(in_dir, "items.txt")[0]
+
+
 def load_split(in_dir: str, parts: tuple[str, ...] = tuple(_SPLIT_FILES)) -> SplitDataset:
     """Reload a directory written by save_split, preserving the shared index
     space (users/items present only in valid/test stay addressable). Only
@@ -409,9 +426,7 @@ def load_split(in_dir: str, parts: tuple[str, ...] = tuple(_SPLIT_FILES)) -> Spl
     DataError naming its file and line."""
     if "train" not in parts or not set(parts) <= set(_SPLIT_FILES):
         raise ParameterError(f"parts must include 'train' and name only {sorted(_SPLIT_FILES)}, got {parts}")
-    for fname in ["users.txt", "items.txt", "manifest.txt", *(_SPLIT_FILES[p] for p in parts)]:
-        if not os.path.exists(os.path.join(in_dir, fname)):
-            raise DataError(f"prepared dataset is missing {fname} in {in_dir}")
+    _require_files(in_dir, [_SPLIT_FILES[p] for p in parts])
     users, umap = _read_ids(in_dir, "users.txt")
     items, imap = _read_ids(in_dir, "items.txt")
 

@@ -600,40 +600,66 @@ def _check_header(header) -> None:
     need(total == payload, "arrays", f"array sizes sum to {total} bytes, payload_bytes is {payload}")
 
 
-def load_checkpoint(path: str) -> TrainerState:
-    """Strict inverse of save_checkpoint; every failure names the section."""
+def _open(path: str):
+    """A checkpoint file opened for reading; a missing or unreadable file
+    (a directory, say) raises CheckpointError."""
     if not os.path.exists(path):
         raise CheckpointError(f"checkpoint not found: {path}")
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(16)
-        if len(head) < 16 or head[:4] != _MAGIC:
-            raise CheckpointError("bad magic: not an intentcf checkpoint")
-        version = struct.unpack("<I", head[4:8])[0]
-        if version != _VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version} (expected {_VERSION})")
-        hlen = struct.unpack("<Q", head[8:16])[0]
-        if size < 16 + hlen:
-            raise CheckpointError("header truncated")
-        blob = fh.read(hlen)
-        try:
-            header = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"header corrupt: {exc}") from None
-        _check_header(header)
-        payload_start = 16 + hlen
-        payload_bytes = header["payload_bytes"]
-        expected = payload_start + payload_bytes + len(_FOOTER)
-        if size < expected:
-            raise CheckpointError(f"payload truncated: file has {size} bytes, expected {expected}")
-        fh.seek(payload_start + payload_bytes)
-        if fh.read(len(_FOOTER)) != _FOOTER:
-            raise CheckpointError("footer missing or corrupt")
-        try:
-            cfg = TrainConfig.from_dict(header["config"])
-            cfg.validate()
-        except UsageError as exc:
-            raise CheckpointError(f"config section invalid: {exc}") from None
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror}") from None
+
+
+def _read_header(fh) -> tuple[dict, TrainConfig, int]:
+    """The checked header of an open checkpoint file, its config and the
+    offset where its array payload starts. The framing (magic, version,
+    lengths, footer) is checked, but no array is read; every failure names
+    the section."""
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(16)
+    if len(head) < 16 or head[:4] != _MAGIC:
+        raise CheckpointError("bad magic: not an intentcf checkpoint")
+    version = struct.unpack("<I", head[4:8])[0]
+    if version != _VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version} (expected {_VERSION})")
+    hlen = struct.unpack("<Q", head[8:16])[0]
+    if size < 16 + hlen:
+        raise CheckpointError("header truncated")
+    blob = fh.read(hlen)
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"header corrupt: {exc}") from None
+    _check_header(header)
+    payload_start = 16 + hlen
+    payload_bytes = header["payload_bytes"]
+    expected = payload_start + payload_bytes + len(_FOOTER)
+    if size < expected:
+        raise CheckpointError(f"payload truncated: file has {size} bytes, expected {expected}")
+    fh.seek(payload_start + payload_bytes)
+    if fh.read(len(_FOOTER)) != _FOOTER:
+        raise CheckpointError("footer missing or corrupt")
+    try:
+        cfg = TrainConfig.from_dict(header["config"])
+        cfg.validate()
+    except UsageError as exc:
+        raise CheckpointError(f"config section invalid: {exc}") from None
+    return header, cfg, payload_start
+
+
+def read_header(path: str) -> tuple[dict, TrainConfig]:
+    """The checked header and config of a checkpoint file, read without its
+    arrays."""
+    with _open(path) as fh:
+        header, cfg, _ = _read_header(fh)
+    return header, cfg
+
+
+def load_checkpoint(path: str) -> TrainerState:
+    """Strict inverse of save_checkpoint; every failure names the section."""
+    with _open(path) as fh:
+        header, cfg, payload_start = _read_header(fh)
         # each array is read straight into the buffer the model keeps; no
         # copy of the whole file is held
         arrays = {}

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intentcf import cli, data, synthetic
+from intentcf import cli, data, synthetic, training
 from intentcf.errors import IntentcfError, ParameterError
+from test_checkpoint_header import drop, put, rewrite_header
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +240,7 @@ class TestReports:
     @pytest.mark.parametrize("argv", [
         ["cooccur", "--shuffles", "0"],
         ["cooccur", "--shuffles", "-1"],
+        ["cooccur", "--shuffles", "10001"],
         ["recommend", "--similar-to", "i0", "--n", "-2"],
         ["recommend", "--user", "u0", "--intent", "0:nan"],
         ["recommend", "--user", "u0", "--intent", "0:inf,1:1"],
@@ -277,6 +279,30 @@ class TestSplitParts:
         assert cli.main(["eval", *serve, str(prep)]) == 1
         assert "test.tsv line" in capsys.readouterr().err
 
+    def test_id_only_commands_read_no_rating_file(self, world, tmp_path, capsys):
+        prep = tmp_path / "prep"
+        shutil.copytree(world["prep"], prep)
+        with open(prep / "train.tsv", "a", encoding="utf-8") as fh:
+            fh.write("u0\tno-such-item\t4.0\n")
+        serve = ["--checkpoint", world["ckpt"], "--data"]
+        for argv in (["recommend", "--similar-to", "i1", "--json"], ["cooccur", "--shuffles", "5"], ["channels"]):
+            assert cli.main([*argv, *serve, world["prep"]]) == 0
+            intact = capsys.readouterr().out
+            assert cli.main([*argv, *serve, str(prep)]) == 0, argv
+            assert capsys.readouterr().out == intact
+        for argv in (["recommend", "--user", "u1"], ["channels", "--user", "u1"]):
+            assert cli.main([*argv, *serve, str(prep)]) == 1
+            assert "train.tsv line" in capsys.readouterr().err
+
+    def test_id_only_commands_check_the_sizes(self, world, tmp_path, capsys):
+        prep = tmp_path / "prep"
+        shutil.copytree(world["prep"], prep)
+        with open(prep / "items.txt", "a", encoding="utf-8") as fh:
+            fh.write("extra-item\n")
+        for argv in (["recommend", "--similar-to", "i1"], ["cooccur"], ["channels"]):
+            assert cli.main([*argv, "--checkpoint", world["ckpt"], "--data", str(prep)]) == 2
+            assert "does not match" in capsys.readouterr().err
+
     def test_parts_must_include_train(self, world):
         with pytest.raises(ParameterError, match="train"):
             data.load_split(world["prep"], ("test",))
@@ -292,6 +318,47 @@ class TestArgumentRanges:
             small = capsys.readouterr().out
             assert cli.main([*argv, *serve, "--top" if argv[0] == "channels" else "--n", str(10**30)]) == 0
             assert capsys.readouterr().out.replace(str(10**30), "100000") == small
+
+
+class TestInspect:
+    def test_text_and_json_report_the_header(self, world, capsys):
+        state = training.load_checkpoint(world["ckpt"])
+        assert cli.main(["inspect", world["ckpt"]]) == 0
+        text = capsys.readouterr().out
+        assert f"config_hash: {state.cfg.config_hash()}" in text
+        assert f"users: {state.n_users}  items: {state.n_items}  k: 3  d: 4  l: 2" in text
+        assert f"epoch: {state.epoch}" in text and "psi.w0  " in text
+        assert cli.main(["inspect", world["ckpt"], "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["config_hash"] == state.cfg.config_hash()
+        assert payload["counters"]["adam_t"] == state.opt.t
+        assert [r["epoch"] for r in payload["history"]] == [r["epoch"] for r in state.history]
+        assert {a["name"] for a in payload["arrays"]} >= {p.name for p in state.all_parameters()}
+
+    def test_reads_no_array(self, world, capsys, monkeypatch):
+        def no_arrays(*args, **kwargs):
+            raise AssertionError("inspect read the arrays")
+
+        monkeypatch.setattr(training, "build_state", no_arrays)
+        monkeypatch.setattr(training, "load_checkpoint", no_arrays)
+        assert cli.main(["inspect", world["ckpt"]]) == 0
+        assert "arrays:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("edit", [drop("counters"), put(-8, "payload_bytes"), put("abc", "config", "k")])
+    def test_malformed_header_exits_1(self, world, tmp_path, capsys, edit):
+        bad = tmp_path / "bad.ckpt"
+        with open(world["ckpt"], "rb") as fh:
+            bad.write_bytes(rewrite_header(fh.read(), edit))
+        assert cli.main(["inspect", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "section invalid" in captured.err
+        assert captured.out == ""
+
+    def test_unreadable_or_missing_checkpoint(self, tmp_path, capsys):
+        assert cli.main(["inspect", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read checkpoint")
+        assert cli.main(["inspect", str(tmp_path / "none.ckpt")]) == 2
+        assert "checkpoint not found" in capsys.readouterr().err
 
 
 PREPARED_FILES = ("train.tsv", "valid.tsv", "test.tsv", "users.txt", "items.txt")

@@ -166,6 +166,53 @@ class TestEvaluate:
         assert not set(split.train.rows[0][0].tolist()) & set(ranked.tolist())
 
 
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A small trained model over more users than one default group holds."""
+    from intentcf import synthetic
+
+    sd = synthetic.planted_channel_data(n_users=150, n_items=60, n_channels=3, seed=4)
+    ds = dt.split_per_user(dt.filter_min_interactions(sd.rating_matrix(), 10), seed=1)
+    cfg = tr.TrainConfig(k=3, d=4, l=2, intent_hidden=8, item_hidden=8, pref_hidden=8,
+                         batch_size=32, pretrain_epochs=1, unified_epochs=2, seed=3)
+    res = tr.train(ds, cfg, str(tmp_path_factory.mktemp("groups_run")))
+    return tr.scorer_from_state(tr.load_checkpoint(res.last_checkpoint)), ds
+
+
+class TestEvaluateGroups:
+    def test_report_does_not_depend_on_group_size(self, trained):
+        scorer, ds = trained
+        cutoffs = (1, 5, 10)
+        reports = {chunk: ev.evaluate(scorer, ds, cutoffs=cutoffs, chunk=chunk) for chunk in (1, 7, 64, 512)}
+        base = reports[512]
+        assert base.n_users > 64 and base.values["recall"][10] > 0
+        for chunk, report in reports.items():
+            assert report.n_users == base.n_users, chunk
+            for m in ev.METRICS:
+                for k in cutoffs:
+                    assert report.values[m][k] == pytest.approx(base.values[m][k], abs=1e-12), (chunk, m, k)
+
+    def test_default_groups_hold_at_most_64_users(self, trained, monkeypatch):
+        scorer, ds = trained
+        blended, rank = ev.Scorer.blended_scores, ev.rank_items
+        sizes = {"blended_scores": [], "rank_items": []}
+
+        def counted_blended(self, train, users):
+            sizes["blended_scores"].append(len(users))
+            return blended(self, train, users)
+
+        def counted_rank(scores, exclude, k_cut):
+            sizes["rank_items"].append(scores.shape[0])
+            return rank(scores, exclude, k_cut)
+
+        monkeypatch.setattr(ev.Scorer, "blended_scores", counted_blended)
+        monkeypatch.setattr(ev, "rank_items", counted_rank)
+        report = ev.evaluate(scorer, ds)
+        assert max(sizes["blended_scores"]) == 64 and max(sizes["rank_items"]) <= 64
+        assert sum(sizes["blended_scores"]) == ds.train.n_users
+        assert sum(sizes["rank_items"]) == report.n_users
+
+
 def reference_pair_success_rate(groups, genre_sets):
     """The pooled and per-group shared-genre pair rates, pair by pair."""
     total_pairs = 0
@@ -249,6 +296,13 @@ class TestCooccurrence:
     def test_shuffles_must_be_positive(self, shuffles):
         with pytest.raises(ParameterError, match="shuffles must be >= 1"):
             ev.cooccurrence_rate(np.ones((5, 2)), [frozenset({"g"})] * 5, top_t=2, shuffles=shuffles)
+
+    def test_shuffles_are_bounded(self):
+        genres = [frozenset({"g"})] * 5
+        report = ev.cooccurrence_rate(np.ones((5, 2)), genres, top_t=2, shuffles=ev.MAX_SHUFFLES)
+        assert report.shuffles == 10_000
+        with pytest.raises(ParameterError, match="at most 10000"):
+            ev.cooccurrence_rate(np.ones((5, 2)), genres, top_t=2, shuffles=10_001)
 
 
 class TestScorerPaths:
