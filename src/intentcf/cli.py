@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inspect", help="print a checkpoint's header without reading its arrays", parents=[common])
     p.add_argument("checkpoint")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
+    p.set_defaults(out=None)
     return parser
 
 

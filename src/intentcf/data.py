@@ -413,7 +413,8 @@ def _require_files(in_dir: str, fnames) -> None:
 
 def load_ids(in_dir: str) -> tuple[list[str], list[str]]:
     """The user and item ids of a directory written by save_split, for a
-    command that needs no ratings; no rating file is read."""
+    command that needs no ratings; no rating file is read, and manifest.txt
+    must exist but is not parsed."""
     _require_files(in_dir, [])
     return _read_ids(in_dir, "users.txt")[0], _read_ids(in_dir, "items.txt")[0]
 
