@@ -40,7 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON config file; flags override it")
     p.add_argument("--variant", choices=["ddcf", "ddcf-n", "ddcf-s", "k1-baseline"], default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--skip-pretrain", action="store_true")
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override any config key (repeatable)")
@@ -217,20 +216,16 @@ def cmd_train(args) -> int:
             raise UsageError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise UsageError("config file must hold a JSON object")
-    data_dir = file_cfg.pop("data_dir", None) or args.data
-    file_cfg.pop("out_dir", None)
     file_cfg.update(_parse_set_overrides(args.set))
     if args.variant is not None:
         file_cfg["variant"] = args.variant
     if args.seed is not None:
         file_cfg["seed"] = args.seed
-    if args.skip_pretrain:
-        file_cfg["skip_pretrain"] = True
     cfg = TrainConfig.from_dict(file_cfg)
     cfg.validate()
-    if not os.path.isdir(data_dir):
-        raise UsageError(f"prepared data directory not found: {data_dir}")
-    split = load_split(data_dir)
+    if not os.path.isdir(args.data):
+        raise UsageError(f"prepared data directory not found: {args.data}")
+    split = load_split(args.data)
     log = None if args.quiet else lambda r: print(
         f"[{r['stage']:>8} {r['epoch']:>3}] total={r['total']:.1f} "
         f"val={r.get('val_recall_at_10', float('nan')):.4f} tau={r['tau']:.3f} eta={r['eta']:.3f}"

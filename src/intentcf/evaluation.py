@@ -138,7 +138,7 @@ class Scorer:
 def rank_items(scores: np.ndarray, exclude, k_cut: int) -> np.ndarray:
     """The k_cut best-scored items of each row of scores (B, M), the row's
     ``exclude`` items (its training items) left out, ties broken by item
-    index: (B, k_cut), -1 padding a row with fewer candidates."""
+    index: (B, min(k_cut, M)), -1 padding a row with fewer candidates."""
     if not (is_int(k_cut) and k_cut >= 1):
         raise ParameterError(f"cutoff must be >= 1 and an integer, got {k_cut}")
     return top_n(scores, k_cut, exclude)
@@ -150,18 +150,19 @@ def _index_array(items) -> np.ndarray:
 
 def metrics_at_k(ranked_items: np.ndarray, positives, k: int):
     """(P@k, R@k, AP@k, NDCG@k) with binary relevance, each a (B,) array,
-    for B ranked lists: ranked_items is (B, n) (-1 pads a short list) and
-    positives holds one collection of item indices per row.
+    for B ranked lists: ranked_items is (B, n) (-1 pads a short list; a list
+    shorter than k has no hits past its end) and positives holds one
+    collection of item indices per row.
 
     AP normalizes by min(|positives|, k); NDCG uses 1/log2(rank+1) gains with
     the ideal ranking placing min(|positives|, k) hits first.
     """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+    if not (is_int(k) and k >= 1):
+        raise ParameterError(f"k must be >= 1 and an integer, got {k}")
     ranked = np.asarray(ranked_items, dtype=np.intp)
     b = ranked.shape[0]
-    top = np.full((b, k), -1, dtype=np.intp)
-    top[:, : min(k, ranked.shape[1])] = ranked[:, :k]
+    # an empty list is one column of padding
+    top = ranked[:, :k] if ranked.shape[1] else np.full((b, 1), -1, dtype=np.intp)
     pos = [_index_array(p) for p in positives]
     pos_rows = np.repeat(np.arange(b), [p.size for p in pos])
     pos_items = np.concatenate(pos)
@@ -174,14 +175,14 @@ def metrics_at_k(ranked_items: np.ndarray, positives, k: int):
         raise ParameterError("metrics need at least one positive item")
     top_keys = np.arange(b)[:, None] * width + top + 1
     hit = keys[np.minimum(np.searchsorted(keys, top_keys), keys.size - 1)] == top_keys
-    ranks = np.arange(1, k + 1)
+    ranks = np.arange(1, top.shape[1] + 1)
     hits = hit.sum(axis=1)
-    n_ideal = np.minimum(n_pos, k)
+    n_ideal = np.minimum(n_pos, min(k, int(n_pos.max())))  # k may exceed any int64
     gains = 1.0 / np.log2(ranks + 1)
     # running sums add in rank order, as a per-user loop would
     ap = np.cumsum(hit * np.cumsum(hit, axis=1) / ranks, axis=1)[:, -1] / n_ideal
     dcg = np.cumsum(hit * gains, axis=1)[:, -1]
-    idcg = np.cumsum(gains)[n_ideal - 1]
+    idcg = np.cumsum(1.0 / np.log2(np.arange(2, n_ideal.max() + 2)))[n_ideal - 1]
     return hits / k, hits / n_pos, ap, dcg / idcg
 
 
@@ -231,7 +232,8 @@ def evaluate(
     chunk: int = 64,
 ) -> MetricReport:
     """Mean ranking metrics over users holding >= 1 positive test item. A
-    cutoff is an integer from 1 to the number of items.
+    cutoff is an integer from 1 to the number of items, ``chunk`` an integer
+    >= 1.
 
     Users are scored, ranked and measured in groups of ``chunk``. A group is
     encoded over its own item union and ranks a (chunk, M) score array, so
@@ -242,6 +244,8 @@ def evaluate(
     bad = [k for k in cutoffs if not (is_int(k) and 1 <= k <= train.n_items)]
     if bad or not cutoffs:
         raise ParameterError(f"cutoffs must be integers from 1 to the {train.n_items} items, got {tuple(cutoffs)}")
+    if not (is_int(chunk) and chunk >= 1):
+        raise ParameterError(f"chunk must be >= 1 and an integer, got {chunk}")
     users = np.arange(train.n_users) if users is None else np.asarray(users)
     kmax = max(cutoffs)
     per_user = {m: {k: [] for k in cutoffs} for m in METRICS}
@@ -330,8 +334,8 @@ def cooccurrence_rate(
 
     channel_item is (M, K): column k scores the items of channel k.
     """
-    if top_t < 2:
-        raise ParameterError(f"top_t must be >= 2 to form pairs, got {top_t}")
+    if not (is_int(top_t) and top_t >= 2):
+        raise ParameterError(f"top_t must be >= 2 to form pairs and an integer, got {top_t}")
     if not (is_int(shuffles) and 1 <= shuffles <= MAX_SHUFFLES):
         raise ParameterError(f"shuffles must be >= 1, at most {MAX_SHUFFLES} and an integer, got {shuffles}")
     if not (is_int(seed) and seed >= 0):

@@ -10,8 +10,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .checks import is_int
 from .data import Cells
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError
 from .nn import (
     MlpParams,
     diag_gaussian_kl,
@@ -138,7 +139,7 @@ class IntentLossParts:
     total: Tensor
     recon: Tensor
     kl: Tensor
-    gamma: Tensor  # first-sample channel distributions, (B, K)
+    gamma: Tensor  # sampled channel distributions, (B, K)
 
 
 def intent_elbo_loss(
@@ -148,38 +149,23 @@ def intent_elbo_loss(
     noise: np.ndarray,
     eta: float,
     tau: float,
-    mc_samples: int = 1,
 ) -> IntentLossParts:
     """Negative ELBO of the intent network over a batch of binary cells x:
     the encoder reads them as dense rows, the reconstruction only at the
     cells.
 
-    noise has shape (H, B, K) or (B, K); the reconstruction is averaged over
-    the H Monte Carlo samples while the KL stays analytic.
+    noise (B, K) draws one reparameterized sample per user; the KL is
+    analytic.
     """
     if eta < 0:
         raise ParameterError(f"eta must be nonnegative, got {eta}")
-    if mc_samples < 1:
-        raise ParameterError(f"mc_samples must be >= 1, got {mc_samples}")
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.ndim == 2:
-        noise = noise[None]
-    if noise.shape[0] < mc_samples:
-        raise ShapeError(f"noise provides {noise.shape[0]} samples, need {mc_samples}")
     mu, logvar = encode_gaussian(model.encoder_psi, x.dense())
     beta = model.beta()
-    recon = None
-    gamma0 = None
-    for h in range(mc_samples):
-        gamma = sample_gamma(mu, logvar, noise[h], tau)
-        if gamma0 is None:
-            gamma0 = gamma
-        term = multinomial_recon_loss(x, gamma, beta)
-        recon = term if recon is None else ad.add(recon, term)
-    recon = ad.mul(recon, 1.0 / mc_samples)
+    gamma = sample_gamma(mu, logvar, noise, tau)
+    recon = multinomial_recon_loss(x, gamma, beta)
     kl = diag_gaussian_kl(mu, logvar, prior.mu, prior.sigma_diag)
     total = ad.add(recon, ad.mul(kl, eta))
-    return IntentLossParts(total, recon, kl, gamma0)
+    return IntentLossParts(total, recon, kl, gamma)
 
 
 def item_intent_kl_loss(phi: Tensor, gamma: Tensor, x: Cells) -> Tensor:
@@ -202,7 +188,7 @@ def item_intent_kl_loss(phi: Tensor, gamma: Tensor, x: Cells) -> Tensor:
 def top_items_per_channel(beta_values: np.ndarray, top_t: int) -> list[list[tuple[int, float]]]:
     """For each channel (column), the top_t items by probability, ties broken
     by item index."""
-    if top_t < 1:
-        raise ParameterError(f"top_t must be >= 1, got {top_t}")
-    top = top_n(beta_values.T, min(top_t, beta_values.shape[0]))  # -1 past the last item
-    return [[(int(j), float(beta_values[j, c])) for j in row if j >= 0] for c, row in enumerate(top)]
+    if not (is_int(top_t) and top_t >= 1):
+        raise ParameterError(f"top_t must be >= 1 and an integer, got {top_t}")
+    top = top_n(beta_values.T, top_t)
+    return [[(int(j), float(beta_values[j, c])) for j in row] for c, row in enumerate(top)]

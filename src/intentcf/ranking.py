@@ -11,15 +11,15 @@ def top_n(scores: np.ndarray, n: int, exclude=None) -> np.ndarray:
     index ascending; NaN scores rank last and excluded indices never appear.
 
     ``scores`` (B, M) ranks each row, with ``exclude`` one index list per row,
-    and returns (B, n) indices where -1 pads a row left with fewer than n
-    candidates.
+    and returns (B, min(n, M)) indices where -1 pads a row left with fewer
+    candidates than that.
 
     A partition cut at each row's n-th best score keeps every candidate tied
     with it, so only those are sorted.
     """
     scores = np.asarray(scores, dtype=np.float64)
     b, m = scores.shape
-    n = max(n, 0)
+    n = min(max(n, 0), m)
     neg = -scores  # row r, column c sits at r * m + c of neg.ravel()
     flat_neg = neg.ravel()
     if exclude is not None:

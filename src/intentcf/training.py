@@ -56,14 +56,13 @@ _FIELD_TYPES = {
     "int": (is_int, "an integer"),
     "float": (is_finite, "a finite number"),
     "float | None": (lambda v: v is None or is_finite(v), "a finite number or null"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
 }
 
 # Former options, each with the one value every run used. Checkpoint headers
 # and config files written while they existed carry them.
 _RETIRED = {"prob_floor": 1e-10, "include_positive_pair": False, "detach_tailored": False,
-            "pref_zero_negatives": False, "pref_target_raw": False}
+            "pref_zero_negatives": False, "pref_target_raw": False, "skip_pretrain": False, "mc_samples": 1}
 
 
 @dataclass
@@ -91,11 +90,9 @@ class TrainConfig:
     unified_epochs: int = 100
     patience: int = 10
     seed: int = 0
-    mc_samples: int = 1
     node_dropout: float = 0.1
     edge_dropout: float = 0.1
     intent_min_rating: float | None = None
-    skip_pretrain: bool = False
     variant: str = "ddcf"
 
     def validate(self) -> None:
@@ -117,11 +114,8 @@ class TrainConfig:
             raise UsageError("all layer widths must be >= 1")
         if self.pretrain_epochs < 0 or self.unified_epochs < 0:
             raise UsageError("epoch counts must be >= 0")
-        if _effective_pretrain_epochs(self) + self.unified_epochs < 1:
-            raise UsageError("a run needs at least one epoch: pretrain_epochs (0 under skip_pretrain) plus "
-                             "unified_epochs is 0")
-        if self.mc_samples < 1:
-            raise UsageError(f"mc_samples must be >= 1, got {self.mc_samples}")
+        if self.pretrain_epochs + self.unified_epochs < 1:
+            raise UsageError("a run needs at least one epoch: pretrain_epochs plus unified_epochs is 0")
         for name in ("node_dropout", "edge_dropout"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
@@ -272,8 +266,8 @@ def compute_batch_losses(state: TrainerState, batch: ItemBatch, eta: float, tau:
     xb, rb, items = batch.binary, batch.ratings, batch.items
     b = rb.shape[0]
     intent = state.intent.over(items)
-    noise_i = _stream_rng(cfg.seed, _NOISE_INTENT, step).standard_normal((cfg.mc_samples, b, cfg.k))
-    l1 = intent_elbo_loss(intent, state.prior, xb, noise_i, eta, tau, cfg.mc_samples)
+    noise_i = _stream_rng(cfg.seed, _NOISE_INTENT, step).standard_normal((b, cfg.k))
+    l1 = intent_elbo_loss(intent, state.prior, xb, noise_i, eta, tau)
     phi = item_intents(intent, tau)
     l2 = item_intent_kl_loss(phi, l1.gamma, xb)
     total = ad.add(l1.total, ad.mul(l2, cfg.lambda2))
@@ -323,15 +317,11 @@ class TrainResult:
     best_epoch: int
 
 
-def _effective_pretrain_epochs(cfg: TrainConfig) -> int:
-    return 0 if cfg.skip_pretrain else cfg.pretrain_epochs
-
-
 def run_epoch(state: TrainerState, data: SplitDataset, x_bin: BinaryMatrix, epoch: int, stage: str) -> dict:
     """One pass over the training users; returns the epoch record."""
     cfg = state.cfg
     n = state.n_users
-    total_epochs = _effective_pretrain_epochs(cfg) + cfg.unified_epochs
+    total_epochs = cfg.pretrain_epochs + cfg.unified_epochs
     _, tau = warmup(epoch, cfg.kappa, cfg.eta_max, cfg.tau_start, cfg.tau_end, max(total_epochs - 1, 1))
     state.tau = tau
     perm = _stream_rng(cfg.seed, _SHUFFLE, epoch).permutation(n)
@@ -402,14 +392,13 @@ def train(
         cfg.validate()
         state = build_state(cfg, data.train.n_users, data.train.n_items)
     x_bin = binarize(data.train, cfg.intent_min_rating)
-    eff_pre = _effective_pretrain_epochs(cfg)
-    total_epochs = eff_pre + cfg.unified_epochs
+    total_epochs = cfg.pretrain_epochs + cfg.unified_epochs
     best_path = os.path.join(out_dir, "best.ckpt")
     last_path = os.path.join(out_dir, "last.ckpt")
     t_start = time.time()
     stopped_early = False
     for epoch in range(state.epoch, total_epochs):
-        stage = "pretrain" if epoch < eff_pre else "unified"
+        stage = "pretrain" if epoch < cfg.pretrain_epochs else "unified"
         record = run_epoch(state, data, x_bin, epoch, stage)
         improved = False
         if stage == "unified":
@@ -453,7 +442,7 @@ def _write_manifest(state: TrainerState, out_dir: str, wall: float, stopped_earl
         f"items: {state.n_items}",
         f"config: {json.dumps(cfg.to_dict(), sort_keys=True)}",
     ]
-    if cfg.skip_pretrain:
+    if cfg.pretrain_epochs == 0:
         lines.append("warning: pretraining skipped; joint training may converge to a poor local optimum")
     if resume_from:
         lines.append(f"resumed_from: {resume_from}")

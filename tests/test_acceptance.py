@@ -149,7 +149,7 @@ def test_criterion_1_gradient_checks():
     # the item-intent KL applies a stop-gradient to gamma, so its oracle
     # evaluates the loss with gamma frozen at the base point; the analytic
     # gradients of the frozen and live paths must agree exactly
-    noise = tr._stream_rng(state.cfg.seed, 2, step).standard_normal((1, 4, 3))
+    noise = tr._stream_rng(state.cfg.seed, 2, step).standard_normal((4, 3))
     gamma_frozen = Tensor(
         it.intent_elbo_loss(state.intent, state.prior, batch.binary, noise, eta, tau).gamma.data
     )

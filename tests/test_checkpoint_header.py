@@ -124,10 +124,10 @@ def test_header_without_history_loads_an_empty_history(run, tmp_path):
     assert tr.load_checkpoint(str(old)).history == []
 
 
-# the five config keys retired from TrainConfig, at the values every run
+# the seven config keys retired from TrainConfig, at the values every run
 # used while they existed
 RETIRED = {"prob_floor": 1e-10, "include_positive_pair": False, "detach_tailored": False,
-           "pref_zero_negatives": False, "pref_target_raw": False}
+           "pref_zero_negatives": False, "pref_target_raw": False, "skip_pretrain": False, "mc_samples": 1}
 
 
 def with_config(**extra):

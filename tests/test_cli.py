@@ -113,7 +113,8 @@ class TestTrainCli:
         assert code == 2
         assert "bogus_key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("setting", ["k=abc", "batch_size=1.5", "skip_pretrain=1", "pref_zero_negatives=true"])
+    @pytest.mark.parametrize("setting", ["k=abc", "batch_size=1.5", "skip_pretrain=1", "pref_zero_negatives=true",
+                                         "mc_samples=2"])
     def test_mistyped_or_retired_value_exit_2(self, world, tmp_path, capsys, setting):
         code = cli.main(["train", "--data", world["prep"], "--out", str(tmp_path / "o"), "--set", setting])
         assert code == 2
@@ -150,7 +151,6 @@ class TestTrainCli:
     def test_skip_pretrain_warning(self, world, tmp_path):
         out = str(tmp_path / "run")
         code = cli.main(["train", "--data", world["prep"], "--out", out, "--quiet",
-                         "--skip-pretrain",
                          "--set", "k=3", "--set", "d=4", "--set", "intent_hidden=8",
                          "--set", "item_hidden=8", "--set", "pref_hidden=8",
                          "--set", "batch_size=40", "--set", "unified_epochs=1",
@@ -158,15 +158,29 @@ class TestTrainCli:
         assert code == 0
         assert "pretraining skipped" in open(os.path.join(out, "run_manifest.txt")).read()
 
-    @pytest.mark.parametrize("skip", [[], ["--skip-pretrain"]])
-    def test_zero_epoch_run_exits_2(self, world, tmp_path, capsys, skip):
+    def test_zero_epoch_run_exits_2(self, world, tmp_path, capsys):
         out = tmp_path / "run"
-        code = cli.main(["train", "--data", world["prep"], "--out", str(out), "--quiet", *skip,
-                         "--set", "pretrain_epochs=0" if not skip else "pretrain_epochs=3",
-                         "--set", "unified_epochs=0"])
+        code = cli.main(["train", "--data", world["prep"], "--out", str(out), "--quiet",
+                         "--set", "pretrain_epochs=0", "--set", "unified_epochs=0"])
         assert code == 2
         assert "at least one epoch" in capsys.readouterr().err
         assert not (out / "best.ckpt").exists()
+
+    def test_skip_pretrain_flag_is_gone(self, world, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--data", world["prep"], "--out", str(tmp_path / "o"), "--skip-pretrain"])
+        assert exc.value.code == 2
+        assert "--skip-pretrain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["data_dir", "out_dir"])
+    def test_directory_keys_in_config_file_exit_2(self, world, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: world["prep"], "pretrain_epochs": 1, "unified_epochs": 1}))
+        out = tmp_path / "o"
+        code = cli.main(["train", "--data", world["prep"], "--out", str(out), "--config", str(cfg), "--quiet"])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReports:

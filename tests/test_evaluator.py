@@ -63,6 +63,16 @@ class TestMetricsAtK:
         with pytest.raises(ParameterError):
             ev.metrics_at_k(np.array([[1, 2]]), [set()], 2)
 
+    def test_non_integer_k_rejected(self):
+        with pytest.raises(ParameterError, match="k must be >= 1 and an integer"):
+            ev.metrics_at_k(np.array([[1, 2]]), [{1}], 2.5)
+
+    def test_k_beyond_any_list_counts_the_listed_hits(self):
+        ranked = np.array([[10, 11, 12]])
+        (p,), (r,), (ap,), (ndcg,) = ev.metrics_at_k(ranked, [{10, 12}], 10**30)
+        assert (p, r, ap) == pytest.approx((2e-30, 1.0, 0.5 * (1.0 + 2.0 / 3.0)), rel=1e-12)
+        assert ndcg == ev.metrics_at_k(ranked, [{10, 12}], 3)[3][0]
+
 
 def rank_one(scores, exclude, k):
     """rank_items for one row of scores, padding dropped."""
@@ -83,6 +93,11 @@ class TestRankItems:
 
     def test_truncation(self):
         np.testing.assert_array_equal(rank_one(np.arange(10.0), np.array([], dtype=int), 3), [9, 8, 7])
+
+    def test_cutoff_beyond_the_items_lists_every_item(self):
+        scores = np.array([[5.0, 4.0, 3.0], [1.0, 2.0, 3.0]])
+        ranked = ev.rank_items(scores, [np.array([0]), np.array([], dtype=np.intp)], 10**30)
+        np.testing.assert_array_equal(ranked, [[1, 2, -1], [2, 1, 0]])
 
 
 def perfect_split(n_users=3, n_items=9):
@@ -156,6 +171,12 @@ class TestEvaluate:
         report = ev.evaluate(HalfScorer(positives, 9), split, cutoffs=(1,))
         assert report.n_users == 3
         assert report.values["recall"][1] == pytest.approx(2 / 3, abs=1e-12)
+
+    @pytest.mark.parametrize("chunk", [0, -1, 2.5])
+    def test_group_size_must_be_a_positive_integer(self, chunk):
+        split, positives = perfect_split()
+        with pytest.raises(ParameterError, match="chunk must be >= 1 and an integer"):
+            ev.evaluate(OracleScorer(positives, 9), split, cutoffs=(1,), chunk=chunk)
 
     def test_training_items_never_ranked(self):
         split, positives = perfect_split()
@@ -291,6 +312,10 @@ class TestCooccurrence:
     def test_top_t_must_pair(self):
         with pytest.raises(ParameterError):
             ev.cooccurrence_rate(np.ones((5, 2)), [frozenset({"g"})] * 5, top_t=1)
+
+    def test_non_integer_top_t_rejected(self):
+        with pytest.raises(ParameterError, match="top_t must be >= 2 to form pairs and an integer"):
+            ev.cooccurrence_rate(np.ones((5, 2)), [frozenset({"g"})] * 5, top_t=2.5)
 
     @pytest.mark.parametrize("shuffles", [0, -1])
     def test_shuffles_must_be_positive(self, shuffles):

@@ -164,20 +164,6 @@ class TestIntentElbo:
         parts = it.intent_elbo_loss(model, prior, cells(x), noise, eta=0.7, tau=0.5)
         assert parts.total.item() == pytest.approx(parts.recon.item() + 0.7 * parts.kl.item(), rel=1e-12)
 
-    def test_multi_sample_reconstruction_averages(self):
-        model = tiny_model(seed=21)
-        prior = it.laplace_prior(np.ones(3))
-        x = np.zeros((2, 6))
-        x[0, [0, 1]] = 1.0
-        x[1, [3]] = 1.0
-        noise = np.random.default_rng(1).standard_normal((3, 2, 3))
-        multi = it.intent_elbo_loss(model, prior, cells(x), noise, eta=0.0, tau=0.5, mc_samples=3)
-        singles = [
-            it.intent_elbo_loss(model, prior, cells(x), noise[h], eta=0.0, tau=0.5).recon.item()
-            for h in range(3)
-        ]
-        assert multi.recon.item() == pytest.approx(np.mean(singles), rel=1e-12)
-
     def test_monte_carlo_matches_analytic_kl(self):
         # acceptance-style oracle at small scale: 5 random diagonal pairs
         rng = np.random.default_rng(42)
@@ -252,3 +238,12 @@ class TestTopItems:
     def test_rejects_bad_top(self):
         with pytest.raises(ParameterError):
             it.top_items_per_channel(np.ones((3, 2)), 0)
+
+    def test_rejects_non_integer_top(self):
+        with pytest.raises(ParameterError, match="top_t must be >= 1 and an integer"):
+            it.top_items_per_channel(np.ones((3, 2)), 2.5)
+
+    def test_top_beyond_the_items_lists_every_item(self):
+        beta = np.array([[0.5, 0.2], [0.3, 0.2], [0.2, 0.6]])
+        top = it.top_items_per_channel(beta, 10**30)
+        assert [[j for j, _ in channel] for channel in top] == [[0, 1, 2], [2, 0, 1]]

@@ -28,19 +28,13 @@ from cell_fixtures import full_batch
 from gradcheck import full_gradients
 
 
-def dense_intent_elbo(model, prior, x, noise, eta, tau, mc_samples):
+def dense_intent_elbo(model, prior, x, noise, eta, tau):
     mu, logvar = encode_gaussian(model.encoder_psi, x)
-    beta = model.beta()
-    recon, gamma0 = None, None
-    for h in range(mc_samples):
-        gamma = sample_gamma(mu, logvar, noise[h], tau)
-        gamma0 = gamma if gamma0 is None else gamma0
-        probs = ad.matmul(gamma, ad.transpose(beta))
-        term = ad.mul(ad.tsum(ad.mul(Tensor(x), ad.log(ad.clip_min(probs, PROB_FLOOR)))), -1.0)
-        recon = term if recon is None else ad.add(recon, term)
-    recon = ad.mul(recon, 1.0 / mc_samples)
+    gamma = sample_gamma(mu, logvar, noise, tau)
+    probs = ad.matmul(gamma, ad.transpose(model.beta()))
+    recon = ad.mul(ad.tsum(ad.mul(Tensor(x), ad.log(ad.clip_min(probs, PROB_FLOOR)))), -1.0)
     kl = diag_gaussian_kl(mu, logvar, prior.mu, prior.sigma_diag)
-    return ad.add(recon, ad.mul(kl, eta)), kl, gamma0
+    return ad.add(recon, ad.mul(kl, eta)), kl, gamma
 
 
 def dense_item_intent_kl(phi, gamma, x):
@@ -70,8 +64,8 @@ def dense_batch_losses(state, xb, rb, eta, tau, step, stage):
     """All loss terms over dense (B, M) rows and the full models."""
     cfg = state.cfg
     b = xb.shape[0]
-    noise_i = tr._stream_rng(cfg.seed, tr._NOISE_INTENT, step).standard_normal((cfg.mc_samples, b, cfg.k))
-    l1, kl_intent, gamma = dense_intent_elbo(state.intent, state.prior, xb, noise_i, eta, tau, cfg.mc_samples)
+    noise_i = tr._stream_rng(cfg.seed, tr._NOISE_INTENT, step).standard_normal((b, cfg.k))
+    l1, kl_intent, gamma = dense_intent_elbo(state.intent, state.prior, xb, noise_i, eta, tau)
     phi = item_intents(state.intent, tau)
     l2 = dense_item_intent_kl(phi, gamma, xb)
     total = ad.add(l1, ad.mul(l2, cfg.lambda2))
@@ -121,7 +115,6 @@ def worlds(draw):
 
 CONFIGS = st.fixed_dictionaries({
     "variant": st.sampled_from(tr.VARIANTS),
-    "mc_samples": st.integers(1, 2),
     # node dropout 1 zeroes every augmented row, so each dropout view is a
     # tailored row of norm zero
     "node_dropout": st.sampled_from([0.1, 1.0]),
@@ -337,7 +330,7 @@ class TestTopN:
     @settings(max_examples=200, deadline=None)
     def test_rows_match_per_row_lexsort(self, case):
         scores, exclude, n = case
-        want = np.full((scores.shape[0], n), -1)
+        want = np.full((scores.shape[0], min(n, scores.shape[1])), -1)
         for r in range(scores.shape[0]):
             row = lexsort_top(scores[r], n, exclude[r])
             want[r, : row.size] = row

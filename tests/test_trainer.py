@@ -81,38 +81,38 @@ class TestConfig:
 
     @pytest.mark.parametrize("key,value", [
         ("k", "abc"), ("k", True), ("k", 3.0), ("batch_size", 1.5), ("tau_c", "0.2"), ("lambda2", None),
-        ("learning_rate", math.nan), ("eta_max", math.inf), ("lambda2", 10**400), ("skip_pretrain", 1), ("variant", 3),
+        ("learning_rate", math.nan), ("eta_max", math.inf), ("lambda2", 10**400), ("variant", 3),
         ("intent_min_rating", "4"), ("intent_min_rating", False),
     ])
     def test_mistyped_values_rejected(self, key, value):
         with pytest.raises(UsageError, match=f"config key '{key}' needs"):
             tr.TrainConfig.from_dict({key: value})
 
-    @pytest.mark.parametrize("epochs", [dict(pretrain_epochs=0, unified_epochs=0),
-                                        dict(pretrain_epochs=5, unified_epochs=0, skip_pretrain=True)])
-    def test_zero_effective_epochs_rejected(self, epochs):
+    def test_zero_epochs_rejected(self):
         with pytest.raises(UsageError, match="at least one epoch"):
-            small_cfg(**epochs).validate()
-        small_cfg(**{**epochs, "unified_epochs": 1}).validate()
+            small_cfg(pretrain_epochs=0, unified_epochs=0).validate()
+        small_cfg(pretrain_epochs=0, unified_epochs=1).validate()
 
     def test_values_of_the_field_type_accepted(self):
         cfg = tr.TrainConfig.from_dict({"k": 4, "tau_c": 1, "lambda2": 0.5, "intent_min_rating": None,
-                                        "skip_pretrain": True, "variant": "ddcf-s"})
-        assert (cfg.k, cfg.tau_c, cfg.intent_min_rating, cfg.skip_pretrain) == (4, 1, None, True)
+                                        "variant": "ddcf-s"})
+        assert (cfg.k, cfg.tau_c, cfg.intent_min_rating, cfg.variant) == (4, 1, None, "ddcf-s")
         assert tr.TrainConfig.from_dict({"intent_min_rating": 3}).intent_min_rating == 3
         assert tr.TrainConfig.from_dict(small_cfg().to_dict()) == small_cfg()
 
     def test_retired_keys_load_only_at_their_former_value(self):
         former = {"prob_floor": 1e-10, "include_positive_pair": False, "detach_tailored": False,
-                  "pref_zero_negatives": False, "pref_target_raw": False}
+                  "pref_zero_negatives": False, "pref_target_raw": False, "skip_pretrain": False, "mc_samples": 1}
         assert tr.TrainConfig.from_dict({**former, "k": 4}) == tr.TrainConfig(k=4)
         for key, value in [("prob_floor", 1e-8), ("include_positive_pair", True), ("detach_tailored", 0),
-                           ("pref_zero_negatives", True), ("pref_target_raw", None)]:
+                           ("pref_zero_negatives", True), ("pref_target_raw", None), ("skip_pretrain", True),
+                           ("skip_pretrain", 1), ("mc_samples", 2), ("mc_samples", 1.0)]:
             with pytest.raises(UsageError, match=f"config key '{key}' is retired"):
                 tr.TrainConfig.from_dict({**former, key: value})
 
     @given(st.dictionaries(
-        st.sampled_from([f.name for f in dataclasses.fields(tr.TrainConfig)] + ["prob_floor", "detach_tailored"]),
+        st.sampled_from([f.name for f in dataclasses.fields(tr.TrainConfig)]
+                        + ["prob_floor", "detach_tailored", "skip_pretrain", "mc_samples"]),
         st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
                      lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
                                                                                   max_size=3),
@@ -369,7 +369,7 @@ class TestSchedulesInTraining:
 
     def test_skip_pretrain_flagged_in_manifest(self, tmp_path):
         split = small_split()
-        res = tr.train(split, small_cfg(skip_pretrain=True, unified_epochs=2), str(tmp_path / "run"))
+        res = tr.train(split, small_cfg(pretrain_epochs=0, unified_epochs=2), str(tmp_path / "run"))
         manifest = open(res.manifest_path, encoding="utf-8").read()
         assert "pretraining skipped" in manifest
         assert all(r["stage"] == "unified" for r in res.history)
