@@ -199,7 +199,7 @@ def _parse_set_overrides(pairs: list[str]) -> dict:
 
 def cmd_train(args) -> int:
     from .data import load_split
-    from .training import TrainConfig, train
+    from .training import TrainConfig, read_header, resolve_variant, train
 
     file_cfg: dict = {}
     if args.config:
@@ -223,6 +223,14 @@ def cmd_train(args) -> int:
         file_cfg["seed"] = args.seed
     cfg = TrainConfig.from_dict(file_cfg)
     cfg.validate()
+    if args.resume is not None:
+        # a resumed run keeps the checkpoint's config; flags may only restate it
+        given, saved = resolve_variant(cfg).to_dict(), read_header(args.resume)[1].to_dict()
+        differ = [f"{key} ({given[key]!r}, checkpoint {saved[key]!r})"
+                  for key in sorted(file_cfg) if key in given and given[key] != saved[key]]
+        if differ:
+            raise UsageError("--resume continues the checkpoint's config; these keys differ from it: "
+                             + ", ".join(differ))
     if not os.path.isdir(args.data):
         raise UsageError(f"prepared data directory not found: {args.data}")
     split = load_split(args.data)

@@ -373,10 +373,12 @@ def train(
 ) -> TrainResult:
     """Full two-stage run: pretrain the intent networks, then optimize the
     unified loss with per-epoch validation, best-checkpoint retention and
-    early stopping. Deterministic given (config, seed).
+    early stopping, whose patience counts only epochs that end with the KL
+    weight at eta_max. Deterministic given (config, seed).
 
     stop_after_epoch interrupts at an epoch boundary without changing the
-    schedules; resuming from last.ckpt continues the identical trajectory.
+    schedules; resuming from last.ckpt continues the identical trajectory
+    under the checkpoint's config (cfg is then not read).
     """
     os.makedirs(out_dir, exist_ok=True)
     if resume_from is not None:
@@ -409,7 +411,8 @@ def train(
                 state.best_val = val
                 state.best_epoch = epoch
                 state.bad_epochs = 0
-            else:
+            elif state.eta >= cfg.eta_max:
+                # epochs of the KL warm-up do not count toward patience
                 state.bad_epochs += 1
         state.epoch = epoch + 1
         state.history.append(record)

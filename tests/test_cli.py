@@ -172,6 +172,28 @@ class TestTrainCli:
         assert exc.value.code == 2
         assert "--skip-pretrain" in capsys.readouterr().err
 
+    def test_resume_with_changed_overrides_exit_2(self, world, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = cli.main(["train", "--data", world["prep"], "--out", str(out), "--quiet",
+                         "--resume", os.path.join(world["run"], "last.ckpt"),
+                         "--set", "unified_epochs=4", "--seed", "99"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unified_epochs (4, checkpoint 2)" in err and "seed (99, checkpoint 4)" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("restated", [[], ["--seed", "4", "--set", "k=3", "--variant", "ddcf"]])
+    def test_resume_continues_exactly(self, world, tmp_path, restated):
+        # flags equal to the checkpoint's config are accepted
+        split = data.load_split(world["prep"])
+        _, cfg = training.read_header(world["ckpt"])
+        part = training.train(split, cfg, str(tmp_path / "part"), stop_after_epoch=3)
+        out = tmp_path / "resumed"
+        code = cli.main(["train", "--data", world["prep"], "--out", str(out), "--quiet",
+                         "--resume", part.last_checkpoint, *restated])
+        assert code == 0
+        assert (out / "last.ckpt").read_bytes() == open(os.path.join(world["run"], "last.ckpt"), "rb").read()
+
     @pytest.mark.parametrize("key", ["data_dir", "out_dir"])
     def test_directory_keys_in_config_file_exit_2(self, world, tmp_path, capsys, key):
         cfg = tmp_path / "cfg.json"

@@ -234,6 +234,14 @@ class TestEvaluateGroups:
         assert sum(sizes["rank_items"]) == report.n_users
 
 
+def random_genre_sets(rng, m):
+    """m items with 0 to 2 of up to 5 genres each: items with no genre, and
+    worlds with no genre at all, included."""
+    labels = [f"g{c}" for c in range(int(rng.integers(1, 6)))]
+    sizes = rng.integers(0, min(2, len(labels)) + 1, size=m)
+    return [frozenset(rng.choice(labels, size=s, replace=False).tolist()) for s in sizes]
+
+
 def reference_pair_success_rate(groups, genre_sets):
     """The pooled and per-group shared-genre pair rates, pair by pair."""
     total_pairs = 0
@@ -259,24 +267,37 @@ class TestCooccurrence:
     @settings(max_examples=100, deadline=None)
     def test_incidence_product_matches_pair_loop(self, m, seed):
         rng = np.random.default_rng(seed)
-        labels = [f"g{c}" for c in range(int(rng.integers(1, 6)))]
-        # items with no genre, and groups of size 0 and 1, included
-        sizes = rng.integers(0, min(2, len(labels)) + 1, size=m)
-        genre_sets = [frozenset(rng.choice(labels, size=s, replace=False).tolist()) for s in sizes]
-        groups = [rng.choice(m, size=rng.integers(0, m + 1), replace=False) for _ in range(4)]
-        groups += [np.array([], dtype=np.intp), rng.choice(m, size=1)]
-        got = ev._pair_success_rate(groups, ev._genre_incidence(genre_sets))
-        assert got == reference_pair_success_rate(groups, genre_sets)
+        genre_sets = random_genre_sets(rng, m)
+        incidence = ev._genre_incidence(genre_sets)
+        # groups of every equal size, from 0 (no pairs) and 1 to all m items
+        for size in range(m + 1):
+            groups = np.array([rng.choice(m, size=size, replace=False) for _ in range(4)], np.intp).reshape(4, size)
+            assert ev._pair_success_rate(groups, incidence) == reference_pair_success_rate(groups, genre_sets)
 
         channel_item = rng.random((m, 3))
-        top_t = int(rng.integers(2, 8))
-        report = ev.cooccurrence_rate(channel_item, genre_sets, top_t=top_t, shuffles=7, seed=seed % 100)
-        top = [np.array([j for j, _ in c], dtype=np.intp) for c in it.top_items_per_channel(channel_item, top_t)]
-        rate, per_channel = reference_pair_success_rate(top, genre_sets)
-        draws = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed % 100, 9090])))
-        baseline = sum(reference_pair_success_rate([draws.choice(m, size=len(g), replace=False) for g in top],
-                                                   genre_sets)[0] for _ in range(7)) / 7
-        assert (report.rate, report.per_channel, report.baseline_rate) == (rate, per_channel, baseline)
+        # a drawn top_t, and one above m: every group then holds all m items
+        for top_t in (int(rng.integers(2, 8)), m + 1):
+            report = ev.cooccurrence_rate(channel_item, genre_sets, top_t=top_t, shuffles=7, seed=seed % 100)
+            top = [np.array([j for j, _ in c], dtype=np.intp) for c in it.top_items_per_channel(channel_item, top_t)]
+            rate, per_channel = reference_pair_success_rate(top, genre_sets)
+            # one draw per channel, channels inner, shuffles outer
+            draws = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed % 100, 9090])))
+            baseline = sum(reference_pair_success_rate([draws.choice(m, size=len(g), replace=False) for g in top],
+                                                       genre_sets)[0] for _ in range(7)) / 7
+            assert (report.rate, report.per_channel, report.baseline_rate) == (rate, per_channel, baseline)
+
+    @given(st.integers(0, 30), st.integers(0, 2**31 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_genre_incidence_matches_per_item_reference(self, m, seed):
+        genre_sets = random_genre_sets(np.random.default_rng(seed), m)
+        labels = sorted(set().union(*genre_sets))
+        expected = np.zeros((m, len(labels)))
+        for j, genres in enumerate(genre_sets):
+            for g in genres:
+                expected[j, labels.index(g)] = 1.0
+        got = ev._genre_incidence(genre_sets)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got, expected)
 
     def test_all_same_genre_rate_one(self):
         channel_item = np.random.default_rng(0).random((10, 2))

@@ -360,6 +360,19 @@ class TestSchedulesInTraining:
         assert all(a <= b + 1e-12 for a, b in zip(etas, etas[1:]))
         assert all(a >= b - 1e-12 for a, b in zip(taus, taus[1:]))
 
+    def test_patience_waits_for_the_kl_warm_up(self, tmp_path, monkeypatch):
+        # validation R@10 never improves after the first unified epoch, so
+        # patience 1 alone would stop the run at epoch 2, with eta still ramping
+        monkeypatch.setattr(tr, "validation_recall_at_10", lambda state, data: 0.5)
+        split = small_split()
+        cfg = small_cfg(pretrain_epochs=1, unified_epochs=20, patience=1, kappa=7)
+        res = tr.train(split, cfg, str(tmp_path / "run"))
+        etas = [r["eta"] for r in res.history]
+        assert len(res.history) > 3 and res.best_epoch == 1
+        # the first epoch that ends at eta_max is the last one
+        assert etas[-1] == cfg.eta_max and all(eta < cfg.eta_max for eta in etas[:-1])
+        assert "early_stop: no val improvement for 1 epochs" in Path(res.manifest_path).read_text()
+
     def test_all_losses_finite(self, tmp_path):
         split = small_split()
         res = tr.train(split, small_cfg(), str(tmp_path / "run"))
