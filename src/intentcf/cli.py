@@ -17,10 +17,8 @@ from .errors import IntentcfError, ParameterError, UsageError
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="intentcf", description=__doc__.splitlines()[0])
-    parser.add_argument("--threads", type=int, default=None, help="BLAS thread count for this process")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="BLAS thread count for this process")
+    common.add_argument("--threads", type=int, default=None, help="BLAS thread count for this process")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prepare", help="filter, split and serialize a ratings file", parents=[common])
@@ -51,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoffs", default="5,10")
     p.add_argument("--valid", action="store_true", help="evaluate the validation split instead of test")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None, help="also write the report to this path")
 
     p = sub.add_parser("channels", help="inspect learned intent channels", parents=[common])
     p.add_argument("--checkpoint", required=True)
@@ -60,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--user", default=None, help="external user id for the per-user channel view")
     p.add_argument("--user-channels", type=int, default=3)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("recommend", help="ranked recommendations for a user", parents=[common])
     p.add_argument("--checkpoint", required=True)
@@ -72,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--similar-to", default=None, metavar="ITEM", help="rank items by intent similarity instead")
     p.add_argument("--similarity", choices=["cosine", "symkl"], default="cosine")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("cooccur", help="genre co-occurrence of channel top items vs shuffled baseline", parents=[common])
     p.add_argument("--checkpoint", required=True)
@@ -83,24 +78,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--matrix", choices=["beta", "phi"], default="beta")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("inspect", help="print a checkpoint's header without reading its arrays", parents=[common])
     p.add_argument("checkpoint")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(out=None)
     return parser
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    print(text)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-
-
 def _report(cfg, args, payload: dict, lines: list[str]) -> None:
-    """Emit a command's report: under --json the payload beside the
+    """Print a command's report: under --json the payload beside the
     provenance of the checkpoint's config (a payload key of the same name
     wins, as cooccur's shuffle seed does), else the text lines under one
     provenance line."""
@@ -110,7 +96,7 @@ def _report(cfg, args, payload: dict, lines: list[str]) -> None:
     else:
         head = f"config_hash: {prov['config_hash']}  seed: {prov['seed']}  variant: {prov['variant']}"
         text = "\n".join([head, *lines])
-    _emit(text, args.out)
+    print(text)
 
 
 def _require_checkpoint(path: str) -> None:
@@ -224,6 +210,7 @@ def cmd_train(args) -> int:
     cfg = TrainConfig.from_dict(file_cfg)
     cfg.validate()
     if args.resume is not None:
+        _require_checkpoint(args.resume)
         # a resumed run keeps the checkpoint's config; flags may only restate it
         given, saved = resolve_variant(cfg).to_dict(), read_header(args.resume)[1].to_dict()
         differ = [f"{key} ({given[key]!r}, checkpoint {saved[key]!r})"

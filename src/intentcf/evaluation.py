@@ -228,7 +228,6 @@ def evaluate(
     scorer: Scorer,
     split: SplitDataset,
     cutoffs: tuple[int, ...] = (5, 10),
-    users: np.ndarray | None = None,
     chunk: int = 64,
 ) -> MetricReport:
     """Mean ranking metrics over users holding >= 1 positive test item. A
@@ -246,12 +245,11 @@ def evaluate(
         raise ParameterError(f"cutoffs must be integers from 1 to the {train.n_items} items, got {tuple(cutoffs)}")
     if not (is_int(chunk) and chunk >= 1):
         raise ParameterError(f"chunk must be >= 1 and an integer, got {chunk}")
-    users = np.arange(train.n_users) if users is None else np.asarray(users)
     kmax = max(cutoffs)
     per_user = {m: {k: [] for k in cutoffs} for m in METRICS}
-    for lo in range(0, len(users), chunk):
-        batch = users[lo : lo + chunk]
-        batch = np.array([u for u in batch if train.rows[u][0].size > 0], dtype=np.intp)
+    for lo in range(0, train.n_users, chunk):
+        group = range(lo, min(lo + chunk, train.n_users))
+        batch = np.array([u for u in group if train.rows[u][0].size > 0], dtype=np.intp)
         if batch.size == 0:
             continue
         scores = scorer.blended_scores(train, batch)

@@ -123,7 +123,7 @@ def item_intents(model: IntentModel, tau: float) -> Tensor:
     softmax(f_nu(W_j) / tau). The relaxed distribution is used everywhere;
     no one-hot sampling."""
     logits = mlp_forward(model.item_net_nu, model.embedding)  # (M, K)
-    return ad.transpose(softmax_temp(logits, tau, axis=-1))
+    return ad.transpose(softmax_temp(logits, tau))
 
 
 def multinomial_recon_loss(x: Cells, gamma: Tensor, beta: Tensor) -> Tensor:

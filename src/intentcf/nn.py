@@ -14,27 +14,19 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ParameterError, ShapeError, TrainingError
 
-_ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
-    "tanh": ad.tanh,
-    "linear": lambda t: t,
-}
-
 
 @dataclass
 class MlpParams:
-    """Per-layer weights/biases plus the hidden activation identifier.
+    """Per-layer weights and biases of a tanh MLP.
 
-    ``weights[l]`` has shape (in_l, out_l) and adjacent layers chain. The
-    activation is applied after every layer except the last.
+    ``weights[l]`` has shape (in_l, out_l) and adjacent layers chain. tanh
+    is applied after every layer except the last.
     """
 
     weights: list[Tensor]
     biases: list[Tensor]
-    activation: str = "tanh"
 
     def __post_init__(self):
-        if self.activation not in _ACTIVATIONS:
-            raise ParameterError(f"unknown activation {self.activation!r}")
         if len(self.weights) != len(self.biases):
             raise ParameterError("weights and biases must pair up per layer")
         for l in range(len(self.weights) - 1):
@@ -58,7 +50,7 @@ class MlpParams:
     def over(self, items: np.ndarray) -> "MlpParams":
         """View of the MLP on an increasing item list: its first layer's rows
         at those items (a RowView), so it reads inputs over the list."""
-        return MlpParams([RowView(self.weights[0], items), *self.weights[1:]], self.biases, self.activation)
+        return MlpParams([RowView(self.weights[0], items), *self.weights[1:]], self.biases)
 
 
 class RowView(Tensor):
@@ -106,7 +98,7 @@ def init_parameter(name: str, shape: tuple[int, ...], draw: Callable[[], np.ndar
     return Tensor(stored_array(arrays, name, shape), requires_grad=True, name=name)
 
 
-def init_mlp(dims: list[int], rng: np.random.Generator | None, prefix: str, activation: str = "tanh",
+def init_mlp(dims: list[int], rng: np.random.Generator | None, prefix: str,
              arrays: dict[str, np.ndarray] | None = None) -> MlpParams:
     """Glorot-uniform init of an MLP with layer sizes dims[0] -> ... -> dims[-1]
     (or its stored arrays, see init_parameter)."""
@@ -117,24 +109,22 @@ def init_mlp(dims: list[int], rng: np.random.Generator | None, prefix: str, acti
         weights.append(init_parameter(f"{prefix}.w{l}", (fan_in, fan_out),
                                       lambda: rng.uniform(-bound, bound, size=(fan_in, fan_out)), arrays))
         biases.append(init_parameter(f"{prefix}.b{l}", (fan_out,), lambda: np.zeros(fan_out), arrays))
-    return MlpParams(weights, biases, activation)
+    return MlpParams(weights, biases)
 
 
 def mlp_forward(params: MlpParams, x) -> Tensor:
-    """Composition of affine layers with the hidden activation on all but
-    the final layer."""
+    """Composition of affine layers with tanh on all but the final layer."""
     h = ad.as_tensor(x)
     expected = params.weights[0].shape[0]
     if h.data.shape[-1] != expected:
         raise ShapeError(
             f"input last dimension {h.data.shape} does not match first layer input ({expected},)"
         )
-    act = _ACTIVATIONS[params.activation]
     last = params.n_layers - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         h = ad.add(ad.matmul(h, w), b)
         if l != last:
-            h = act(h)
+            h = ad.tanh(h)
     return h
 
 
@@ -146,12 +136,13 @@ def encode_gaussian(params: MlpParams, x) -> tuple[Tensor, Tensor]:
     return ad.slice_cols(out, 0, half), ad.slice_cols(out, half, 2 * half)
 
 
-def softmax_temp(logits, tau: float, axis: int = -1) -> Tensor:
-    """softmax(logits / tau); smaller tau sharpens the distribution."""
+def softmax_temp(logits, tau: float) -> Tensor:
+    """softmax(logits / tau) over the last axis; smaller tau sharpens the
+    distribution."""
     if tau <= 0:
         raise ParameterError(f"temperature must be positive, got {tau}")
     logits = ad.as_tensor(logits)
-    return ad.softmax(ad.mul(logits, 1.0 / tau), axis=axis)
+    return ad.softmax(ad.mul(logits, 1.0 / tau), axis=-1)
 
 
 def gaussian_reparameterize(mu, sigma, noise) -> Tensor:
@@ -181,6 +172,7 @@ def diag_gaussian_kl(mu_q: Tensor, logvar_q: Tensor, mu_p, var_p) -> Tensor:
 
 
 _BLOCK = 1 << 15  # elements per Adam block; a block's temporaries stay in cache
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
 def _as_rows(a: np.ndarray, axis: int) -> np.ndarray:
@@ -196,13 +188,10 @@ class Adam:
     so the update equals the dense one on the densified gradient.
     """
 
-    def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float = 1e-3):
         if lr <= 0:
             raise ParameterError(f"learning rate must be positive, got {lr}")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -212,8 +201,8 @@ class Adam:
         gets a zero one. Every gradient is checked before anything moves."""
         checked = [(p, _checked_grad(p, grads.get(p.name))) for p in params]
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - _BETA1 ** self.t
+        c2 = 1.0 - _BETA2 ** self.t
         for p, g in checked:
             if p.name not in self.m:
                 self.m[p.name] = np.zeros_like(p.data)
@@ -237,18 +226,18 @@ class Adam:
                 gb[rows[a:b] - lo] += g[a:b]
             pb, mb, vb = p[lo:hi], m[lo:hi], v[lo:hi]
             t1, t2 = np.empty(gb.shape), np.empty(gb.shape)
-            mb *= self.beta1
-            mb += np.multiply(gb, 1.0 - self.beta1, out=t1)
-            vb *= self.beta2
+            mb *= _BETA1
+            mb += np.multiply(gb, 1.0 - _BETA1, out=t1)
+            vb *= _BETA2
             np.multiply(gb, gb, out=t1)
-            t1 *= 1.0 - self.beta2
+            t1 *= 1.0 - _BETA2
             vb += t1
             # lr * (m / c1) / (sqrt(v / c2) + eps)
             np.divide(mb, c1, out=t1)
             t1 *= self.lr
             np.divide(vb, c2, out=t2)
             np.sqrt(t2, out=t2)
-            t2 += self.eps
+            t2 += _EPS
             t1 /= t2
             pb -= t1
 

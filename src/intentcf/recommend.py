@@ -68,7 +68,8 @@ def similar_items(
     columns); the query item itself is excluded, ties break by index.
 
     measure: "cosine" (default) or "symkl" (negated symmetric KL, mapped to
-    a descending-is-better score).
+    a descending-is-better score). ``intent_model`` is unused; it stays
+    because callers pass the arguments by position.
     """
     m = phi.shape[1]
     if not 0 <= item < m:

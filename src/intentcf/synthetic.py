@@ -17,6 +17,10 @@ import numpy as np
 
 from .data import GenreTable, RatingMatrix, matrix_from_triples
 
+# the largest --users or --items of main; a genre world's cost grows with
+# users x items, and 2,000 x 6,000 takes about 1 s on one 2-core machine
+MAX_SIZE = 100_000
+
 
 @dataclass
 class SyntheticData:
@@ -46,21 +50,18 @@ def planted_channel_data(
     n_users: int = 500,
     n_items: int = 200,
     n_channels: int = 5,
-    channels_per_user: int = 2,
     seed: int = 0,
-    min_items: int = 12,
-    max_items: int = 40,
 ) -> SyntheticData:
-    """Disjoint item groups; every user mixes a small number of groups with
-    Dirichlet weights and draws items multinomially from the mixture."""
+    """Disjoint item groups; every user mixes two groups with Dirichlet
+    weights and draws 12 to 40 items multinomially from the mixture."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), 11])))
     group_of = np.arange(n_items) * n_channels // n_items  # equal contiguous groups
     group_items = [np.flatnonzero(group_of == g) for g in range(n_channels)]
     triples = []
     for u in range(n_users):
-        chans = rng.choice(n_channels, size=channels_per_user, replace=False)
-        mix = rng.dirichlet(np.full(channels_per_user, 2.0))
-        n_i = int(rng.integers(min_items, max_items + 1))
+        chans = rng.choice(n_channels, size=2, replace=False)
+        mix = rng.dirichlet(np.full(2, 2.0))
+        n_i = int(rng.integers(12, 41))
         counts = rng.multinomial(n_i, mix)
         items: list[int] = []
         for c, cnt in zip(chans, counts):
@@ -148,6 +149,11 @@ def main(argv=None) -> int:
     parser.add_argument("--users", type=int, default=None)
     parser.add_argument("--items", type=int, default=None)
     args = parser.parse_args(argv)
+    for flag, size in (("--users", args.users), ("--items", args.items)):
+        if size is not None and not 1 <= size <= MAX_SIZE:
+            parser.error(f"{flag} must be from 1 to {MAX_SIZE}, got {size}")
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     kwargs = {"seed": args.seed}
     if args.users is not None:
         kwargs["n_users"] = args.users

@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import struct
 import time
 from dataclasses import dataclass, field
@@ -369,18 +370,22 @@ def train(
     out_dir: str,
     resume_from: str | None = None,
     log=None,
-    stop_after_epoch: int | None = None,
 ) -> TrainResult:
     """Full two-stage run: pretrain the intent networks, then optimize the
     unified loss with per-epoch validation, best-checkpoint retention and
     early stopping, whose patience counts only epochs that end with the KL
     weight at eta_max. Deterministic given (config, seed).
 
-    stop_after_epoch interrupts at an epoch boundary without changing the
-    schedules; resuming from last.ckpt continues the identical trajectory
-    under the checkpoint's config (cfg is then not read).
+    Every epoch ends by writing last.ckpt and then calling ``log`` with the
+    epoch record. Resuming from a last.ckpt continues the identical
+    trajectory under the checkpoint's config (cfg is then not read). If
+    ``out_dir`` has no best.ckpt, the one beside the resumed checkpoint is
+    copied in first; a run that validated no epoch saves its final state
+    as best.ckpt.
     """
     os.makedirs(out_dir, exist_ok=True)
+    best_path = os.path.join(out_dir, "best.ckpt")
+    last_path = os.path.join(out_dir, "last.ckpt")
     if resume_from is not None:
         state = load_checkpoint(resume_from)
         cfg = state.cfg
@@ -389,14 +394,14 @@ def train(
                 f"checkpoint was trained on N={state.n_users}, M={state.n_items}; "
                 f"dataset has N={data.train.n_users}, M={data.train.n_items}"
             )
+        if state.best_epoch >= 0 and not os.path.exists(best_path):
+            _carry_best(resume_from, state.best_epoch, best_path)
     else:
         cfg = resolve_variant(cfg)
         cfg.validate()
         state = build_state(cfg, data.train.n_users, data.train.n_items)
     x_bin = binarize(data.train, cfg.intent_min_rating)
     total_epochs = cfg.pretrain_epochs + cfg.unified_epochs
-    best_path = os.path.join(out_dir, "best.ckpt")
-    last_path = os.path.join(out_dir, "last.ckpt")
     t_start = time.time()
     stopped_early = False
     for epoch in range(state.epoch, total_epochs):
@@ -424,13 +429,25 @@ def train(
         if stage == "unified" and state.bad_epochs >= cfg.patience:
             stopped_early = True
             break
-        if stop_after_epoch is not None and state.epoch >= stop_after_epoch:
-            break
-    if not os.path.exists(best_path):
-        # pretrain-only runs still expose a usable checkpoint
+    if state.best_epoch < 0:
+        # a run that validated no epoch still exposes a usable checkpoint
         save_checkpoint(best_path, state)
     manifest = _write_manifest(state, out_dir, time.time() - t_start, stopped_early, resume_from)
     return TrainResult(out_dir, best_path, last_path, manifest, state.history, state.best_val, state.best_epoch)
+
+
+def _carry_best(resume_from: str, best_epoch: int, best_path: str) -> None:
+    """Copy the best.ckpt beside a resumed checkpoint to ``best_path``. It
+    must hold the resumed state's best epoch; CheckpointError otherwise."""
+    source = os.path.join(os.path.dirname(resume_from), "best.ckpt")
+    if not os.path.exists(source):
+        raise CheckpointError(f"the resumed run's best epoch {best_epoch} was saved to {source}, "
+                              "which is missing")
+    saved = read_header(source)[0]["counters"]["best_epoch"]
+    if saved != best_epoch:
+        raise CheckpointError(f"{source} holds best epoch {saved}; the resumed checkpoint's is {best_epoch}")
+    shutil.copyfile(source, best_path + ".tmp")
+    os.replace(best_path + ".tmp", best_path)
 
 
 def _write_manifest(state: TrainerState, out_dir: str, wall: float, stopped_early: bool,

@@ -1,7 +1,12 @@
-"""Dense test fixtures as the Cells and batches the loss layer takes."""
+"""Dense test fixtures as the Cells and batches the loss layer takes, and
+a training run cut at an epoch boundary."""
+
+import os
 
 import numpy as np
+import pytest
 
+from intentcf import training
 from intentcf.data import Cells, ItemBatch
 
 
@@ -15,3 +20,21 @@ def cells(a) -> Cells:
 def full_batch(xb, rb) -> ItemBatch:
     """The batch of dense binary rows xb and rating rows rb over all M items."""
     return ItemBatch(np.arange(np.shape(rb)[1]), cells(rb), cells(xb))
+
+
+class Interrupted(Exception):
+    pass
+
+
+def train_until(data, cfg, out_dir: str, epochs: int) -> str:
+    """training.train cut after ``epochs`` epochs, as an interrupted process
+    leaves it: train calls ``log`` right after each epoch's last.ckpt is
+    written, and this hook raises there. Returns that last.ckpt's path."""
+
+    def log(record):
+        if record["epoch"] + 1 >= epochs:
+            raise Interrupted
+
+    with pytest.raises(Interrupted):
+        training.train(data, cfg, out_dir, log=log)
+    return os.path.join(out_dir, "last.ckpt")

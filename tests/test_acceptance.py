@@ -23,7 +23,7 @@ from intentcf import synthetic
 from intentcf import training as tr
 from intentcf.autodiff import Tensor
 
-from cell_fixtures import cells, full_batch
+from cell_fixtures import cells, full_batch, train_until
 from gradcheck import finite_difference_gradients, full_gradients, max_relative_error
 
 pytestmark = pytest.mark.acceptance
@@ -34,7 +34,10 @@ SEEDS = (0, 1, 2)
 # desk-scale configuration for the directional experiments (criteria 7-9);
 # ablation variants differ from it only in the ablated element. lr sits at
 # the regime where the KL warm-up is decisive (criterion 8's comparison is
-# meaningful rather than a tie between two healthy runs)
+# meaningful rather than a tie between two healthy runs). patience cannot
+# stop a run of this config early: it counts only epochs that end at
+# eta_max, and with kappa = 1,000 batches and 15 batches per desk epoch eta
+# reaches eta_max only at epoch 66 of 70
 DESK = dict(
     k=24, d=32, l=2, intent_hidden=100, item_hidden=64, pref_hidden=100,
     batch_size=64, learning_rate=0.002, kappa=1000, eta_max=1.0,
@@ -332,8 +335,8 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
     b = tr.train(split, cfg, str(tmp_path / "b"))
     bit_identical = open(a.last_checkpoint, "rb").read() == open(b.last_checkpoint, "rb").read()
 
-    part = tr.train(split, cfg, str(tmp_path / "part"), stop_after_epoch=4)
-    resumed = tr.train(split, cfg, str(tmp_path / "resumed"), resume_from=part.last_checkpoint)
+    part = train_until(split, cfg, str(tmp_path / "part"), 4)
+    resumed = tr.train(split, cfg, str(tmp_path / "resumed"), resume_from=part)
     resume_identical = open(resumed.last_checkpoint, "rb").read() == open(a.last_checkpoint, "rb").read()
 
     state = tr.load_checkpoint(a.last_checkpoint)

@@ -1,6 +1,6 @@
-"""Every subcommand's numeric flags fuzzed with hostile values: each call
-ends with exit 0, 1 or 2, never a traceback, and a successful call prints
-no nan."""
+"""Every subcommand's numeric flags, and those of ``python -m
+intentcf.synthetic``, fuzzed with hostile values: each call ends with exit
+0, 1 or 2, never a traceback, and a successful call prints no nan."""
 
 import contextlib
 import io
@@ -19,17 +19,18 @@ TINY_MODEL = ["--quiet", "--set", "k=2", "--set", "d=2", "--set", "l=2", "--set"
               "--set", "pretrain_epochs=1", "--set", "unified_epochs=1"]
 
 
-def run(argv: list[str]) -> tuple[int, str, str]:
-    """cli.main in this process: its exit code (argparse's included), stdout
-    and stderr. An exception other than SystemExit propagates, as it would
-    end a real process in a traceback. ``--threads`` writes BLAS variables
-    into the environment, so the environment is restored afterwards."""
+def run(argv: list[str], main=cli.main) -> tuple[int, str, str]:
+    """``main`` (cli.main) in this process: its exit code (argparse's
+    included), stdout and stderr. An exception other than SystemExit
+    propagates, as it would end a real process in a traceback. ``--threads``
+    writes BLAS variables into the environment, so the environment is
+    restored afterwards."""
     out, err = io.StringIO(), io.StringIO()
     env = dict(os.environ)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                code = cli.main(argv)
+                code = main(argv)
             except SystemExit as exc:
                 code = exc.code
     finally:
@@ -70,6 +71,11 @@ def commands(w: dict) -> dict:
         "recommend --similar-to": (["recommend", *serve, "--similar-to", "i1"], {"--n": one}),
         "cooccur": (["cooccur", *serve], {"--top": one, "--shuffles": one, "--seed": one, "--threads": one}),
         "inspect": (["inspect", w["ckpt"]], {"--threads": one}),
+        # small default sizes, which a drawn --users or --items replaces
+        **{f"synthetic {kind}": (["--kind", kind, "--out", os.path.join(w["root"], "raw2"),
+                                  "--users", "4", "--items", "6"],
+                                 {"--seed": one, "--users": one, "--items": one})
+           for kind in ("planted", "genre-world")},
     }
 
 
@@ -86,15 +92,17 @@ def flag_values(draw, flags: dict) -> list[str]:
 
 
 @pytest.mark.parametrize("name", ["prepare", "train", "eval", "channels", "channels --user", "recommend",
-                                  "recommend --similar-to", "cooccur", "inspect"])
+                                  "recommend --similar-to", "cooccur", "inspect",
+                                  "synthetic planted", "synthetic genre-world"])
 def test_hostile_numeric_flags_end_in_an_exit_code(tiny, name):
     base, flags = commands(tiny)[name]
     examples = 12 if name == "train" else 40
+    main = synthetic.main if name.startswith("synthetic") else cli.main
 
     @given(flag_values(flags))
     @settings(max_examples=examples, deadline=None, database=None)
     def check(argv):
-        code, out, err = run([*base, *argv])
+        code, out, err = run([*base, *argv], main)
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in err, (argv, err)
         if code == 0:

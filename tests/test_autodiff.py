@@ -138,9 +138,7 @@ class TestConstantOperands:
 
 class TestMlpForward:
     def test_identity_network(self):
-        params = nn.MlpParams(
-            [ad.parameter(np.eye(2), "w0")], [ad.parameter(np.zeros(2), "b0")], activation="linear"
-        )
+        params = nn.MlpParams([ad.parameter(np.eye(2), "w0")], [ad.parameter(np.zeros(2), "b0")])
         out = nn.mlp_forward(params, np.array([1.0, 2.0]))
         np.testing.assert_allclose(out.data, [1.0, 2.0])
 
@@ -340,9 +338,10 @@ class TestAdam:
         opts[1].step([dense], {"w": full})
 
         opt, t = opts[0], warm + 1
-        m = opt.beta1 * m0 + (1.0 - opt.beta1) * full
-        v = opt.beta2 * v0 + (1.0 - opt.beta2) * (full * full)
-        p = p0 - opt.lr * (m / (1.0 - opt.beta1**t)) / (np.sqrt(v / (1.0 - opt.beta2**t)) + opt.eps)
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        m = beta1 * m0 + (1.0 - beta1) * full
+        v = beta2 * v0 + (1.0 - beta2) * (full * full)
+        p = p0 - opt.lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
         assert opts[0].t == opts[1].t == t
         for want, got in ((p, sparse.data), (m, opt.m["w"]), (v, opt.v["w"]),
                           (p, dense.data), (m, opts[1].m["w"]), (v, opts[1].v["w"])):

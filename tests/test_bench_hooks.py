@@ -2,8 +2,8 @@
 ``decompose_ratings_batch``, ``augmentation_mask``, ``Scorer.blended_scores``,
 ``rank_items``, ``metrics_at_k`` and more). Installing it here fails fast when
 a refactor removes or renames one of them, instead of a traced benchmark run
-stopping halfway; and a small evaluate() under it must record the ranking
-spans the benchmark's ranking-layer metrics are read from."""
+stopping halfway; and a small evaluate() or train() under it must record the
+spans the benchmark's per-layer metrics are read from."""
 
 import sys
 from pathlib import Path
@@ -61,3 +61,24 @@ def test_evaluate_records_the_ranking_spans():
     assert 1 <= calls["evaluation.rank_items"] <= chunks
     assert calls["evaluation.rank_items"] <= calls["evaluation.metrics_at_k"] <= 2 * chunks
     assert calls["evaluation.blended_scores"] == chunks
+
+
+def test_train_records_the_epoch_and_tanh_spans(tmp_path):
+    workloads, Tracer = benchmark_modules()
+    from intentcf import data as dt
+    from intentcf import synthetic
+    from intentcf import training as tr
+
+    sd = synthetic.planted_channel_data(n_users=30, n_items=25, n_channels=2, seed=5)
+    split = dt.split_per_user(dt.filter_min_interactions(sd.rating_matrix(), 10), seed=1)
+    cfg = tr.TrainConfig(k=2, d=2, l=1, intent_hidden=4, item_hidden=4, pref_hidden=4,
+                         pretrain_epochs=1, unified_epochs=1)
+    tracer = Tracer()
+    try:
+        workloads.install(tracer)
+        tr.train(split, cfg, str(tmp_path / "run"))
+    finally:
+        tracer.uninstall()
+    _, calls, _ = tracer.summary()
+    assert calls["training.epoch.pretrain"] == calls["training.epoch.unified"] == 1
+    assert calls["autodiff.tanh"] > 0

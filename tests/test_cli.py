@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from intentcf import cli, data, synthetic, training
 from intentcf.errors import IntentcfError, ParameterError
+from cell_fixtures import train_until
 from test_checkpoint_header import drop, put, rewrite_header
 
 
@@ -172,6 +173,13 @@ class TestTrainCli:
         assert exc.value.code == 2
         assert "--skip-pretrain" in capsys.readouterr().err
 
+    def test_resume_from_missing_checkpoint_exit_2(self, world, tmp_path, capsys):
+        missing = str(tmp_path / "nope.ckpt")
+        code = cli.main(["train", "--data", world["prep"], "--out", str(tmp_path / "o"), "--quiet",
+                         "--resume", missing])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: checkpoint not found: {missing}\n"
+
     def test_resume_with_changed_overrides_exit_2(self, world, tmp_path, capsys):
         out = tmp_path / "o"
         code = cli.main(["train", "--data", world["prep"], "--out", str(out), "--quiet",
@@ -187,10 +195,10 @@ class TestTrainCli:
         # flags equal to the checkpoint's config are accepted
         split = data.load_split(world["prep"])
         _, cfg = training.read_header(world["ckpt"])
-        part = training.train(split, cfg, str(tmp_path / "part"), stop_after_epoch=3)
+        part = train_until(split, cfg, str(tmp_path / "part"), 3)
         out = tmp_path / "resumed"
         code = cli.main(["train", "--data", world["prep"], "--out", str(out), "--quiet",
-                         "--resume", part.last_checkpoint, *restated])
+                         "--resume", part, *restated])
         assert code == 0
         assert (out / "last.ckpt").read_bytes() == open(os.path.join(world["run"], "last.ckpt"), "rb").read()
 
@@ -288,6 +296,20 @@ class TestReports:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error: ") and captured.out == ""
+
+    @pytest.mark.parametrize("head, tail", [
+        (["eval"], ["--out", os.devnull]),
+        (["channels"], ["--out", os.devnull]),
+        (["recommend", "--user", "u0"], ["--out", os.devnull]),
+        (["cooccur"], ["--out", os.devnull]),
+        (["--threads", "1", "eval"], []),
+    ])
+    def test_retired_flags_exit_2(self, world, capsys, head, tail):
+        # reports go to stdout only; --threads follows the command
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*head, "--checkpoint", world["ckpt"], "--data", world["prep"], *tail])
+        assert exc.value.code == 2
+        assert "error: " in capsys.readouterr().err
 
     def test_determinism_same_command_same_output(self, world, capsys):
         cli.main(["recommend", "--checkpoint", world["ckpt"], "--data", world["prep"],

@@ -153,7 +153,6 @@ class TestOrthogonalChannels:
                                       np.ones((m, 1)) * (np.arange(m) >= 3)[:, None]]), "theta.w0"),
                  parameter(np.eye(2, 4), "theta.w1")],
                 [parameter(np.zeros(2), "theta.b0"), parameter(np.zeros(4), "theta.b1")],
-                activation="linear",
             ),
             parameter(np.vstack([(np.arange(m) < 3) * 1.0, (np.arange(m) >= 3) * 1.0]), "item.V"),
             d,

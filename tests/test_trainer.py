@@ -19,7 +19,7 @@ from intentcf import synthetic
 from intentcf import training as tr
 from intentcf.errors import CheckpointError, ParameterError, TrainingError, UsageError
 
-from cell_fixtures import full_batch
+from cell_fixtures import full_batch, train_until
 
 def small_split(n_users=60, n_items=40, n_channels=3, seed=4):
     sd = synthetic.planted_channel_data(n_users=n_users, n_items=n_items, n_channels=n_channels, seed=seed)
@@ -186,8 +186,8 @@ class TestPretrainStructure:
         cfg = tr.TrainConfig(k=5, d=8, l=2, intent_hidden=24, item_hidden=24, pref_hidden=24,
                              batch_size=25, learning_rate=0.01, kappa=1000, seed=7,
                              pretrain_epochs=20, unified_epochs=35, patience=50)
-        res = tr.train(split, cfg, str(tmp_path / "run"), stop_after_epoch=20)
-        totals = [r["total"] for r in res.history]
+        last = train_until(split, cfg, str(tmp_path / "run"), 20)
+        totals = [r["total"] for r in tr.load_checkpoint(last).history]
         assert len(totals) == 20
         smoothed = np.convolve(totals, np.ones(3) / 3, mode="valid")
         assert smoothed[-1] < smoothed[0]
@@ -267,9 +267,9 @@ class TestDeterminismAndPersistence:
         cfg = small_cfg(pretrain_epochs=2, unified_epochs=4)
         full = tr.train(split, cfg, str(tmp_path / "full"))
 
-        part = tr.train(split, cfg, str(tmp_path / "part"), stop_after_epoch=3)
-        assert tr.load_checkpoint(part.last_checkpoint).epoch == 3
-        resumed = tr.train(split, cfg, str(tmp_path / "resumed"), resume_from=part.last_checkpoint)
+        part = train_until(split, cfg, str(tmp_path / "part"), 3)
+        assert tr.load_checkpoint(part).epoch == 3
+        resumed = tr.train(split, cfg, str(tmp_path / "resumed"), resume_from=part)
 
         sa = tr.load_checkpoint(full.last_checkpoint)
         sb = tr.load_checkpoint(resumed.last_checkpoint)
@@ -287,8 +287,8 @@ class TestDeterminismAndPersistence:
         split = small_split()
         cfg = small_cfg(pretrain_epochs=2, unified_epochs=3)
         full = tr.train(split, cfg, str(tmp_path / "full"))
-        part = tr.train(split, cfg, str(tmp_path / "cut"), stop_after_epoch=3)
-        tr.train(split, cfg, str(tmp_path / "cut"), resume_from=part.last_checkpoint)
+        part = train_until(split, cfg, str(tmp_path / "cut"), 3)
+        tr.train(split, cfg, str(tmp_path / "cut"), resume_from=part)
 
         def history(run):
             records = json.loads((tmp_path / run / "history.json").read_text())
@@ -304,6 +304,27 @@ class TestDeterminismAndPersistence:
         assert history("cut") == history("full")
         assert epoch_table("cut") == epoch_table("full")
         assert len(epoch_table("cut")) == 6  # header and five epochs
+
+    def test_resume_into_a_new_directory_carries_the_best_checkpoint(self, tmp_path):
+        # the best epoch, 2, lies before the cut after epoch 4, and no later
+        # epoch beats it, so the resumed run itself never writes best.ckpt
+        split = small_split(n_users=120, n_items=60, seed=1)
+        cfg = small_cfg(pretrain_epochs=1, unified_epochs=6, learning_rate=0.01, kappa=5, seed=1)
+        full = tr.train(split, cfg, str(tmp_path / "full"))
+        assert full.best_epoch == 2
+        part = train_until(split, cfg, str(tmp_path / "part"), 4)
+        resumed = tr.train(split, cfg, str(tmp_path / "resumed"), resume_from=part)
+        assert open(resumed.best_checkpoint, "rb").read() == open(full.best_checkpoint, "rb").read()
+
+        # the best.ckpt beside the resumed checkpoint must hold its best epoch
+        beside = tmp_path / "part" / "best.ckpt"
+        tr.save_checkpoint(str(beside), tr.build_state(cfg, split.train.n_users, split.train.n_items))
+        with pytest.raises(CheckpointError, match="holds best epoch -1"):
+            tr.train(split, cfg, str(tmp_path / "other"), resume_from=part)
+        beside.unlink()
+        with pytest.raises(CheckpointError, match="best.ckpt, which is missing"):
+            tr.train(split, cfg, str(tmp_path / "other"), resume_from=part)
+        assert not (tmp_path / "other" / "last.ckpt").exists()
 
     def test_truncated_file_rejected(self, tmp_path):
         split = small_split()
