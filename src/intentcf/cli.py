@@ -395,7 +395,12 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0].partition("=")[0] == "--threads":
+        command = next((a for a in argv if a in _HANDLERS), "<command>")
+        parser.error(f"--threads follows the command: intentcf {command} --threads N ...")
+    args = parser.parse_args(argv)
     if args.threads is not None:
         if args.threads < 1:
             print("error: --threads must be >= 1", file=sys.stderr)

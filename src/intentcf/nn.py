@@ -250,8 +250,9 @@ class Adam:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], t: int) -> None:
-        """Moments from a checkpoint's arrays, kept uncopied: the caller hands
-        over fresh buffers."""
+        """Moments from a checkpoint's arrays, kept uncopied. From
+        load_checkpoint they are copy-on-write views of the mapped file, so
+        a step writes to private pages and never to the file."""
         self.t = t
         self.m = {k[len("adam.m."):]: v for k, v in arrays.items() if k.startswith("adam.m.")}
         self.v = {k[len("adam.v."):]: v for k, v in arrays.items() if k.startswith("adam.v.")}

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import GenreTable, RatingMatrix, matrix_from_triples
+from .errors import ParameterError
 
 # the largest --users or --items of main; a genre world's cost grows with
 # users x items, and 2,000 x 6,000 takes about 1 s on one 2-core machine
@@ -54,6 +55,8 @@ def planted_channel_data(
 ) -> SyntheticData:
     """Disjoint item groups; every user mixes two groups with Dirichlet
     weights and draws 12 to 40 items multinomially from the mixture."""
+    if n_items < n_channels:
+        raise ParameterError(f"need at least one item per channel ({n_channels}), got {n_items} items")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), 11])))
     group_of = np.arange(n_items) * n_channels // n_items  # equal contiguous groups
     group_items = [np.flatnonzero(group_of == g) for g in range(n_channels)]
@@ -159,7 +162,10 @@ def main(argv=None) -> int:
         kwargs["n_users"] = args.users
     if args.items is not None:
         kwargs["n_items"] = args.items
-    data = planted_channel_data(**kwargs) if args.kind == "planted" else genre_world_data(**kwargs)
+    try:
+        data = planted_channel_data(**kwargs) if args.kind == "planted" else genre_world_data(**kwargs)
+    except ParameterError as exc:
+        parser.error(f"--items: {exc}")
     ratings, genres = data.write(args.out)
     print(f"wrote {ratings} ({len(data.triples)} ratings) and {genres}")
     return 0

@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import mmap
 import os
 import shutil
 import struct
@@ -493,11 +494,13 @@ def _write_manifest(state: TrainerState, out_dir: str, wall: float, stopped_earl
     return path
 
 
-# checkpoint format: magic, version, u64 header length, JSON header,
-# concatenated little-endian float64 arrays, footer magic
+# checkpoint format: magic, version, u64 header length, JSON header (padded
+# with spaces so the payload starts on a multiple of _ALIGN), concatenated
+# little-endian float64 arrays, footer magic
 _MAGIC = b"ICF1"
 _FOOTER = b"ICFE"
 _VERSION = 1
+_ALIGN = 64
 
 
 def _collect_arrays(state: TrainerState) -> dict[str, np.ndarray]:
@@ -511,7 +514,8 @@ def _collect_arrays(state: TrainerState) -> dict[str, np.ndarray]:
 
 def save_checkpoint(path: str, state: TrainerState) -> None:
     """Atomic versioned binary checkpoint; byte-deterministic for a given
-    state (no timestamps)."""
+    state (no timestamps). The file is written beside ``path`` and renamed
+    over it, so a state loaded from the old file keeps reading the old one."""
     arrays = _collect_arrays(state)
     spec = []
     offset = 0
@@ -545,6 +549,7 @@ def save_checkpoint(path: str, state: TrainerState) -> None:
         "payload_bytes": offset,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    blob += b" " * (-(16 + len(blob)) % _ALIGN)
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(_MAGIC)
@@ -666,17 +671,24 @@ def read_header(path: str) -> tuple[dict, TrainConfig]:
 
 
 def load_checkpoint(path: str) -> TrainerState:
-    """Strict inverse of save_checkpoint; every failure names the section."""
+    """Strict inverse of save_checkpoint; every failure names the section.
+
+    The file is mapped copy-on-write and each array is a view of its bytes,
+    read from disk when first used; writes to the arrays stay private to this
+    process. The file must be replaced by rename, never rewritten in place,
+    while a loaded state is in use."""
     with _open(path) as fh:
         header, cfg, payload_start = _read_header(fh)
-        # each array is read straight into the buffer the model keeps; no
-        # copy of the whole file is held
-        arrays = {}
-        for entry in header["arrays"]:
-            a = np.empty(entry["shape"], dtype="<f8")
-            fh.seek(payload_start + entry["offset"])
-            fh.readinto(a)
-            arrays[entry["name"]] = a.astype(np.float64, copy=False)
+        try:
+            mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+        except OSError as exc:
+            raise CheckpointError(f"cannot map checkpoint {path}: {exc.strerror or exc}") from None
+    arrays = {}
+    for entry in header["arrays"]:
+        a = np.frombuffer(mm, "<f8", math.prod(entry["shape"]), payload_start + entry["offset"])
+        # a file written before the header was padded can put an array off
+        # 8-byte alignment, which BLAS does not take; such arrays are copied
+        arrays[entry["name"]] = np.require(a.reshape(entry["shape"]), np.float64, "A")
 
     try:
         state = build_state(cfg, header["n"], header["m"], arrays)

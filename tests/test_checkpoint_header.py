@@ -1,8 +1,12 @@
 """A well-framed checkpoint whose JSON header lacks a field or holds a field
 of the wrong type is rejected with a CheckpointError naming the section,
-and the CLI turns it into exit code 1 with an ``error:`` line."""
+and the CLI turns it into exit code 1 with an ``error:`` line. A loaded
+checkpoint is a copy-on-write mapping of its file."""
 
+import errno
 import json
+import mmap
+import re
 import struct
 
 import numpy as np
@@ -187,3 +191,87 @@ def test_cli_eval_exits_1_with_an_error_line(run, tmp_path, capsys, edit):
     assert code == 1
     assert err.startswith("error: ") and "section invalid" in err
     assert "Traceback" not in err
+
+
+def payload_start(blob: bytes) -> int:
+    return 16 + struct.unpack("<Q", blob[8:16])[0]
+
+
+def unpadded(blob: bytes, misalign: int) -> bytes:
+    """The checkpoint with an unpadded header, as written before headers were
+    padded, whose payload starts ``misalign`` bytes past an 8-byte boundary."""
+    for n in range(8):
+        out = rewrite_header(blob, put("x" * n, "rng", "scheme"))
+        if payload_start(out) % 8 == misalign:
+            return out
+    raise AssertionError("unreachable: eight lengths cover every residue")
+
+
+def test_payload_starts_on_a_64_byte_boundary(run):
+    _, blob = run
+    start = payload_start(blob)
+    assert start % 64 == 0
+    assert blob[16:start].rstrip(b" ").endswith(b"}")
+
+
+@pytest.mark.parametrize("layout", ["padded", "unpadded"])
+def test_loaded_arrays_are_the_payload_bits_aligned_and_writable(run, tmp_path, layout):
+    _, blob = run
+    if layout == "unpadded":
+        blob = unpadded(blob, 4)
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(blob)
+    header, _ = tr.read_header(str(path))
+    arrays = tr._collect_arrays(tr.load_checkpoint(str(path)))
+    assert sorted(arrays) == sorted(entry["name"] for entry in header["arrays"])
+    for entry in header["arrays"]:
+        a = arrays[entry["name"]]
+        count = int(np.prod(entry["shape"]))
+        expected = np.frombuffer(blob, "<f8", count, payload_start(blob) + entry["offset"])
+        assert a.shape == tuple(entry["shape"]) and a.dtype == np.float64
+        assert a.tobytes() == expected.tobytes(), entry["name"]
+        assert a.flags.aligned and a.flags.c_contiguous and a.flags.writeable, entry["name"]
+
+
+def test_writing_into_a_loaded_state_leaves_the_file_unchanged(run, tmp_path):
+    _, blob = run
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(blob)
+    arrays = tr._collect_arrays(tr.load_checkpoint(str(path)))
+    for a in arrays.values():
+        a[...] = 7.0
+    assert all(np.all(a == 7.0) for a in arrays.values())
+    assert path.read_bytes() == blob
+
+
+def test_a_state_loaded_before_its_file_is_replaced_keeps_its_values(run, tmp_path):
+    _, blob = run
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(blob)
+    old = tr.load_checkpoint(str(path))
+    before = {name: a.copy() for name, a in tr._collect_arrays(old).items()}
+    new = tr.load_checkpoint(str(path))
+    for a in tr._collect_arrays(new).values():
+        a += 1.0
+    tr.save_checkpoint(str(path), new)
+    after = tr._collect_arrays(old)
+    assert all(np.array_equal(after[name], a) for name, a in before.items())
+    reloaded = tr._collect_arrays(tr.load_checkpoint(str(path)))
+    assert all(np.array_equal(reloaded[name], a + 1.0) for name, a in before.items())
+
+
+def test_a_file_that_cannot_be_mapped_raises_checkpoint_error(run, tmp_path, capsys, monkeypatch):
+    root, blob = run
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(blob)
+
+    def no_mapping(*args, **kwargs):
+        raise OSError(errno.ENODEV, "No such device")
+
+    monkeypatch.setattr(mmap, "mmap", no_mapping)
+    with pytest.raises(CheckpointError, match=f"^{re.escape(f'cannot map checkpoint {path}: No such device')}$"):
+        tr.load_checkpoint(str(path))
+    code = cli.main(["eval", "--checkpoint", str(path), "--data", str(root / "prep")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot map checkpoint {path}") and "Traceback" not in err

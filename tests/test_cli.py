@@ -309,7 +309,10 @@ class TestReports:
         with pytest.raises(SystemExit) as exc:
             cli.main([*head, "--checkpoint", world["ckpt"], "--data", world["prep"], *tail])
         assert exc.value.code == 2
-        assert "error: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: " in err
+        if head[0] == "--threads":
+            assert "error: --threads follows the command: intentcf eval --threads N" in err
 
     def test_determinism_same_command_same_output(self, world, capsys):
         cli.main(["recommend", "--checkpoint", world["ckpt"], "--data", world["prep"],

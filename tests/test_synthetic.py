@@ -1,11 +1,13 @@
 """The genre world, built one user at a time, against the plain per-rating
-loop it must reproduce value for value."""
+loop it must reproduce value for value; the planted world's size check."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intentcf import synthetic
+from intentcf.errors import ParameterError
 
 
 def per_rating_genre_world(n_users=943, n_items=1200, n_genres=18, seed=0, mean_items=70.0):
@@ -67,3 +69,17 @@ class TestGenreWorld:
     def test_equals_the_per_rating_loop_at_acceptance_density(self):
         kwargs = dict(n_users=60, n_items=1200, seed=42)
         assert_same_world(synthetic.genre_world_data(**kwargs), per_rating_genre_world(**kwargs))
+
+
+class TestPlantedWorld:
+    def test_fewer_items_than_channels_is_rejected(self):
+        with pytest.raises(ParameterError, match="one item per channel"):
+            synthetic.planted_channel_data(n_users=1, n_items=4, n_channels=5)
+        assert synthetic.planted_channel_data(n_users=3, n_items=5, n_channels=5).triples
+
+    def test_cli_names_items(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            synthetic.main(["--kind", "planted", "--users", "1", "--items", "2", "--out", str(tmp_path / "w")])
+        assert exc.value.code == 2
+        assert "error: --items: need at least one item per channel (5), got 2 items" in capsys.readouterr().err
+        assert not (tmp_path / "w").exists()
