@@ -3,15 +3,15 @@
 A Tensor wraps a numpy array; every operation records its parents and a
 closure computing the vector-Jacobian product, so the recorded graph is the
 computation tape. ``backward`` replays the tape in reverse topological
-order, visiting each node exactly once. Only the primitives the model needs
-are provided; everything is 64-bit.
+order, visiting each node exactly once, and returns the leaves' gradients.
+Only the primitives the model needs are provided; everything is 64-bit.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,11 +35,10 @@ def no_grad():
 class Tensor:
     """A float64 array plus the tape bookkeeping needed for backward."""
 
-    __slots__ = ("data", "grad", "name", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "name", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
         self.name = name
         self.requires_grad = requires_grad and _grad_enabled
         self._parents: tuple[Tensor, ...] = ()
@@ -62,7 +61,7 @@ def as_tensor(x) -> Tensor:
 
 
 def parameter(data, name: str) -> Tensor:
-    """A named leaf that accumulates gradients."""
+    """A named leaf that backward returns a gradient for."""
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True, name=name)
 
 
@@ -342,49 +341,32 @@ def _tape(loss: Tensor) -> list[Tensor]:
     return topo
 
 
-def leaves(loss: Tensor) -> list[Tensor]:
-    """The leaves on the tape of ``loss`` that need a gradient."""
-    return [node for node in _tape(loss) if not node._parents]
-
-
-def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(node) into ``.grad`` over the recorded tape.
+def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
+    """d(loss)/d(leaf) for every leaf on the recorded tape of ``loss``.
 
     The loss must be scalar. Each recorded node is visited exactly once, in
-    reverse topological order. A VJP returns None for a parent that needs
-    no gradient (a constant operand), so that product is never formed.
+    reverse topological order; a node's incoming gradient is held only until
+    its VJP has run, and nothing is stored on the tape. A VJP returns None
+    for a parent that needs no gradient (a constant operand), so that
+    product is never formed, and a constant gets no entry.
     """
     if loss.data.ndim != 0:
         raise ParameterError(f"backward expects a scalar loss, got shape {loss.data.shape}")
-    topo = _tape(loss)
-    loss.grad = np.ones((), dtype=np.float64)
-    for node in reversed(topo):
-        if node._vjp is None or node.grad is None:
+    pending: dict[Tensor, np.ndarray] = {loss: np.ones((), dtype=np.float64)}
+    out: dict[Tensor, np.ndarray] = {}
+    for node in reversed(_tape(loss)):
+        g = pending.pop(node, None)
+        if g is None:
             continue
-        for p, g in zip(node._parents, node._vjp(node.grad)):
-            if g is None or not p.requires_grad:
+        if node._vjp is None:
+            out[node] = g
+            continue
+        for p, gp in zip(node._parents, node._vjp(g)):
+            if gp is None or not p.requires_grad:
                 continue
-            if p.grad is None:
-                # no VJP writes into its inputs or outputs, so g is kept without a copy
-                p.grad = np.asarray(g, dtype=np.float64)
-            else:
-                p.grad = p.grad + g
-
-
-def gradients(loss: Tensor, params: Iterable[Tensor]) -> dict[str, np.ndarray]:
-    """Run backward and collect gradients keyed by parameter name.
-
-    Parameter ``.grad`` slots are cleared afterwards so the next tape starts
-    fresh; parameters that receive no gradient map to zeros.
-    """
-    params = list(params)
-    for p in params:
-        p.grad = None
-    backward(loss)
-    out = {}
-    for p in params:
-        if p.name is None:
-            raise ParameterError("gradients() requires named parameters")
-        out[p.name] = p.grad if p.grad is not None else np.zeros_like(p.data)
-        p.grad = None
+            acc = pending.get(p)
+            # the first gradient is kept uncopied, as no VJP writes into its
+            # inputs or outputs; later ones form a new sum, never +=, since
+            # add hands one array to both its parents
+            pending[p] = np.asarray(gp, dtype=np.float64) if acc is None else acc + gp
     return out

@@ -1,8 +1,8 @@
 """Command-line surface: prepare, train, eval, channels, recommend, cooccur, inspect.
 
 Heavy imports happen inside handlers so --threads can pin BLAS thread
-counts before numpy is loaded. Exit codes: 0 success, 1 runtime failure,
-2 usage/config error.
+counts before numpy is loaded. Exit codes: 0 success, 1 runtime failure
+(a stdout closed by its reader included), 2 usage/config error.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .errors import IntentcfError, ParameterError, UsageError
+from .errors import CheckpointError, IntentcfError, ParameterError, UsageError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,14 +107,21 @@ def _require_checkpoint(path: str) -> None:
 def _load_state_and_data(args, parts: tuple[str, ...] = ("train",)):
     """The checkpoint, the prepared directory's user and item ids, and the
     split parts a command reads: train alone unless it scores held-out
-    ratings, none (the split is then None) if it needs only the ids."""
+    ratings, none (the split is then None) if it needs only the ids.
+    Every model and prior array must be finite: a checkpoint that is not
+    raises CheckpointError naming the first array that is not."""
+    import numpy as np
+
     from .data import load_ids, load_split
-    from .training import load_checkpoint
+    from .training import load_checkpoint, model_arrays
 
     _require_checkpoint(args.checkpoint)
     if not os.path.isdir(args.data):
         raise UsageError(f"prepared data directory not found: {args.data}")
     state = load_checkpoint(args.checkpoint)
+    bad = next((name for name, a in model_arrays(state).items() if not np.isfinite(a).all()), None)
+    if bad is not None:
+        raise CheckpointError(f"checkpoint {args.checkpoint}: array {bad!r} holds a non-finite value")
     split = load_split(args.data, parts) if parts else None
     users, items = (split.train.user_ids, split.train.item_ids) if split else load_ids(args.data)
     if len(items) != state.n_items or len(users) != state.n_users:
@@ -408,7 +415,14 @@ def main(argv=None) -> int:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; pointing it at devnull keeps the
+        # interpreter's final flush from raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (UsageError, ParameterError) as exc:
         # parameter errors reaching the CLI stem from user-supplied values
         print(f"error: {exc}", file=sys.stderr)

@@ -113,7 +113,9 @@ def init_intent_model(
 
 def sample_gamma(mu: Tensor, logvar: Tensor, noise, tau: float) -> Tensor:
     """Channel distribution gamma of a reparameterized softmax-basis sample.
-    Pass zero noise for the deterministic evaluation path."""
+    Zero noise gives softmax_temp(mu, tau), the deterministic gamma; the
+    evaluation path (Scorer._gamma) takes that directly and does not call
+    this function."""
     sigma = ad.exp(ad.mul(logvar, 0.5))
     return softmax_temp(gaussian_reparameterize(mu, sigma, noise), tau)
 

@@ -197,8 +197,9 @@ class Adam:
         self.v: dict[str, np.ndarray] = {}
 
     def step(self, params: list[Tensor], grads: dict[str, np.ndarray | RowGrad]) -> None:
-        """One update of every parameter; a parameter without a gradient
-        gets a zero one. Every gradient is checked before anything moves."""
+        """One update of every parameter. A parameter without a gradient,
+        one the loss does not reach, gets a zero one here: batch_gradients
+        leaves it out. Every gradient is checked before anything moves."""
         checked = [(p, _checked_grad(p, grads.get(p.name))) for p in params]
         self.t += 1
         c1 = 1.0 - _BETA1 ** self.t

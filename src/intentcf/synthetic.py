@@ -55,6 +55,8 @@ def planted_channel_data(
 ) -> SyntheticData:
     """Disjoint item groups; every user mixes two groups with Dirichlet
     weights and draws 12 to 40 items multinomially from the mixture."""
+    if n_channels < 2:
+        raise ParameterError(f"every user mixes two channels, so n_channels must be at least 2, got {n_channels}")
     if n_items < n_channels:
         raise ParameterError(f"need at least one item per channel ({n_channels}), got {n_items} items")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), 11])))

@@ -294,18 +294,24 @@ def compute_batch_losses(state: TrainerState, batch: ItemBatch, eta: float, tau:
 
 
 def batch_gradients(loss: Tensor, params: list[Tensor]) -> dict[str, np.ndarray | RowGrad]:
-    """Gradients of a batch loss for ``params``, keyed by name. A parameter
-    the loss reads through a RowView gets a RowGrad at the view's rows, and
-    no full-size gradient; every other one a dense array. A parameter read
-    through a RowView must be read through that one view alone."""
-    views: dict[str, RowView] = {}
-    for leaf in ad.leaves(loss):
-        if isinstance(leaf, RowView) and views.setdefault(leaf.name, leaf) is not leaf:
-            raise ParameterError(f"the loss reads parameter {leaf.name!r} through two row views")
-    leaves = [views.get(p.name, p) for p in params]
-    grads = ad.gradients(loss, leaves)
-    return {x.name: RowGrad(x.rows, grads[x.name], x.axis) if isinstance(x, RowView) else grads[x.name]
-            for x in leaves}
+    """Gradients of a batch loss for the ``params`` it reaches, keyed by
+    name, from one walk of its tape. A parameter the loss reads through a
+    RowView gets a RowGrad at the view's rows, and no full-size gradient;
+    every other one a dense array. Each parameter must reach the loss
+    through one leaf: itself or one view of it."""
+    names = {p.name for p in params}
+    leaves: dict[str, Tensor] = {}
+    out: dict[str, np.ndarray | RowGrad] = {}
+    for leaf, g in ad.backward(loss).items():
+        if leaf.name not in names:
+            continue
+        first = leaves.setdefault(leaf.name, leaf)
+        if first is not leaf:
+            how = "two row views" if isinstance(first, RowView) and isinstance(leaf, RowView) \
+                else "a row view and directly"
+            raise ParameterError(f"the loss reads parameter {leaf.name!r} through {how}")
+        out[leaf.name] = RowGrad(leaf.rows, g, leaf.axis) if isinstance(leaf, RowView) else g
+    return out
 
 
 @dataclass
@@ -503,13 +509,17 @@ _VERSION = 1
 _ALIGN = 64
 
 
-def _collect_arrays(state: TrainerState) -> dict[str, np.ndarray]:
+def model_arrays(state: TrainerState) -> dict[str, np.ndarray]:
+    """The model's parameters and prior, under their checkpoint names."""
     arrays = {p.name: p.data for p in state.all_parameters()}
     arrays["prior.mu"] = state.prior.mu
     arrays["prior.var"] = state.prior.sigma_diag
     arrays["prior.alpha"] = state.prior.alpha
-    arrays.update(state.opt.state_arrays())
     return arrays
+
+
+def _collect_arrays(state: TrainerState) -> dict[str, np.ndarray]:
+    return {**model_arrays(state), **state.opt.state_arrays()}
 
 
 def save_checkpoint(path: str, state: TrainerState) -> None:

@@ -1,10 +1,11 @@
 """Central finite differences, the relative error the gradient checks
-compare them by, and full-size gradients of a batch loss."""
+compare them by, and the gradients of a loss keyed by parameter name."""
 
 from typing import Callable
 
 import numpy as np
 
+from intentcf import autodiff as ad
 from intentcf import training as tr
 from intentcf.autodiff import Tensor
 from intentcf.nn import RowGrad
@@ -49,13 +50,23 @@ def max_relative_error(analytic: dict[str, np.ndarray], numeric: dict[str, np.nd
     return worst
 
 
+def named_gradients(loss: Tensor, params: list[Tensor]) -> dict[str, np.ndarray]:
+    """d(loss)/d(p) for each of ``params``, keyed by name; zeros for a
+    parameter the loss does not reach."""
+    grads = ad.backward(loss)
+    return {p.name: grads[p] if p in grads else np.zeros_like(p.data) for p in params}
+
+
 def full_gradients(loss: Tensor, params: list[Tensor]) -> dict[str, np.ndarray]:
     """training.batch_gradients of ``loss`` with each RowGrad spread into
-    the full-size gradient it stands for."""
+    the full-size gradient it stands for, and zeros for a parameter the
+    loss does not reach."""
     out = tr.batch_gradients(loss, params)
     for p in params:
-        g = out[p.name]
-        if isinstance(g, RowGrad):
+        g = out.get(p.name)
+        if g is None:
+            out[p.name] = np.zeros_like(p.data)
+        elif isinstance(g, RowGrad):
             out[p.name] = np.zeros_like(p.data)
             np.moveaxis(out[p.name], g.axis, 0)[g.rows] = np.moveaxis(g.values, g.axis, 0)
     return out

@@ -14,7 +14,6 @@ import time
 import numpy as np
 import pytest
 
-from intentcf import autodiff as ad
 from intentcf import data as dt
 from intentcf import evaluation as ev
 from intentcf import intent as it
@@ -24,7 +23,7 @@ from intentcf import training as tr
 from intentcf.autodiff import Tensor
 
 from cell_fixtures import cells, full_batch, train_until
-from gradcheck import finite_difference_gradients, full_gradients, max_relative_error
+from gradcheck import finite_difference_gradients, full_gradients, max_relative_error, named_gradients
 
 pytestmark = pytest.mark.acceptance
 
@@ -161,7 +160,7 @@ def test_criterion_1_gradient_checks():
         return it.item_intent_kl_loss(it.item_intents(state.intent, tau), gamma_frozen, batch.binary)
 
     live = full_gradients(losses().l2, params)
-    frozen = ad.gradients(l2_frozen(), params)
+    frozen = named_gradients(l2_frozen(), params)
     agree = all(np.allclose(live[p.name], frozen[p.name], atol=1e-12) for p in params)
     assert agree, "stop-gradient path must equal frozen-gamma path analytically"
 
@@ -257,7 +256,7 @@ def test_criterion_5_stop_gradient():
         mu, logvar = nn.encode_gaussian(state.intent.encoder_psi, xb)
         gamma = it.sample_gamma(mu, logvar, rng.standard_normal((5, 4)), tau=0.4)
         loss = it.item_intent_kl_loss(it.item_intents(state.intent, 0.4), gamma, cells(xb))
-        grads = ad.gradients(loss, state.intent.parameters())
+        grads = named_gradients(loss, state.intent.parameters())
         # every psi parameter downstream of the embedding is exactly zero;
         # the shared first-layer matrix W feeds the item net and is exempt
         for name in ("psi.b0", "psi.w1", "psi.b1", "beta.logits"):

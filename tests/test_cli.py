@@ -3,8 +3,11 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -420,6 +423,45 @@ class TestInspect:
         assert capsys.readouterr().err.startswith("error: cannot read checkpoint")
         assert cli.main(["inspect", str(tmp_path / "none.ckpt")]) == 2
         assert "checkpoint not found" in capsys.readouterr().err
+
+
+SERVING_COMMANDS = {
+    "eval": ["eval"],
+    "channels": ["channels"],
+    "channels-user": ["channels", "--user", "u0"],
+    "recommend": ["recommend", "--user", "u0"],
+    "recommend-similar": ["recommend", "--similar-to", "i0"],
+    "cooccur": ["cooccur", "--shuffles", "5"],
+}
+
+
+class TestNonFiniteCheckpoint:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["item.V", "psi.w0", "beta.logits"])
+    def test_every_serving_command_exits_1(self, world, tmp_path, capsys, name, value):
+        state = training.load_checkpoint(world["ckpt"])
+        training.model_arrays(state)[name][..., 1] = value
+        bad = str(tmp_path / "bad.ckpt")
+        training.save_checkpoint(bad, state)
+        for command, argv in SERVING_COMMANDS.items():
+            assert cli.main([*argv, "--checkpoint", bad, "--data", world["prep"]]) == 1, command
+            captured = capsys.readouterr()
+            assert captured.err == f"error: checkpoint {bad}: array {name!r} holds a non-finite value\n", command
+            assert captured.out == "", command
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [["eval", "--json"], ["channels", "--json"]])
+    def test_exits_1_without_a_traceback(self, world, argv):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        with subprocess.Popen([sys.executable, "-m", "intentcf.cli", *argv, "--checkpoint", world["ckpt"],
+                               "--data", world["prep"]], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            proc.stdout.close()  # before the command has imported numpy, let alone written
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        assert code == 1, err
+        assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 PREPARED_FILES = ("train.tsv", "valid.tsv", "test.tsv", "users.txt", "items.txt")

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from intentcf import autodiff as ad
 from intentcf import intent as it
 from intentcf import nn
 from intentcf.autodiff import Tensor
 from intentcf.errors import ParameterError
 
 from cell_fixtures import cells
+from gradcheck import named_gradients
 
 
 class TestLaplacePrior:
@@ -208,7 +208,7 @@ class TestItemIntentKl:
         gamma = it.sample_gamma(mu, logvar, np.zeros((2, 3)), tau=0.4)
         phi = it.item_intents(model, tau=0.4)
         loss = it.item_intent_kl_loss(phi, gamma, cells(x))
-        grads = ad.gradients(loss, model.parameters())
+        grads = named_gradients(loss, model.parameters())
         # every psi parameter except the shared embedding gets exactly zero
         assert np.array_equal(grads["psi.b0"], np.zeros_like(grads["psi.b0"]))
         assert np.array_equal(grads["psi.w1"], np.zeros_like(grads["psi.w1"]))

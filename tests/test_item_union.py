@@ -25,7 +25,7 @@ from intentcf.preference import select_top_channels_batch
 from intentcf.ranking import top_n
 
 from cell_fixtures import full_batch
-from gradcheck import full_gradients
+from gradcheck import full_gradients, named_gradients
 
 
 def dense_intent_elbo(model, prior, x, noise, eta, tau):
@@ -157,7 +157,7 @@ class TestUnionLossesMatchDense:
             assert union.scalars()[key] == pytest.approx(want, rel=1e-10, abs=1e-12), key
 
         params = state.all_parameters()
-        assert_close_grads(full_gradients(union.total, params), ad.gradients(dense.total, params), 1e-10)
+        assert_close_grads(full_gradients(union.total, params), named_gradients(dense.total, params), 1e-10)
 
     def test_batch_over_all_items_equals_union_batch(self):
         # U may hold items nobody in the batch rated: a batch over all M
@@ -252,7 +252,7 @@ class TestCellOps:
         def run(build):
             params = [ad.parameter(vals, "v"), ad.parameter(a, "a"), ad.parameter(b, "b")]
             out = build(*params)
-            return out.data, ad.gradients(out, params)
+            return out.data, named_gradients(out, params)
 
         def cell_loss(v, a_, b_):
             unit = ad.l2norm_cells(v, rows, n_rows)

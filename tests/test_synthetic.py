@@ -77,6 +77,12 @@ class TestPlantedWorld:
             synthetic.planted_channel_data(n_users=1, n_items=4, n_channels=5)
         assert synthetic.planted_channel_data(n_users=3, n_items=5, n_channels=5).triples
 
+    @pytest.mark.parametrize("n_channels", [-1, 0, 1])
+    def test_fewer_than_two_channels_is_rejected(self, n_channels):
+        with pytest.raises(ParameterError, match="mixes two channels"):
+            synthetic.planted_channel_data(n_users=3, n_items=5, n_channels=n_channels)
+        assert synthetic.planted_channel_data(n_users=3, n_items=5, n_channels=2).triples
+
     def test_cli_names_items(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             synthetic.main(["--kind", "planted", "--users", "1", "--items", "2", "--out", str(tmp_path / "w")])

@@ -20,6 +20,7 @@ from intentcf import training as tr
 from intentcf.errors import CheckpointError, ParameterError, TrainingError, UsageError
 
 from cell_fixtures import full_batch, train_until
+from gradcheck import named_gradients
 
 def small_split(n_users=60, n_items=40, n_channels=3, seed=4):
     sd = synthetic.planted_channel_data(n_users=n_users, n_items=n_items, n_channels=n_channels, seed=seed)
@@ -165,7 +166,7 @@ class TestPretrainStructure:
         batch = full_batch(x_bin.dense(np.arange(8)), split.train.dense(np.arange(8)))
         losses = tr.compute_batch_losses(state, batch, 0.5, 0.8, 0, "pretrain")
         total = ad.add(losses.l1, ad.mul(losses.l2, cfg.lambda2))
-        grads = ad.gradients(total, state.intent.parameters())
+        grads = named_gradients(total, state.intent.parameters())
         for name in ("nu.w0", "nu.b0", "nu.w1", "nu.b1"):
             assert np.array_equal(grads[name], np.zeros_like(grads[name])), name
         assert np.abs(grads["beta.logits"]).max() > 0
@@ -242,6 +243,28 @@ class TestRowSparseStep:
         grads = tr.batch_gradients(ad.tsum(ad.mul(nn.RowView(w, [1, 3]), 2.0)), [w])
         np.testing.assert_array_equal(grads["w"].rows, [1, 3])
         np.testing.assert_array_equal(grads["w"].values, np.full((2, 2), 2.0))
+
+    def test_a_view_and_the_parameter_itself_rejected(self):
+        # the direct read's gradient must not be dropped in favour of the view's
+        w = ad.parameter(np.ones((4, 2)), "w")
+        loss = ad.add(ad.tsum(ad.mul(nn.RowView(w, [1, 3]), 2.0)), ad.tsum(ad.mul(w, 3.0)))
+        with pytest.raises(ParameterError, match="a row view and directly"):
+            tr.batch_gradients(loss, [w])
+
+    def test_a_parameter_the_loss_does_not_reach_gets_no_entry(self):
+        w, unused = ad.parameter(np.ones(3), "w"), ad.parameter(np.ones(2), "unused")
+        grads = tr.batch_gradients(ad.tsum(ad.mul(w, 2.0)), [w, unused])
+        assert set(grads) == {"w"}
+        np.testing.assert_array_equal(grads["w"], np.full(3, 2.0))
+
+    def test_train_walks_each_batch_tape_once(self, tmp_path, monkeypatch):
+        walks, batches = [], []
+        tape, losses = ad._tape, tr.compute_batch_losses
+        monkeypatch.setattr(ad, "_tape", lambda loss: walks.append(1) or tape(loss))
+        monkeypatch.setattr(tr, "compute_batch_losses", lambda *a: batches.append(1) or losses(*a))
+        tr.train(small_split(), small_cfg(pretrain_epochs=1, unified_epochs=1), str(tmp_path))
+        assert len(batches) >= 4
+        assert len(walks) == len(batches)
 
 
 class TestDeterminismAndPersistence:
