@@ -348,9 +348,11 @@ def cmd_recommend(args) -> int:
 
 def cmd_cooccur(args) -> int:
     from .data import GenreTable
-    from .evaluation import cooccurrence_rate
+    from .evaluation import MAX_TOP, cooccurrence_rate
     from .training import scorer_from_state
 
+    if args.top > MAX_TOP:
+        raise UsageError(f"--top must be at most {MAX_TOP}, got {args.top}")
     state, _, items, _ = _load_state_and_data(args, ())
     genres_path = args.genres or os.path.join(args.data, "genres.txt")
     if not os.path.exists(genres_path):

@@ -26,6 +26,11 @@ METRICS = ("precision", "recall", "map", "ndcg")
 # a shuffle of the default 20 items per channel takes about 0.5 ms, so the
 # largest baseline costs about 5 s
 MAX_SHUFFLES = 10_000
+# the largest top_t: one channel's (T, T) pair product then holds 8 MB
+MAX_TOP = 1_000
+# the bytes of the pair products counted at once; the default top_t of 20
+# fits 10,000 channels in one product
+_PAIR_BYTES = 32 << 20
 
 
 @dataclass
@@ -230,7 +235,8 @@ def evaluate(
     cutoffs: tuple[int, ...] = (5, 10),
     chunk: int = 64,
 ) -> MetricReport:
-    """Mean ranking metrics over users holding >= 1 positive test item. A
+    """Mean ranking metrics over users holding >= 1 positive held-out item
+    (one in ``split.test`` at or above the rating threshold). A
     cutoff is an integer from 1 to the number of items, ``chunk`` an integer
     >= 1.
 
@@ -266,7 +272,7 @@ def evaluate(
                 per_user[m][k].append(values)
     counted = sum(v.size for v in per_user[METRICS[0]][kmax])
     if counted == 0:
-        raise ParameterError("no users with positive test items to evaluate")
+        raise ParameterError("no users with positive held-out items to evaluate")
     # users are summed in order, as a per-user loop would
     values = {m: {k: float(np.cumsum(np.concatenate(per_user[m][k]))[-1]) / counted for k in cutoffs}
               for m in METRICS}
@@ -305,11 +311,14 @@ def _genre_incidence(genre_sets: list[frozenset]) -> np.ndarray:
 def _pair_success_rate(groups: np.ndarray, incidence: np.ndarray) -> tuple[float, list[float]]:
     """Pooled and per-group fractions of item pairs within a group that share
     a genre, for the rows of groups (n_groups, T): a pair shares one when the
-    product of its incidence rows is nonzero. All groups are counted by one
-    batched (n_groups, T, T) product."""
+    product of its incidence rows is nonzero. The groups are counted in
+    blocks by batched (block, T, T) products of at most _PAIR_BYTES."""
     n, t = groups.shape
-    rows = incidence[groups]
-    hits = np.count_nonzero(np.triu(rows @ rows.transpose(0, 2, 1), 1), axis=(1, 2))
+    block = max(1, _PAIR_BYTES // (8 * max(t, 1) ** 2))
+    hits = np.empty(n, dtype=np.intp)
+    for lo in range(0, n, block):
+        rows = incidence[groups[lo:lo + block]]
+        hits[lo:lo + block] = np.count_nonzero(np.triu(rows @ rows.transpose(0, 2, 1), 1), axis=(1, 2))
     pairs = t * (t - 1) // 2
     per_group = [h / pairs for h in hits.tolist()] if pairs else [0.0] * n
     return (int(hits.sum()) / (n * pairs) if n * pairs else 0.0), per_group
@@ -332,10 +341,13 @@ def cooccurrence_rate(
     ``choice(M, min(T, M), replace=False)`` per channel, channels inner and
     shuffles outer, and the baseline sums the shuffles' pooled rates in
     shuffle order. The observed groups and each shuffle's K groups are
-    counted by one batched pair count.
+    counted by one batched pair count, in blocks for a large top_t (at most
+    MAX_TOP).
     """
     if not (is_int(top_t) and top_t >= 2):
         raise ParameterError(f"top_t must be >= 2 to form pairs and an integer, got {top_t}")
+    if top_t > MAX_TOP:
+        raise ParameterError(f"top_t must be at most {MAX_TOP}, got {top_t}")
     if not (is_int(shuffles) and 1 <= shuffles <= MAX_SHUFFLES):
         raise ParameterError(f"shuffles must be >= 1, at most {MAX_SHUFFLES} and an integer, got {shuffles}")
     if not (is_int(seed) and seed >= 0):

@@ -22,7 +22,7 @@ from .checks import is_finite, is_int, is_real
 from .contrast import augmented_view, contrastive_loss, embed_original
 from .data import BinaryMatrix, ItemBatch, SplitDataset, binarize, item_batch
 from .errors import CheckpointError, ParameterError, ShapeError, TrainingError, UsageError
-from .evaluation import Scorer, evaluate
+from .evaluation import Scorer, evaluate, positives_for_user
 from .intent import (
     IntentModel,
     LaplacePrior,
@@ -349,6 +349,8 @@ def run_epoch(state: TrainerState, data: SplitDataset, x_bin: BinaryMatrix, epoc
             )
         params = state.parameters(stage)
         state.opt.step(params, batch_gradients(losses.total, params))
+        # the batch's tape goes before the next batch builds its own
+        del losses
         state.global_batch += 1
         for key in sums:
             sums[key] += scalars.get(key, 0.0)
@@ -371,6 +373,23 @@ def validation_recall_at_10(state: TrainerState, data: SplitDataset) -> float:
     return report.values["recall"][10]
 
 
+def _stopped(state: TrainerState) -> bool:
+    """Whether the run has stopped early: its last epoch was a unified one
+    and patience has run out."""
+    return state.epoch > state.cfg.pretrain_epochs and state.bad_epochs >= state.cfg.patience
+
+
+def _check_validation_positives(data: SplitDataset) -> None:
+    """Raise ParameterError unless some user with training items has a
+    validation positive: unified epochs rank the validation split for those
+    users alone."""
+    valid = dataclasses.replace(data, test=data.valid)
+    if not any(data.train.rows[u][0].size and positives_for_user(valid, u).size for u in range(data.train.n_users)):
+        raise ParameterError(f"the validation split holds no rating at or above the rating threshold "
+                             f"{data.rating_threshold} for a user with training items, so no unified epoch "
+                             "can be validated")
+
+
 def train(
     data: SplitDataset,
     cfg: TrainConfig,
@@ -383,12 +402,14 @@ def train(
     early stopping, whose patience counts only epochs that end with the KL
     weight at eta_max. Deterministic given (config, seed).
 
-    Every epoch ends by writing last.ckpt and then calling ``log`` with the
-    epoch record. Resuming from a last.ckpt continues the identical
-    trajectory under the checkpoint's config (cfg is then not read). If
-    ``out_dir`` has no best.ckpt, the one beside the resumed checkpoint is
-    copied in first; a run that validated no epoch saves its final state
-    as best.ckpt.
+    Every epoch ends with one commit: last.ckpt, then history.json and
+    run_manifest.txt, then ``log`` with the epoch record. A run with unified
+    epochs left needs a validation positive, or raises ParameterError first.
+    Resuming from a last.ckpt continues the identical trajectory under the
+    checkpoint's config (cfg is then not read); a state that ``_stopped``
+    says patience ended trains no epoch. If ``out_dir`` has no best.ckpt,
+    the one beside the resumed checkpoint is copied in first; a run that
+    validated no epoch saves its final state as best.ckpt.
     """
     os.makedirs(out_dir, exist_ok=True)
     best_path = os.path.join(out_dir, "best.ckpt")
@@ -409,9 +430,12 @@ def train(
         state = build_state(cfg, data.train.n_users, data.train.n_items)
     x_bin = binarize(data.train, cfg.intent_min_rating)
     total_epochs = cfg.pretrain_epochs + cfg.unified_epochs
+    if max(state.epoch, cfg.pretrain_epochs) < total_epochs:
+        _check_validation_positives(data)
     t_start = time.time()
-    stopped_early = False
     for epoch in range(state.epoch, total_epochs):
+        if _stopped(state):
+            break
         stage = "pretrain" if epoch < cfg.pretrain_epochs else "unified"
         record = run_epoch(state, data, x_bin, epoch, stage)
         improved = False
@@ -431,15 +455,13 @@ def train(
         if improved:
             save_checkpoint(best_path, state)
         save_checkpoint(last_path, state)
+        _write_manifest(state, out_dir, time.time() - t_start, resume_from)
         if log is not None:
             log(record)
-        if stage == "unified" and state.bad_epochs >= cfg.patience:
-            stopped_early = True
-            break
     if state.best_epoch < 0:
         # a run that validated no epoch still exposes a usable checkpoint
         save_checkpoint(best_path, state)
-    manifest = _write_manifest(state, out_dir, time.time() - t_start, stopped_early, resume_from)
+    manifest = _write_manifest(state, out_dir, time.time() - t_start, resume_from)
     return TrainResult(out_dir, best_path, last_path, manifest, state.history, state.best_val, state.best_epoch)
 
 
@@ -457,8 +479,7 @@ def _carry_best(resume_from: str, best_epoch: int, best_path: str) -> None:
     os.replace(best_path + ".tmp", best_path)
 
 
-def _write_manifest(state: TrainerState, out_dir: str, wall: float, stopped_early: bool,
-                    resume_from: str | None) -> str:
+def _write_manifest(state: TrainerState, out_dir: str, wall: float, resume_from: str | None) -> str:
     cfg = state.cfg
     lines = [
         "run manifest",
@@ -487,7 +508,7 @@ def _write_manifest(state: TrainerState, out_dir: str, wall: float, stopped_earl
             f"{r['eta']:.3f}", f"{r['tau']:.3f}", f"{r['seconds']:.1f}" if "seconds" in r else "-",
         ]
         lines.append("  " + "  ".join(row))
-    if stopped_early:
+    if _stopped(state):
         lines.append(f"early_stop: no val improvement for {cfg.patience} epochs")
     lines.append(f"best_epoch: {state.best_epoch}")
     lines.append(f"best_val_recall_at_10: {state.best_val if np.isfinite(state.best_val) else 'n/a'}")
@@ -507,6 +528,11 @@ _MAGIC = b"ICF1"
 _FOOTER = b"ICFE"
 _VERSION = 1
 _ALIGN = 64
+
+# the checkpoint counters that are TrainerState attributes, with their value
+# tests; adam_t (opt.t) and best_val (null for -inf) are stored beside them
+_COUNTERS = (("epoch", is_int), ("global_batch", is_int), ("best_epoch", is_int), ("bad_epochs", is_int),
+             ("tau", is_real), ("eta", is_real))
 
 
 def model_arrays(state: TrainerState) -> dict[str, np.ndarray]:
@@ -543,14 +569,9 @@ def save_checkpoint(path: str, state: TrainerState) -> None:
         "n": state.n_users,
         "config": state.cfg.to_dict(),
         "counters": {
-            "epoch": state.epoch,
-            "global_batch": state.global_batch,
+            **{name: getattr(state, name) for name, _ in _COUNTERS},
             "adam_t": state.opt.t,
             "best_val": None if not np.isfinite(state.best_val) else state.best_val,
-            "best_epoch": state.best_epoch,
-            "bad_epochs": state.bad_epochs,
-            "tau": state.tau,
-            "eta": state.eta,
         },
         "rng": {"seed": state.cfg.seed, "scheme": "counter-based (seed, stream, step)"},
         # wall-clock seconds are left out, so the bytes depend only on (config, seed)
@@ -572,10 +593,6 @@ def save_checkpoint(path: str, state: TrainerState) -> None:
     os.replace(tmp, path)
 
 
-_COUNTERS = ("epoch", "global_batch", "adam_t", "best_val", "best_epoch", "bad_epochs", "tau", "eta")
-_REAL_COUNTERS = ("best_val", "tau", "eta")
-
-
 def _check_header(header) -> None:
     """Raise CheckpointError naming the first header section that is missing
     or mistyped, so a malformed header never surfaces as a raw exception."""
@@ -593,14 +610,9 @@ def _check_header(header) -> None:
     need(isinstance(header.get("config"), dict), "config", "expected an object")
     counters = header.get("counters")
     need(isinstance(counters, dict), "counters", f"expected an object, got {counters!r}")
-    for name in _COUNTERS:
+    for name, ok in (*_COUNTERS, ("adam_t", is_int), ("best_val", lambda v: v is None or is_real(v))):
         need(name in counters, "counters", f"{name} missing")
-        value = counters[name]
-        if name in _REAL_COUNTERS:
-            ok = is_real(value) or (name == "best_val" and value is None)
-        else:
-            ok = is_int(value)
-        need(ok, "counters", f"{name} is {value!r}")
+        need(ok(counters[name]), "counters", f"{name} is {counters[name]!r}")
     history = header.get("history", [])
     need(isinstance(history, list) and all(isinstance(r, dict) for r in history), "history",
          "expected a list of epoch records")
@@ -706,13 +718,9 @@ def load_checkpoint(path: str) -> TrainerState:
         raise CheckpointError(f"arrays section invalid: {exc}") from None
     counters = header["counters"]
     state.opt.load_state_arrays(arrays, counters["adam_t"])
-    state.epoch = counters["epoch"]
-    state.global_batch = counters["global_batch"]
+    for name, _ in _COUNTERS:
+        setattr(state, name, counters[name])
     state.best_val = -np.inf if counters["best_val"] is None else counters["best_val"]
-    state.best_epoch = counters["best_epoch"]
-    state.bad_epochs = counters["bad_epochs"]
-    state.tau = counters["tau"]
-    state.eta = counters["eta"]
     state.history = header.get("history", [])
     return state
 

@@ -450,6 +450,81 @@ class TestNonFiniteCheckpoint:
             assert captured.out == "", command
 
 
+USAGE_ERRORS = {
+    "train, missing --data": (["train", "--data", "{tmp}/none", "--out", "{tmp}/o", "--quiet"],
+                              "prepared data directory not found: {tmp}/none"),
+    **{f"{argv[0]}, missing --data": ([*argv, "--checkpoint", "{ckpt}", "--data", "{tmp}/none"],
+                                      "prepared data directory not found: {tmp}/none")
+       for argv in (["eval"], ["channels"], ["recommend", "--user", "u0"], ["cooccur"])},
+    "missing --config": (["train", "--data", "{prep}", "--out", "{tmp}/o", "--config", "{tmp}/none.json"],
+                         "config file not found: {tmp}/none.json"),
+    "--config not JSON": (["train", "--data", "{prep}", "--out", "{tmp}/o", "--config", "{tmp}/brace.json"],
+                          "config file is not valid JSON: Expecting property name enclosed in double quotes: "
+                          "line 1 column 2 (char 1)"),
+    "--config not an object": (["train", "--data", "{prep}", "--out", "{tmp}/o", "--config", "{tmp}/list.json"],
+                               "config file must hold a JSON object"),
+    "--set without =": (["train", "--data", "{prep}", "--out", "{tmp}/o", "--set", "k"],
+                        "--set expects KEY=VALUE, got 'k'"),
+    "--intent without :": (["recommend", "--checkpoint", "{ckpt}", "--data", "{prep}", "--user", "u0",
+                            "--intent", "0"], "--intent expects C:W pairs, got '0'"),
+    "--intent channel not a number": (["recommend", "--checkpoint", "{ckpt}", "--data", "{prep}", "--user", "u0",
+                                       "--intent", "a:1"], "bad intent pair 'a:1'"),
+    "recommend without --user": (["recommend", "--checkpoint", "{ckpt}", "--data", "{prep}"],
+                                 "recommend needs --user (or --similar-to ITEM)"),
+    "prepare, missing genres": (["prepare", "--ratings", "{raw}/ratings.tsv", "--genres", "{tmp}/none.txt",
+                                 "--out", "{tmp}/p"], "genre file not found: {tmp}/none.txt"),
+    "cooccur, missing genres": (["cooccur", "--checkpoint", "{ckpt}", "--data", "{prep}", "--genres",
+                                 "{tmp}/none.txt"], "genre file not found: {tmp}/none.txt (pass --genres)"),
+    "cooccur --top beyond the bound": (["cooccur", "--checkpoint", "{ckpt}", "--data", "{prep}", "--top", "1001"],
+                                       "--top must be at most 1000, got 1001"),
+    **{f"train --set {setting}": (["train", "--data", "{prep}", "--out", "{tmp}/o", "--set", setting], message)
+       for setting, message in [
+           ("kappa=0", "kappa must be >= 1, got 0"),
+           ("batch_size=0", "batch_size must be >= 1, got 0"),
+           ("d=0", "all layer widths must be >= 1"),
+           ("item_hidden=0", "all layer widths must be >= 1"),
+           ("pretrain_epochs=-1", "epoch counts must be >= 0"),
+           ("unified_epochs=-2", "epoch counts must be >= 0"),
+           ("node_dropout=1.5", "node_dropout must lie in [0, 1], got 1.5"),
+           ("edge_dropout=-0.1", "edge_dropout must lie in [0, 1], got -0.1"),
+       ]},
+}
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("case", USAGE_ERRORS)
+    def test_exit_2_with_one_error_line(self, world, tmp_path, capsys, case):
+        (tmp_path / "brace.json").write_text("{")
+        (tmp_path / "list.json").write_text("[1]")
+        paths = {"tmp": str(tmp_path), "prep": world["prep"], "ckpt": world["ckpt"], "raw": world["raw"]}
+        argv, message = USAGE_ERRORS[case]
+        code = cli.main([arg.format(**paths) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {message.format(**paths)}\n"
+        assert captured.out == "" and not (tmp_path / "o").exists()
+
+    def test_train_without_validation_positives_exits_2_before_any_epoch(self, world, tmp_path, capsys):
+        # ratings run from 1 to 5, so the threshold 6 leaves no positive
+        prep = str(tmp_path / "prep")
+        assert cli.main(["prepare", "--ratings", os.path.join(world["raw"], "ratings.tsv"), "--out", prep,
+                         "--rating-threshold", "6"]) == 0
+        capsys.readouterr()
+        small = ["--quiet", "--set", "k=3", "--set", "d=4", "--set", "intent_hidden=8", "--set", "item_hidden=8",
+                 "--set", "pref_hidden=8", "--set", "batch_size=40", "--set", "pretrain_epochs=2"]
+        out = tmp_path / "run"
+        assert cli.main(["train", "--data", prep, "--out", str(out), *small, "--set", "unified_epochs=2"]) == 2
+        assert capsys.readouterr().err == ("error: the validation split holds no rating at or above the rating "
+                                           "threshold 6.0 for a user with training items, so no unified epoch "
+                                           "can be validated\n")
+        assert not (out / "last.ckpt").exists()
+        # a pretrain-only run trains, and eval then finds no held-out positive
+        assert cli.main(["train", "--data", prep, "--out", str(out), *small, "--set", "unified_epochs=0"]) == 0
+        capsys.readouterr()
+        assert cli.main(["eval", "--checkpoint", str(out / "best.ckpt"), "--data", prep]) == 2
+        assert capsys.readouterr().err == "error: no users with positive held-out items to evaluate\n"
+
+
 class TestClosedStdout:
     @pytest.mark.parametrize("argv", [["eval", "--json"], ["channels", "--json"]])
     def test_exits_1_without_a_traceback(self, world, argv):

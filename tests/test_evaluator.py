@@ -350,6 +350,23 @@ class TestCooccurrence:
         with pytest.raises(ParameterError, match="at most 10000"):
             ev.cooccurrence_rate(np.ones((5, 2)), genres, top_t=2, shuffles=10_001)
 
+    def test_top_t_is_bounded(self):
+        genres = [frozenset({"g"})] * 5
+        assert ev.cooccurrence_rate(np.ones((5, 2)), genres, top_t=ev.MAX_TOP, shuffles=1).top_t == 1000
+        with pytest.raises(ParameterError, match="top_t must be at most 1000, got 1001"):
+            ev.cooccurrence_rate(np.ones((5, 2)), genres, top_t=1001)
+
+    @pytest.mark.parametrize("budget", [8 * 6 * 6, 8 * 6 * 6 * 3 - 1, 8 * 6 * 6 * 7])
+    def test_blocked_pair_count_equals_one_product(self, monkeypatch, budget):
+        # 7 channels of 6 items counted 1, 2 or 7 at a time
+        rng = np.random.default_rng(3)
+        genres = [frozenset(f"g{g}" for g in rng.choice(5, size=rng.integers(1, 3))) for _ in range(40)]
+        channel_item = rng.random((40, 7))
+        whole = ev.cooccurrence_rate(channel_item, genres, top_t=6, shuffles=9, seed=2)
+        monkeypatch.setattr(ev, "_PAIR_BYTES", budget)
+        blocked = ev.cooccurrence_rate(channel_item, genres, top_t=6, shuffles=9, seed=2)
+        assert blocked.as_dict() == whole.as_dict()
+
 
 class TestScorerPaths:
     def test_rank_user_deterministic_and_masked(self):

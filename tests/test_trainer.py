@@ -470,6 +470,85 @@ class TestSchedulesInTraining:
         np.testing.assert_allclose(gamma.sum(axis=1), np.ones(split.train.n_users), atol=1e-10)
         assert np.all(gamma > 0)
 
+# validation R@10 per unified epoch in the shape of the desk plateau: flat
+# near 0.01, falling during the KL warm-up, and rising only after it
+PLATEAU = [0.0098, 0.0061, 0.0061, 0.0085, 0.0090, 0.0123, 0.0110, 0.0117, 0.0426]
+
+
+def manifest_epochs(run: Path) -> list[int]:
+    """The epochs listed in a run directory's run_manifest.txt table."""
+    lines = (run / "run_manifest.txt").read_text().splitlines()
+    start = lines.index("epochs:") + 2  # past the column header
+    return [int(line.split()[0]) for line in lines[start:] if line.startswith("  ")]
+
+
+class TestStopAndCommit:
+    def test_stopped_reads_the_saved_state_through_the_warm_up(self, tmp_path, monkeypatch):
+        # 60 users in 2 batches with kappa 10: unified epochs 1-4 end below
+        # eta_max, so their falls do not count; epoch 5 counts one, epoch 6
+        # improves, and epochs 7 and 8 exhaust patience 2 before epoch 9's rise
+        values = iter(PLATEAU)
+        monkeypatch.setattr(tr, "validation_recall_at_10", lambda state, data: next(values))
+        split = small_split()
+        cfg = small_cfg(pretrain_epochs=1, unified_epochs=len(PLATEAU), kappa=10, patience=2)
+        run = tmp_path / "run"
+        seen = []
+
+        def log(record):
+            state = tr.load_checkpoint(str(run / "last.ckpt"))
+            seen.append((state.eta < cfg.eta_max, state.bad_epochs, tr._stopped(state)))
+
+        res = tr.train(split, cfg, str(run), log=log)
+        assert [below for below, _, _ in seen] == [True] * 5 + [False] * 4
+        assert [bad for _, bad, _ in seen] == [0, 0, 0, 0, 0, 1, 0, 1, 2]
+        assert [stopped for _, _, stopped in seen] == [False] * 8 + [True]
+        assert res.best_epoch == 6 and len(res.history) == 9
+        assert "early_stop: no val improvement for 2 epochs" in (run / "run_manifest.txt").read_text()
+
+        # patience counts only after the last pretrain epoch
+        state = tr.build_state(small_cfg(pretrain_epochs=2, patience=0), 60, 40)
+        assert [tr._stopped(dataclasses.replace(state, epoch=e)) for e in range(4)] == [False] * 3 + [True]
+
+    def test_a_run_patience_stopped_resumes_to_no_epoch(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tr, "validation_recall_at_10", lambda state, data: 0.5)
+        split = small_split()
+        cfg = small_cfg(pretrain_epochs=1, unified_epochs=20, patience=1, kappa=7)
+        run = tmp_path / "run"
+        first = tr.train(split, cfg, str(run))
+        assert len(first.history) < 21
+        blob = (run / "last.ckpt").read_bytes()
+        for out in (run, tmp_path / "elsewhere"):
+            logged = []
+            again = tr.train(split, cfg, str(out), resume_from=str(run / "last.ckpt"), log=logged.append)
+            assert logged == [] and (run / "last.ckpt").read_bytes() == blob
+            assert [r["epoch"] for r in again.history] == [r["epoch"] for r in first.history]
+            assert manifest_epochs(out) == [r["epoch"] for r in first.history]
+            assert "early_stop:" in (out / "run_manifest.txt").read_text()
+
+    def test_a_cut_run_leaves_the_run_files_of_its_epochs(self, tmp_path):
+        split = small_split()
+        cut = tmp_path / "cut"
+        last = train_until(split, small_cfg(pretrain_epochs=2, unified_epochs=3), str(cut), 3)
+        records = json.loads((cut / "history.json").read_text())
+        assert [r["epoch"] for r in records] == manifest_epochs(cut) == [0, 1, 2]
+        assert [{k: v for k, v in r.items() if k != "seconds"} for r in records] == tr.load_checkpoint(last).history
+
+    def test_no_validation_positive_fails_before_any_epoch(self, tmp_path):
+        split = small_split()
+        # ratings run from 1 to 5, so no rating reaches the threshold 6
+        bare = dataclasses.replace(split, rating_threshold=6.0)
+        with pytest.raises(ParameterError, match="validation split holds no rating at or above .* 6.0"):
+            tr.train(bare, small_cfg(), str(tmp_path / "run"))
+        assert not (tmp_path / "run" / "last.ckpt").exists()
+        # a resumed run with unified epochs left checks it too; a pretrain-only
+        # run needs no positive
+        last = train_until(split, small_cfg(), str(tmp_path / "cut"), 1)
+        with pytest.raises(ParameterError, match="validation split"):
+            tr.train(bare, small_cfg(), str(tmp_path / "resumed"), resume_from=last)
+        assert not (tmp_path / "resumed" / "last.ckpt").exists()
+        tr.train(bare, small_cfg(unified_epochs=0), str(tmp_path / "pretrain"))
+
+
 class TestUnifiedReducesToPretraining:
     def test_zero_weights_continue_the_pretraining_trajectory(self, tmp_path):
         # with lambda3 = lambda4 = 0 the unified stage updates exactly what
