@@ -250,7 +250,6 @@ def cmd_eval(args) -> int:
     if args.valid:
         split = dataclasses.replace(split, test=split.valid)
     report = evaluate(scorer_from_state(state), split, cutoffs=cutoffs)
-    report.seed = state.cfg.seed
     _report(state.cfg, args, {"split": "valid" if args.valid else "test", **report.as_dict()},
             [report.text_table()])
     return 0

@@ -107,14 +107,14 @@ class Scorer:
             mu, _ = encode_gaussian(self.intent.encoder_psi.over(batch.items), batch.binary.dense())
             return softmax_temp(mu, self.tau).data
 
-    def _embeddings(self, batch: ItemBatch, channel_idx: np.ndarray) -> np.ndarray:
-        """(B, L, d) encoder means of the tailored inputs for the requested
-        channels (channel_idx is (B, L))."""
+    def _scores(self, batch: ItemBatch, channel_idx: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """(B, M) predictions: the encoder means of the tailored inputs for
+        the channels channel_idx (B, L), weighted by weights (B, L)."""
         with ad.no_grad():
             cells, tails = decompose_ratings_batch(batch.ratings, ad.Tensor(self.phi[:, batch.items]), channel_idx)
             mu, _ = encode_gaussian(self.pref.encoder_theta.over(batch.items), dense_input(cells, tails))
         b, top_l = channel_idx.shape
-        return mu.data.reshape(b, top_l, self.pref.d)
+        return predict_ratings_batch(mu.data.reshape(b, top_l, self.pref.d), weights, self.pref.item_matrix.data)
 
     def gamma(self, train: RatingMatrix, users: np.ndarray) -> np.ndarray:
         """(B, K) zero-noise channel distributions."""
@@ -124,8 +124,7 @@ class Scorer:
         """(B, M) weighted-average predictions over each user's top-L
         channels."""
         batch = self._batch(train, users)
-        idx, weights = select_top_channels_batch(self._gamma(batch), self.top_l)
-        return predict_ratings_batch(self._embeddings(batch, idx), weights, self.pref.item_matrix.data)
+        return self._scores(batch, *select_top_channels_batch(self._gamma(batch), self.top_l))
 
     def override_scores(self, train: RatingMatrix, users: np.ndarray, override: IntentOverride) -> np.ndarray:
         """(B, M) predictions under a caller-supplied intent distribution."""
@@ -135,9 +134,7 @@ class Scorer:
             if not 0 <= c < self.intent.k:
                 raise ParameterError(f"channel {c} out of range for K={self.intent.k}")
         idx = np.tile(np.array(channels, dtype=np.intp), (len(users), 1))
-        emb = self._embeddings(self._batch(train, users), idx)  # (B, |channels|, d)
-        return predict_ratings_batch(emb, np.tile([weights[c] for c in channels], (len(users), 1)),
-                                     self.pref.item_matrix.data)
+        return self._scores(self._batch(train, users), idx, np.tile([weights[c] for c in channels], (len(users), 1)))
 
 
 def rank_items(scores: np.ndarray, exclude, k_cut: int) -> np.ndarray:
@@ -199,7 +196,6 @@ class MetricReport:
     cutoffs: tuple[int, ...]
     values: dict[str, dict[int, float]]
     n_users: int
-    seed: int | None = None
 
     def as_rows(self) -> list[list[str]]:
         header = ["metric"] + [f"@{k}" for k in self.cutoffs]
@@ -219,7 +215,6 @@ class MetricReport:
         return {
             "cutoffs": list(self.cutoffs),
             "n_users": self.n_users,
-            "seed": self.seed,
             "metrics": {m: {str(k): v for k, v in self.values[m].items()} for m in METRICS},
         }
 
@@ -236,9 +231,9 @@ def evaluate(
     chunk: int = 64,
 ) -> MetricReport:
     """Mean ranking metrics over users holding >= 1 positive held-out item
-    (one in ``split.test`` at or above the rating threshold). A
-    cutoff is an integer from 1 to the number of items, ``chunk`` an integer
-    >= 1.
+    (one in ``split.test`` at or above the rating threshold). The
+    cutoffs are distinct integers from 1 to the number of items, ``chunk``
+    an integer >= 1.
 
     Users are scored, ranked and measured in groups of ``chunk``. A group is
     encoded over its own item union and ranks a (chunk, M) score array, so
@@ -247,8 +242,9 @@ def evaluate(
     four fifths. The report does not depend on the group size."""
     train = split.train
     bad = [k for k in cutoffs if not (is_int(k) and 1 <= k <= train.n_items)]
-    if bad or not cutoffs:
-        raise ParameterError(f"cutoffs must be integers from 1 to the {train.n_items} items, got {tuple(cutoffs)}")
+    if bad or not cutoffs or len(set(cutoffs)) < len(cutoffs):
+        raise ParameterError(f"cutoffs must be distinct integers from 1 to the {train.n_items} items, "
+                             f"got {tuple(cutoffs)}")
     if not (is_int(chunk) and chunk >= 1):
         raise ParameterError(f"chunk must be >= 1 and an integer, got {chunk}")
     kmax = max(cutoffs)

@@ -167,17 +167,17 @@ def resolve_variant(cfg: TrainConfig) -> TrainConfig:
     return out
 
 
-def warmup(
-    step: int, kappa: int, eta_max: float, tau_start: float, tau_end: float, total_steps: int
-) -> tuple[float, float]:
-    """Linear KL-penalty ramp (0 -> eta_max over kappa steps) and linear
-    temperature anneal (tau_start -> tau_end over total_steps, then flat)."""
-    if kappa < 1:
-        raise ParameterError(f"kappa must be >= 1, got {kappa}")
-    eta = eta_max * min(step / kappa, 1.0)
-    frac = min(step / total_steps, 1.0) if total_steps > 0 else 1.0
-    tau = tau_start + (tau_end - tau_start) * frac
-    return eta, tau
+def kl_weight(cfg: TrainConfig, step: int) -> float:
+    """eta at global batch ``step``: a linear ramp from 0 to eta_max over
+    kappa batches, then flat."""
+    return cfg.eta_max * min(step / cfg.kappa, 1.0)
+
+
+def temperature(cfg: TrainConfig, epoch: int) -> float:
+    """tau at ``epoch``: a linear anneal from tau_start to tau_end over the
+    run's epochs, reached at the last one."""
+    frac = min(epoch / max(cfg.pretrain_epochs + cfg.unified_epochs - 1, 1), 1.0)
+    return cfg.tau_start + (cfg.tau_end - cfg.tau_start) * frac
 
 
 @dataclass
@@ -198,11 +198,6 @@ class TrainerState:
     eta: float = 0.0
     history: list = field(default_factory=list)
 
-    def parameters(self, stage: str):
-        if stage == "pretrain":
-            return self.intent.parameters()
-        return self.intent.parameters() + self.pref.parameters()
-
     def all_parameters(self):
         return self.intent.parameters() + self.pref.parameters()
 
@@ -212,12 +207,18 @@ def build_state(cfg: TrainConfig, n_users: int, n_items: int, arrays: dict[str, 
     """A run's initial state, drawn from cfg.seed; or, given a checkpoint's
     ``arrays``, the model and prior they hold. Either way the shapes come
     from the init functions, and a missing or mis-shaped array raises
-    ShapeError naming it."""
+    ShapeError naming it. A model too large to allocate raises
+    ParameterError."""
     rng = None
     if arrays is None:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(cfg.seed), _INIT])))
-    intent = init_intent_model(n_items, cfg.k, cfg.intent_hidden, cfg.item_hidden, rng, arrays)
-    pref = init_preference_model(n_items, cfg.d, cfg.pref_hidden, rng, arrays)
+    try:
+        intent = init_intent_model(n_items, cfg.k, cfg.intent_hidden, cfg.item_hidden, rng, arrays)
+        pref = init_preference_model(n_items, cfg.d, cfg.pref_hidden, rng, arrays)
+    except MemoryError:
+        raise ParameterError(f"the model over {n_items} items does not fit in memory: k={cfg.k}, d={cfg.d}, "
+                             f"intent_hidden={cfg.intent_hidden}, item_hidden={cfg.item_hidden}, "
+                             f"pref_hidden={cfg.pref_hidden}") from None
     if arrays is not None:
         prior = LaplacePrior(*(stored_array(arrays, f"prior.{name}", (cfg.k,)) for name in ("alpha", "mu", "var")))
     elif cfg.k >= 2:
@@ -240,16 +241,9 @@ class BatchLosses:
     kl_pref: Tensor | None
 
     def scalars(self) -> dict:
-        out = {
-            "l1": self.l1.item(),
-            "l2": self.l2.item(),
-            "l3": self.l3.item() if self.l3 is not None else 0.0,
-            "l4": self.l4.item() if self.l4 is not None else 0.0,
-            "kl_intent": self.kl_intent.item(),
-            "kl_pref": self.kl_pref.item() if self.kl_pref is not None else 0.0,
-        }
-        out["total"] = self.total.item()
-        return out
+        """Each term's value, 0.0 for a term the batch did not evaluate."""
+        terms = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return {name: 0.0 if term is None else term.item() for name, term in terms.items()}
 
 
 def compute_batch_losses(state: TrainerState, batch: ItemBatch, eta: float, tau: float, step: int,
@@ -329,31 +323,27 @@ def run_epoch(state: TrainerState, data: SplitDataset, x_bin: BinaryMatrix, epoc
     """One pass over the training users; returns the epoch record."""
     cfg = state.cfg
     n = state.n_users
-    total_epochs = cfg.pretrain_epochs + cfg.unified_epochs
-    _, tau = warmup(epoch, cfg.kappa, cfg.eta_max, cfg.tau_start, cfg.tau_end, max(total_epochs - 1, 1))
-    state.tau = tau
+    state.tau = temperature(cfg, epoch)
+    params = state.intent.parameters() if stage == "pretrain" else state.all_parameters()
     perm = _stream_rng(cfg.seed, _SHUFFLE, epoch).permutation(n)
-    sums = {"l1": 0.0, "l2": 0.0, "l3": 0.0, "l4": 0.0, "kl_intent": 0.0, "kl_pref": 0.0, "total": 0.0}
+    sums: dict[str, float] = {}
     t0 = time.time()
     for lo in range(0, n, cfg.batch_size):
         batch = item_batch(data.train, x_bin, perm[lo : lo + cfg.batch_size])
-        eta, _ = warmup(state.global_batch, cfg.kappa, cfg.eta_max, cfg.tau_start, cfg.tau_end,
-                        max(total_epochs - 1, 1))
-        state.eta = eta
-        losses = compute_batch_losses(state, batch, eta, tau, state.global_batch, stage)
+        state.eta = kl_weight(cfg, state.global_batch)
+        losses = compute_batch_losses(state, batch, state.eta, state.tau, state.global_batch, stage)
         scalars = losses.scalars()
         if not np.isfinite(scalars["total"]):
             raise TrainingError(
                 f"non-finite loss at batch {state.global_batch} (epoch {epoch}, stage {stage}): "
                 + ", ".join(f"{k}={v:.6g}" for k, v in scalars.items())
             )
-        params = state.parameters(stage)
         state.opt.step(params, batch_gradients(losses.total, params))
         # the batch's tape goes before the next batch builds its own
         del losses
         state.global_batch += 1
-        for key in sums:
-            sums[key] += scalars.get(key, 0.0)
+        for key, value in scalars.items():
+            sums[key] = sums.get(key, 0.0) + value
     record = {
         "epoch": epoch,
         "stage": stage,
@@ -380,9 +370,13 @@ def _stopped(state: TrainerState) -> bool:
 
 
 def _check_validation_positives(data: SplitDataset) -> None:
-    """Raise ParameterError unless some user with training items has a
-    validation positive: unified epochs rank the validation split for those
+    """Raise ParameterError unless unified epochs can be validated: recall
+    at 10 needs at least 10 items, and some user with training items must
+    have a validation positive, as the validation split is ranked for those
     users alone."""
+    if data.train.n_items < 10:
+        raise ParameterError(f"the data holds {data.train.n_items} items, fewer than the 10 that validation "
+                             "recall at 10 ranks, so no unified epoch can be validated")
     valid = dataclasses.replace(data, test=data.valid)
     if not any(data.train.rows[u][0].size and positives_for_user(valid, u).size for u in range(data.train.n_users)):
         raise ParameterError(f"the validation split holds no rating at or above the rating threshold "
@@ -404,12 +398,14 @@ def train(
 
     Every epoch ends with one commit: last.ckpt, then history.json and
     run_manifest.txt, then ``log`` with the epoch record. A run with unified
-    epochs left needs a validation positive, or raises ParameterError first.
-    Resuming from a last.ckpt continues the identical trajectory under the
-    checkpoint's config (cfg is then not read); a state that ``_stopped``
-    says patience ended trains no epoch. If ``out_dir`` has no best.ckpt,
-    the one beside the resumed checkpoint is copied in first; a run that
-    validated no epoch saves its final state as best.ckpt.
+    epochs left needs at least 10 items and a validation positive, or raises
+    ParameterError first. Resuming from a last.ckpt continues the identical
+    trajectory under the checkpoint's config (cfg is then not read); a state
+    that ``_stopped`` says patience ended, or whose epochs are all done,
+    trains no epoch and saves itself as last.ckpt, the resumed file's bytes.
+    If ``out_dir`` has no best.ckpt, the one beside the resumed checkpoint is
+    copied in first; a run that validated no epoch saves its final state as
+    best.ckpt.
     """
     os.makedirs(out_dir, exist_ok=True)
     best_path = os.path.join(out_dir, "best.ckpt")
@@ -433,7 +429,8 @@ def train(
     if max(state.epoch, cfg.pretrain_epochs) < total_epochs:
         _check_validation_positives(data)
     t_start = time.time()
-    for epoch in range(state.epoch, total_epochs):
+    first = state.epoch
+    for epoch in range(first, total_epochs):
         if _stopped(state):
             break
         stage = "pretrain" if epoch < cfg.pretrain_epochs else "unified"
@@ -458,6 +455,9 @@ def train(
         _write_manifest(state, out_dir, time.time() - t_start, resume_from)
         if log is not None:
             log(record)
+    if state.epoch == first:
+        # a resumed run that trains no epoch still leaves its state as last.ckpt
+        save_checkpoint(last_path, state)
     if state.best_epoch < 0:
         # a run that validated no epoch still exposes a usable checkpoint
         save_checkpoint(best_path, state)

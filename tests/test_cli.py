@@ -475,6 +475,8 @@ USAGE_ERRORS = {
                                  "--out", "{tmp}/p"], "genre file not found: {tmp}/none.txt"),
     "cooccur, missing genres": (["cooccur", "--checkpoint", "{ckpt}", "--data", "{prep}", "--genres",
                                  "{tmp}/none.txt"], "genre file not found: {tmp}/none.txt (pass --genres)"),
+    "eval, repeated cutoff": (["eval", "--checkpoint", "{ckpt}", "--data", "{prep}", "--cutoffs", "5,5"],
+                              "cutoffs must be distinct integers from 1 to the 50 items, got (5, 5)"),
     "cooccur --top beyond the bound": (["cooccur", "--checkpoint", "{ckpt}", "--data", "{prep}", "--top", "1001"],
                                        "--top must be at most 1000, got 1001"),
     **{f"train --set {setting}": (["train", "--data", "{prep}", "--out", "{tmp}/o", "--set", setting], message)
@@ -503,6 +505,15 @@ class TestUsageErrors:
         assert code == 2
         assert captured.err == f"error: {message.format(**paths)}\n"
         assert captured.out == "" and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("setting", ["intent_hidden=1000000000000", "k=1000000000000"])
+    def test_a_model_beyond_memory_exits_2(self, world, tmp_path, capsys, setting):
+        # the first array of that width needs more than 2**47 bytes, which no
+        # x86-64 process can map, so nothing is allocated
+        code = cli.main(["train", "--data", world["prep"], "--out", str(tmp_path / "o"), "--quiet", "--set", setting])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: the model over ") and f"{setting}, " in captured.err
 
     def test_train_without_validation_positives_exits_2_before_any_epoch(self, world, tmp_path, capsys):
         # ratings run from 1 to 5, so the threshold 6 leaves no positive

@@ -172,6 +172,13 @@ class TestEvaluate:
         assert report.n_users == 3
         assert report.values["recall"][1] == pytest.approx(2 / 3, abs=1e-12)
 
+    @pytest.mark.parametrize("cutoffs", [(5, 5), (1, 3, 1)])
+    def test_a_repeated_cutoff_is_rejected(self, cutoffs):
+        # each repeat would count every user once more
+        split, positives = perfect_split()
+        with pytest.raises(ParameterError, match=r"cutoffs must be distinct integers from 1 to the 9 items"):
+            ev.evaluate(OracleScorer(positives, 9), split, cutoffs=cutoffs)
+
     @pytest.mark.parametrize("chunk", [0, -1, 2.5])
     def test_group_size_must_be_a_positive_integer(self, chunk):
         split, positives = perfect_split()

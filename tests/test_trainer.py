@@ -34,46 +34,43 @@ def small_cfg(**kw):
     base.update(kw)
     return tr.TrainConfig(**base)
 
+def schedule(kappa=1000, eta_max=1.0, epochs=101):
+    """A config whose KL weight ramps over kappa batches and whose
+    temperature anneals from 1.0 to 0.4 over epochs - 1 epochs."""
+    return tr.TrainConfig(kappa=kappa, eta_max=eta_max, tau_start=1.0, tau_end=0.4, pretrain_epochs=1,
+                          unified_epochs=epochs - 1)
+
 class TestWarmup:
     def test_origin(self):
-        eta, tau = tr.warmup(0, 1000, 1.0, 1.0, 0.4, 100)
-        assert eta == 0.0
-        assert tau == 1.0
+        assert tr.kl_weight(schedule(), 0) == 0.0
+        assert tr.temperature(schedule(), 0) == 1.0
 
     def test_reaches_max_at_kappa(self):
-        eta, _ = tr.warmup(1000, 1000, 1.0, 1.0, 0.4, 100)
-        assert eta == 1.0
-        eta, _ = tr.warmup(5000, 1000, 1.0, 1.0, 0.4, 100)
-        assert eta == 1.0
+        assert tr.kl_weight(schedule(), 1000) == 1.0
+        assert tr.kl_weight(schedule(), 5000) == 1.0
 
     def test_linear_midpoint(self):
-        eta, _ = tr.warmup(500, 1000, 1.0, 1.0, 0.4, 100)
-        assert eta == pytest.approx(0.5)
-        eta, _ = tr.warmup(250, 1000, 0.8, 1.0, 0.4, 100)
-        assert eta == pytest.approx(0.2)
+        assert tr.kl_weight(schedule(), 500) == pytest.approx(0.5)
+        assert tr.kl_weight(schedule(eta_max=0.8), 250) == pytest.approx(0.2)
 
     def test_tau_anneal_and_floor(self):
-        _, tau0 = tr.warmup(0, 10, 1.0, 1.0, 0.4, 50)
-        _, tau_mid = tr.warmup(25, 10, 1.0, 1.0, 0.4, 50)
-        _, tau_end = tr.warmup(50, 10, 1.0, 1.0, 0.4, 50)
-        _, tau_past = tr.warmup(80, 10, 1.0, 1.0, 0.4, 50)
-        assert tau0 == 1.0
-        assert tau_mid == pytest.approx(0.7)
-        assert tau_end == pytest.approx(0.4)
-        assert tau_past == pytest.approx(0.4)
+        cfg = schedule(kappa=10, epochs=51)
+        assert tr.temperature(cfg, 0) == 1.0
+        assert tr.temperature(cfg, 25) == pytest.approx(0.7)
+        assert tr.temperature(cfg, 50) == pytest.approx(0.4)
+        assert tr.temperature(cfg, 80) == pytest.approx(0.4)
 
     def test_monotone_schedules(self):
-        etas, taus = [], []
-        for step in range(0, 120, 7):
-            eta, tau = tr.warmup(step, 37, 1.3, 1.0, 0.4, 90)
-            etas.append(eta)
-            taus.append(tau)
+        cfg = schedule(kappa=37, eta_max=1.3, epochs=91)
+        etas = [tr.kl_weight(cfg, step) for step in range(0, 120, 7)]
+        taus = [tr.temperature(cfg, step) for step in range(0, 120, 7)]
         assert all(a <= b + 1e-12 for a, b in zip(etas, etas[1:]))
         assert all(a >= b - 1e-12 for a, b in zip(taus, taus[1:]))
 
     def test_kappa_validated(self):
-        with pytest.raises(ParameterError):
-            tr.warmup(0, 0, 1.0, 1.0, 0.4, 10)
+        # the KL ramp divides by kappa; a config of kappa 0 never reaches it
+        with pytest.raises(UsageError, match="kappa must be >= 1, got 0"):
+            schedule(kappa=0).validate()
 
 class TestConfig:
     def test_unknown_keys_rejected(self):
@@ -417,6 +414,16 @@ class TestSchedulesInTraining:
         assert etas[-1] == cfg.eta_max and all(eta < cfg.eta_max for eta in etas[:-1])
         assert "early_stop: no val improvement for 1 epochs" in Path(res.manifest_path).read_text()
 
+    def test_each_record_holds_the_schedule_at_its_last_batch(self, tmp_path):
+        # 60 users in batches of 32: two batches an epoch
+        split = small_split()
+        cfg = small_cfg(kappa=5)
+        res = tr.train(split, cfg, str(tmp_path / "run"))
+        assert len(res.history) == 5
+        for r in res.history:
+            assert r["eta"] == tr.kl_weight(cfg, 2 * r["epoch"] + 1)
+            assert r["tau"] == tr.temperature(cfg, r["epoch"])
+
     def test_all_losses_finite(self, tmp_path):
         split = small_split()
         res = tr.train(split, small_cfg(), str(tmp_path / "run"))
@@ -521,6 +528,7 @@ class TestStopAndCommit:
             logged = []
             again = tr.train(split, cfg, str(out), resume_from=str(run / "last.ckpt"), log=logged.append)
             assert logged == [] and (run / "last.ckpt").read_bytes() == blob
+            assert again.last_checkpoint == str(out / "last.ckpt") and (out / "last.ckpt").read_bytes() == blob
             assert [r["epoch"] for r in again.history] == [r["epoch"] for r in first.history]
             assert manifest_epochs(out) == [r["epoch"] for r in first.history]
             assert "early_stop:" in (out / "run_manifest.txt").read_text()
@@ -547,6 +555,25 @@ class TestStopAndCommit:
             tr.train(bare, small_cfg(), str(tmp_path / "resumed"), resume_from=last)
         assert not (tmp_path / "resumed" / "last.ckpt").exists()
         tr.train(bare, small_cfg(unified_epochs=0), str(tmp_path / "pretrain"))
+
+
+    def test_fewer_than_10_items_fail_before_any_epoch(self, tmp_path):
+        sd = synthetic.planted_channel_data(n_users=80, n_items=8, n_channels=3, seed=3)
+        split = dt.split_per_user(dt.filter_min_interactions(sd.rating_matrix(), 5), seed=1,
+                                  fractions=(0.5, 0.25, 0.25), rating_threshold=1.0)
+        assert split.train.n_items == 8
+        with pytest.raises(ParameterError, match="holds 8 items, fewer than the 10 that validation recall at 10"):
+            tr.train(split, small_cfg(), str(tmp_path / "run"))
+        assert not (tmp_path / "run" / "last.ckpt").exists()
+        # a pretrain-only run ranks nothing
+        tr.train(split, small_cfg(unified_epochs=0), str(tmp_path / "pretrain"))
+
+    def test_a_model_beyond_memory_raises_parameter_error(self):
+        # psi's first weight, drawn first, would take 40 * 2**42 * 8 bytes,
+        # more than 2**47, which no x86-64 process can map: nothing is allocated
+        with pytest.raises(ParameterError, match=r"over 40 items does not fit in memory: k=3, d=4, "
+                                                 r"intent_hidden=4398046511104, item_hidden=8, pref_hidden=8"):
+            tr.build_state(small_cfg(intent_hidden=2**42), 60, 40)
 
 
 class TestUnifiedReducesToPretraining:
