@@ -77,25 +77,6 @@ class RatingMatrix:
 
 
 @dataclass
-class BinaryMatrix:
-    """Implicit form of a RatingMatrix: the retained sparsity pattern."""
-
-    n_items: int
-    rows: list[np.ndarray]
-
-    @property
-    def n_users(self) -> int:
-        return len(self.rows)
-
-    def dense(self, users: np.ndarray | None = None) -> np.ndarray:
-        users = np.arange(self.n_users) if users is None else users
-        out = np.zeros((len(users), self.n_items))
-        for r, u in enumerate(users):
-            out[r, self.rows[u]] = 1.0
-        return out
-
-
-@dataclass
 class Cells:
     """The nonzero cells of a (rows, columns) matrix as aligned lists of
     row, column and value. No cell repeats."""
@@ -112,6 +93,31 @@ class Cells:
 
 
 @dataclass
+class BinaryMatrix:
+    """The cells of a (rows, columns) matrix that hold 1, as aligned lists of
+    row and column; every other cell holds 0."""
+
+    rows: np.ndarray  # (cells,) ints
+    cols: np.ndarray  # (cells,) ints
+    shape: tuple[int, int]
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = 1.0
+        return out
+
+
+def binarize(cells: Cells, min_rating: float | None = None) -> BinaryMatrix:
+    """The implicit form of rating cells: every cell observed, or with
+    min_rating set only the cells at or above it (positives-only intent
+    input). Cells keep their order."""
+    if min_rating is None:
+        return BinaryMatrix(cells.rows, cells.cols, cells.shape)
+    keep = cells.values >= min_rating
+    return BinaryMatrix(cells.rows[keep], cells.cols[keep], cells.shape)
+
+
+@dataclass
 class ItemBatch:
     """A batch of users restricted to an increasing item list U that holds
     every item they rated (item_batch builds it as the union of their rated
@@ -121,13 +127,12 @@ class ItemBatch:
 
     items: np.ndarray  # U, (|U|,) increasing item indices
     ratings: Cells  # (B, |U|)
-    binary: Cells  # (B, |U|) with values 1, the intent input
+    binary: BinaryMatrix  # (B, |U|), the intent input
 
 
-def item_batch(ratings: RatingMatrix, binary: BinaryMatrix, users) -> ItemBatch:
-    """Rating and binary cells of ``users`` over their item union; ``binary``
-    is a binarization of ``ratings``, so its rows fall inside U."""
-    row_ids = np.arange(len(users))
+def item_batch(ratings: RatingMatrix, users, min_rating: float | None) -> ItemBatch:
+    """Rating cells of ``users`` over their item union, and the binary
+    cells binarize keeps of them under min_rating."""
     idx = [ratings.rows[u][0] for u in users]
     rated = np.concatenate(idx)
     in_union = np.zeros(ratings.n_items, dtype=bool)
@@ -135,13 +140,9 @@ def item_batch(ratings: RatingMatrix, binary: BinaryMatrix, users) -> ItemBatch:
     items = np.flatnonzero(in_union)
     column = np.empty(ratings.n_items, dtype=np.intp)  # item -> its column in U
     column[items] = np.arange(items.size)
-    shape = (len(users), items.size)
-    rows = np.repeat(row_ids, [len(i) for i in idx])
-    r = Cells(rows, column[rated], np.concatenate([ratings.rows[u][1] for u in users]), shape)
-    bin_idx = [binary.rows[u] for u in users]
-    bin_rows = np.repeat(row_ids, [len(i) for i in bin_idx])
-    x = Cells(bin_rows, column[np.concatenate(bin_idx)], np.ones(bin_rows.size), shape)
-    return ItemBatch(items, r, x)
+    rows = np.repeat(np.arange(len(users)), [len(i) for i in idx])
+    r = Cells(rows, column[rated], np.concatenate([ratings.rows[u][1] for u in users]), (len(users), items.size))
+    return ItemBatch(items, r, binarize(r, min_rating))
 
 
 def _rating_matrix(user_ids: list[str], item_ids: list[str], users, items, values, where,
@@ -301,18 +302,6 @@ def split_per_user(
         te_rows.append((idx[parts["te"]].copy(), vals[parts["te"]].copy()))
     mk = lambda rows: RatingMatrix(list(m.user_ids), list(m.item_ids), rows)
     return SplitDataset(mk(tr_rows), mk(va_rows), mk(te_rows), int(seed), tuple(fractions), rating_threshold)
-
-
-def binarize(m: RatingMatrix, min_rating: float | None = None) -> BinaryMatrix:
-    """Implicit view of the ratings. With min_rating set, only entries at or
-    above the threshold count as observed (positives-only intent input)."""
-    rows = []
-    for idx, vals in m.rows:
-        if min_rating is None:
-            rows.append(idx.copy())
-        else:
-            rows.append(idx[vals >= min_rating].copy())
-    return BinaryMatrix(m.n_items, rows)
 
 
 @dataclass

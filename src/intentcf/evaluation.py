@@ -9,7 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .checks import is_finite, is_int
-from .data import BinaryMatrix, ItemBatch, RatingMatrix, SplitDataset, binarize, item_batch
+from .data import ItemBatch, RatingMatrix, SplitDataset, item_batch
 from .errors import ParameterError
 from .intent import IntentModel, item_intents
 from .nn import encode_gaussian, softmax_temp
@@ -83,7 +83,6 @@ class Scorer:
         self.tau = tau
         self.intent_min_rating = intent_min_rating
         self._phi: np.ndarray | None = None
-        self._binary: tuple[RatingMatrix, BinaryMatrix] | None = None
 
     @property
     def phi(self) -> np.ndarray:
@@ -97,10 +96,7 @@ class Scorer:
         for u in users:
             if train.rows[u][0].size == 0:
                 raise ParameterError(f"user {u} has no training items (cold user)")
-        # the binarization of the last matrix scored is kept for the next call
-        if self._binary is None or self._binary[0] is not train:
-            self._binary = (train, binarize(train, self.intent_min_rating))
-        return item_batch(train, self._binary[1], users)
+        return item_batch(train, users, self.intent_min_rating)
 
     def _gamma(self, batch: ItemBatch) -> np.ndarray:
         with ad.no_grad():
@@ -224,6 +220,15 @@ def positives_for_user(split: SplitDataset, user: int) -> np.ndarray:
     return idx[vals >= split.rating_threshold]
 
 
+def scored_users(split: SplitDataset, users) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Of ``users``, in order: the ones evaluate scores (those with training
+    items), a mask of the ones it measures (those also holding a positive
+    held-out item), and the positives of each one measured."""
+    scored = np.array([u for u in users if split.train.rows[u][0].size], dtype=np.intp)
+    positives = [positives_for_user(split, u) for u in scored]
+    return scored, np.array([p.size > 0 for p in positives], dtype=bool), [p for p in positives if p.size]
+
+
 def evaluate(
     scorer: Scorer,
     split: SplitDataset,
@@ -250,19 +255,13 @@ def evaluate(
     kmax = max(cutoffs)
     per_user = {m: {k: [] for k in cutoffs} for m in METRICS}
     for lo in range(0, train.n_users, chunk):
-        group = range(lo, min(lo + chunk, train.n_users))
-        batch = np.array([u for u in group if train.rows[u][0].size > 0], dtype=np.intp)
-        if batch.size == 0:
+        scored, measured, positives = scored_users(split, range(lo, min(lo + chunk, train.n_users)))
+        if not measured.any():
             continue
-        scores = scorer.blended_scores(train, batch)
-        positives = [positives_for_user(split, u) for u in batch]
-        has_positive = np.array([p.size > 0 for p in positives])
-        if not has_positive.all():
-            scores = scores[has_positive]
-            batch, positives = batch[has_positive], [p for p in positives if p.size > 0]
-        if batch.size == 0:
-            continue
-        ranked = rank_items(scores, [train.rows[u][0] for u in batch], kmax)
+        # users without a positive are scored too, so a group's item union,
+        # and with it every score, does not depend on the held-out split
+        scores = scorer.blended_scores(train, scored)[measured]
+        ranked = rank_items(scores, [train.rows[u][0] for u in scored[measured]], kmax)
         for k in cutoffs:
             for m, values in zip(METRICS, metrics_at_k(ranked, positives, k)):
                 per_user[m][k].append(values)

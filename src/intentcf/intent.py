@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checks import is_int
-from .data import Cells
+from .data import BinaryMatrix
 from .errors import ParameterError
 from .nn import (
     MlpParams,
@@ -128,12 +128,12 @@ def item_intents(model: IntentModel, tau: float) -> Tensor:
     return ad.transpose(softmax_temp(logits, tau))
 
 
-def multinomial_recon_loss(x: Cells, gamma: Tensor, beta: Tensor) -> Tensor:
+def multinomial_recon_loss(x: BinaryMatrix, gamma: Tensor, beta: Tensor) -> Tensor:
     """-sum_i sum_{j observed} log (beta gamma_i)_j over the batch, taken at
     the observed cells of x only."""
     probs = ad.matmul_cells(gamma, ad.transpose(beta), x.rows, x.cols)
     logp = ad.log(ad.clip_min(probs, PROB_FLOOR))
-    return ad.mul(ad.tsum(ad.mul(Tensor(x.values), logp)), -1.0)
+    return ad.mul(ad.tsum(logp), -1.0)
 
 
 @dataclass
@@ -147,7 +147,7 @@ class IntentLossParts:
 def intent_elbo_loss(
     model: IntentModel,
     prior: LaplacePrior,
-    x: Cells,
+    x: BinaryMatrix,
     noise: np.ndarray,
     eta: float,
     tau: float,
@@ -170,7 +170,7 @@ def intent_elbo_loss(
     return IntentLossParts(total, recon, kl, gamma)
 
 
-def item_intent_kl_loss(phi: Tensor, gamma: Tensor, x: Cells) -> Tensor:
+def item_intent_kl_loss(phi: Tensor, gamma: Tensor, x: BinaryMatrix) -> Tensor:
     """sum over observed (i, j) of KL(phi_j || gamma_i), over the cells of x,
     with phi (K, M) and the user side treated as constant: gradients reach
     only the item network and the shared embedding, never the user encoder
@@ -178,11 +178,11 @@ def item_intent_kl_loss(phi: Tensor, gamma: Tensor, x: Cells) -> Tensor:
     phi_rows = ad.transpose(phi)  # (M, K)
     log_gamma = np.log(np.maximum(gamma.data, PROB_FLOOR))  # a constant: no gradient to the user side
     # sum_j c_j * sum_k phi_jk log phi_jk, with c_j the batch count of item j
-    counts = Tensor(np.bincount(x.cols, weights=x.values, minlength=x.shape[1]))  # (M,)
+    counts = Tensor(np.bincount(x.cols, minlength=x.shape[1]))  # (M,)
     neg_entropy = ad.tsum(ad.mul(phi_rows, ad.log(ad.clip_min(phi_rows, PROB_FLOOR))), axis=1)  # (M,)
     term1 = ad.tsum(ad.mul(counts, neg_entropy))
     # sum_i sum_k (X phi)_ik log gamma_ik = sum_j sum_k phi_jk (X^T log gamma)_jk
-    x_log_gamma = ad.sum_rows_by(x.values[:, None] * log_gamma[x.rows], x.cols, x.shape[1])  # (M, K)
+    x_log_gamma = ad.sum_rows_by(log_gamma[x.rows], x.cols, x.shape[1])  # (M, K)
     cross = ad.tsum(ad.mul(phi_rows, Tensor(x_log_gamma)))
     return ad.sub(term1, cross)
 

@@ -20,9 +20,9 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .checks import is_finite, is_int, is_real
 from .contrast import augmented_view, contrastive_loss, embed_original
-from .data import BinaryMatrix, ItemBatch, SplitDataset, binarize, item_batch
+from .data import ItemBatch, SplitDataset, item_batch
 from .errors import CheckpointError, ParameterError, ShapeError, TrainingError, UsageError
-from .evaluation import Scorer, evaluate, positives_for_user
+from .evaluation import Scorer, evaluate, scored_users
 from .intent import (
     IntentModel,
     LaplacePrior,
@@ -319,7 +319,7 @@ class TrainResult:
     best_epoch: int
 
 
-def run_epoch(state: TrainerState, data: SplitDataset, x_bin: BinaryMatrix, epoch: int, stage: str) -> dict:
+def run_epoch(state: TrainerState, data: SplitDataset, epoch: int, stage: str) -> dict:
     """One pass over the training users; returns the epoch record."""
     cfg = state.cfg
     n = state.n_users
@@ -329,7 +329,7 @@ def run_epoch(state: TrainerState, data: SplitDataset, x_bin: BinaryMatrix, epoc
     sums: dict[str, float] = {}
     t0 = time.time()
     for lo in range(0, n, cfg.batch_size):
-        batch = item_batch(data.train, x_bin, perm[lo : lo + cfg.batch_size])
+        batch = item_batch(data.train, perm[lo : lo + cfg.batch_size], cfg.intent_min_rating)
         state.eta = kl_weight(cfg, state.global_batch)
         losses = compute_batch_losses(state, batch, state.eta, state.tau, state.global_batch, stage)
         scalars = losses.scalars()
@@ -377,8 +377,7 @@ def _check_validation_positives(data: SplitDataset) -> None:
     if data.train.n_items < 10:
         raise ParameterError(f"the data holds {data.train.n_items} items, fewer than the 10 that validation "
                              "recall at 10 ranks, so no unified epoch can be validated")
-    valid = dataclasses.replace(data, test=data.valid)
-    if not any(data.train.rows[u][0].size and positives_for_user(valid, u).size for u in range(data.train.n_users)):
+    if not scored_users(dataclasses.replace(data, test=data.valid), range(data.train.n_users))[1].any():
         raise ParameterError(f"the validation split holds no rating at or above the rating threshold "
                              f"{data.rating_threshold} for a user with training items, so no unified epoch "
                              "can be validated")
@@ -399,15 +398,15 @@ def train(
     Every epoch ends with one commit: last.ckpt, then history.json and
     run_manifest.txt, then ``log`` with the epoch record. A run with unified
     epochs left needs at least 10 items and a validation positive, or raises
-    ParameterError first. Resuming from a last.ckpt continues the identical
-    trajectory under the checkpoint's config (cfg is then not read); a state
-    that ``_stopped`` says patience ended, or whose epochs are all done,
-    trains no epoch and saves itself as last.ckpt, the resumed file's bytes.
+    ParameterError before ``out_dir`` is created. Resuming from a last.ckpt
+    continues the identical trajectory under the checkpoint's config (cfg is
+    then not read); a state that ``_stopped`` says patience ended, or whose
+    epochs are all done, trains no epoch and saves itself as last.ckpt, the
+    resumed file's bytes.
     If ``out_dir`` has no best.ckpt, the one beside the resumed checkpoint is
     copied in first; a run that validated no epoch saves its final state as
     best.ckpt.
     """
-    os.makedirs(out_dir, exist_ok=True)
     best_path = os.path.join(out_dir, "best.ckpt")
     last_path = os.path.join(out_dir, "last.ckpt")
     if resume_from is not None:
@@ -418,23 +417,24 @@ def train(
                 f"checkpoint was trained on N={state.n_users}, M={state.n_items}; "
                 f"dataset has N={data.train.n_users}, M={data.train.n_items}"
             )
-        if state.best_epoch >= 0 and not os.path.exists(best_path):
-            _carry_best(resume_from, state.best_epoch, best_path)
     else:
         cfg = resolve_variant(cfg)
         cfg.validate()
         state = build_state(cfg, data.train.n_users, data.train.n_items)
-    x_bin = binarize(data.train, cfg.intent_min_rating)
     total_epochs = cfg.pretrain_epochs + cfg.unified_epochs
     if max(state.epoch, cfg.pretrain_epochs) < total_epochs:
         _check_validation_positives(data)
+    # the run starts here: an error above leaves no output directory
+    os.makedirs(out_dir, exist_ok=True)
+    if resume_from is not None and state.best_epoch >= 0 and not os.path.exists(best_path):
+        _carry_best(resume_from, state.best_epoch, best_path)
     t_start = time.time()
     first = state.epoch
     for epoch in range(first, total_epochs):
         if _stopped(state):
             break
         stage = "pretrain" if epoch < cfg.pretrain_epochs else "unified"
-        record = run_epoch(state, data, x_bin, epoch, stage)
+        record = run_epoch(state, data, epoch, stage=stage)
         improved = False
         if stage == "unified":
             val = validation_recall_at_10(state, data)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from intentcf import training
-from intentcf.data import Cells, ItemBatch
+from intentcf.data import BinaryMatrix, Cells, ItemBatch
 
 
 def cells(a) -> Cells:
@@ -17,9 +17,16 @@ def cells(a) -> Cells:
     return Cells(rows, cols, a[rows, cols], a.shape)
 
 
+def binary(a) -> BinaryMatrix:
+    """The cells of a dense 0/1 matrix that hold 1, ordered by row, then
+    column."""
+    rows, cols = np.nonzero(np.asarray(a))
+    return BinaryMatrix(rows, cols, np.shape(a))
+
+
 def full_batch(xb, rb) -> ItemBatch:
     """The batch of dense binary rows xb and rating rows rb over all M items."""
-    return ItemBatch(np.arange(np.shape(rb)[1]), cells(rb), cells(xb))
+    return ItemBatch(np.arange(np.shape(rb)[1]), cells(rb), binary(xb))
 
 
 class Interrupted(Exception):

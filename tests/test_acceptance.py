@@ -1,14 +1,13 @@
 """Acceptance criteria, one test per criterion.
 
-Each test prints a single PASS line on success (run with -s or -v to see
-them live; pytest reports the same outcome). The data-dependent criteria
+Each test prints a single ACCEPTANCE line, PASS or FAIL, which the
+terminal summary of the run repeats (run with -s to see them live). The data-dependent criteria
 run on deterministic synthetic datasets; point INTENTCF_ML100K at a real
 u.data file (and INTENTCF_ML100K_GENRES at an item_id|genre1,genre2 file)
 to run them on MovieLens-100k instead.
 """
 
 import os
-import sys
 import time
 
 import numpy as np
@@ -22,7 +21,7 @@ from intentcf import synthetic
 from intentcf import training as tr
 from intentcf.autodiff import Tensor
 
-from cell_fixtures import cells, full_batch, train_until
+from cell_fixtures import binary, full_batch, train_until
 from gradcheck import finite_difference_gradients, full_gradients, max_relative_error, named_gradients
 
 pytestmark = pytest.mark.acceptance
@@ -45,10 +44,8 @@ DESK = dict(
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
-    # bypass pytest capture so the per-criterion line lands in the console
-    # transcript even on plain `pytest -v`
-    print(f"ACCEPTANCE {criterion:>2} {'PASS' if ok else 'FAIL'}: {detail}",
-          file=sys.__stdout__, flush=True)
+    # pytest captures the line; conftest.py repeats it in the terminal summary
+    print(f"ACCEPTANCE {criterion:>2} {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, detail
 
 
@@ -255,7 +252,7 @@ def test_criterion_5_stop_gradient():
             xb[u, rng.choice(8, size=rng.integers(2, 6), replace=False)] = 1.0
         mu, logvar = nn.encode_gaussian(state.intent.encoder_psi, xb)
         gamma = it.sample_gamma(mu, logvar, rng.standard_normal((5, 4)), tau=0.4)
-        loss = it.item_intent_kl_loss(it.item_intents(state.intent, 0.4), gamma, cells(xb))
+        loss = it.item_intent_kl_loss(it.item_intents(state.intent, 0.4), gamma, binary(xb))
         grads = named_gradients(loss, state.intent.parameters())
         # every psi parameter downstream of the embedding is exactly zero;
         # the shared first-layer matrix W feeds the item net and is exempt

@@ -514,6 +514,7 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: the model over ") and f"{setting}, " in captured.err
+        assert not (tmp_path / "o").exists()
 
     def test_train_without_validation_positives_exits_2_before_any_epoch(self, world, tmp_path, capsys):
         # ratings run from 1 to 5, so the threshold 6 leaves no positive
@@ -528,7 +529,7 @@ class TestUsageErrors:
         assert capsys.readouterr().err == ("error: the validation split holds no rating at or above the rating "
                                            "threshold 6.0 for a user with training items, so no unified epoch "
                                            "can be validated\n")
-        assert not (out / "last.ckpt").exists()
+        assert not out.exists()
         # a pretrain-only run trains, and eval then finds no held-out positive
         assert cli.main(["train", "--data", prep, "--out", str(out), *small, "--set", "unified_epochs=0"]) == 0
         capsys.readouterr()

@@ -179,27 +179,39 @@ class TestSplit:
             dt.split_per_user(m, 0, rating_threshold=threshold)
 
 
+def rating_cells(rows, cols, values, shape):
+    return dt.Cells(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(values, dtype=float),
+                    shape)
+
+
 class TestBinarize:
     def test_all_observed(self):
-        m = make_matrix([{"a": 5.0, "b": 2.0}])
-        x = dt.binarize(m)
-        np.testing.assert_array_equal(x.dense()[0], [1.0, 1.0])
+        x = dt.binarize(rating_cells([0, 0], [0, 1], [5.0, 2.0], (1, 2)))
+        np.testing.assert_array_equal(x.dense(), [[1.0, 1.0]])
 
     def test_positives_only_variant(self):
-        m = make_matrix([{"a": 5.0, "b": 2.0}])
-        x = dt.binarize(m, min_rating=4.0)
-        np.testing.assert_array_equal(x.dense()[0], [1.0, 0.0])
+        x = dt.binarize(rating_cells([0, 0], [0, 1], [5.0, 2.0], (1, 2)), min_rating=4.0)
+        np.testing.assert_array_equal(x.dense(), [[1.0, 0.0]])
 
     def test_empty_row(self):
-        m = make_matrix([{"a": 1.0}, {}])
-        x = dt.binarize(m)
-        assert x.rows[1].size == 0
+        # row 1 holds only a rating below the threshold; the shape keeps it
+        x = dt.binarize(rating_cells([0, 1, 2], [1, 0, 2], [4.0, 3.0, 5.0], (3, 3)), min_rating=4.0)
+        assert x.shape == (3, 3)
+        np.testing.assert_array_equal(x.rows, [0, 2])
+        np.testing.assert_array_equal(x.dense()[1], [0.0, 0.0, 0.0])
 
     def test_pattern_preserved(self):
-        m = make_matrix([{f"i{j}": float(j + 1) for j in range(0, 9, 2)} for _ in range(3)])
-        x = dt.binarize(m)
-        for u in range(3):
-            assert np.array_equal(x.rows[u], m.rows[u][0])
+        r = rating_cells([0, 0, 0, 1, 1, 2], [0, 2, 3, 1, 3, 0], [5.0, 1.0, 4.0, 4.5, 2.0, 4.0], (3, 4))
+        x = dt.binarize(r, min_rating=4.0)
+        np.testing.assert_array_equal(x.rows, [0, 0, 1, 2])
+        np.testing.assert_array_equal(x.cols, [0, 3, 1, 0])
+
+    def test_all_cells_are_the_rating_cells(self):
+        r = rating_cells([0, 0, 2], [1, 3, 0], [1.0, 5.0, 2.0], (3, 4))
+        x = dt.binarize(r)
+        np.testing.assert_array_equal(x.rows, r.rows)
+        np.testing.assert_array_equal(x.cols, r.cols)
+        np.testing.assert_array_equal(x.dense(), r.dense() > 0)
 
 
 class TestSplitSerialization:

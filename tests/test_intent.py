@@ -6,7 +6,7 @@ from intentcf import nn
 from intentcf.autodiff import Tensor
 from intentcf.errors import ParameterError
 
-from cell_fixtures import cells
+from cell_fixtures import binary
 from gradcheck import named_gradients
 
 
@@ -149,7 +149,7 @@ class TestIntentElbo:
         # beta gamma = [0.8, 0.2], X = [1, 0] -> recon = -log 0.8
         gamma = Tensor(np.array([[1.0]]))
         beta = Tensor(np.array([[0.8], [0.2]]))
-        x = cells([[1.0, 0.0]])
+        x = binary([[1.0, 0.0]])
         loss = it.multinomial_recon_loss(x, gamma, beta)
         assert loss.item() == pytest.approx(-np.log(0.8), abs=1e-12)
         assert loss.item() == pytest.approx(0.22314, abs=5e-6)
@@ -161,7 +161,7 @@ class TestIntentElbo:
         x[0, [0, 1]] = 1.0
         x[1, [3, 5]] = 1.0
         noise = np.random.default_rng(0).standard_normal((2, 3))
-        parts = it.intent_elbo_loss(model, prior, cells(x), noise, eta=0.7, tau=0.5)
+        parts = it.intent_elbo_loss(model, prior, binary(x), noise, eta=0.7, tau=0.5)
         assert parts.total.item() == pytest.approx(parts.recon.item() + 0.7 * parts.kl.item(), rel=1e-12)
 
     def test_monte_carlo_matches_analytic_kl(self):
@@ -185,7 +185,7 @@ class TestItemIntentKl:
     def test_zero_when_phi_matches_gamma(self):
         phi = Tensor(np.array([[0.6, 0.25], [0.4, 0.75]]))  # (K=2, M=2)
         gamma = Tensor(np.array([[0.6, 0.4]]))
-        x = cells([[1.0, 0.0]])  # only item 0 observed, phi_0 == gamma_0
+        x = binary([[1.0, 0.0]])  # only item 0 observed, phi_0 == gamma_0
         loss = it.item_intent_kl_loss(phi, gamma, x)
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
@@ -193,7 +193,7 @@ class TestItemIntentKl:
         eps = 1e-6
         phi = Tensor(np.array([[1 - eps], [eps]]))
         gamma = Tensor(np.array([[0.5, 0.5]]))
-        x = cells([[1.0]])
+        x = binary([[1.0]])
         loss = it.item_intent_kl_loss(phi, gamma, x)
         expected = (1 - eps) * np.log((1 - eps) / 0.5) + eps * np.log(eps / 0.5)
         assert loss.item() == pytest.approx(expected, abs=1e-12)
@@ -207,7 +207,7 @@ class TestItemIntentKl:
         mu, logvar = nn.encode_gaussian(model.encoder_psi, x)
         gamma = it.sample_gamma(mu, logvar, np.zeros((2, 3)), tau=0.4)
         phi = it.item_intents(model, tau=0.4)
-        loss = it.item_intent_kl_loss(phi, gamma, cells(x))
+        loss = it.item_intent_kl_loss(phi, gamma, binary(x))
         grads = named_gradients(loss, model.parameters())
         # every psi parameter except the shared embedding gets exactly zero
         assert np.array_equal(grads["psi.b0"], np.zeros_like(grads["psi.b0"]))
@@ -221,8 +221,8 @@ class TestItemIntentKl:
     def test_counts_weight_repeated_items(self):
         phi = Tensor(np.array([[0.9, 0.3], [0.1, 0.7]]))
         gamma = Tensor(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        both = cells([[1.0, 0.0], [1.0, 0.0]])
-        single = cells([[1.0, 0.0]])
+        both = binary([[1.0, 0.0], [1.0, 0.0]])
+        single = binary([[1.0, 0.0]])
         l_both = it.item_intent_kl_loss(phi, gamma, both).item()
         l_single = it.item_intent_kl_loss(phi, Tensor(gamma.data[0:1]), single).item()
         assert l_both == pytest.approx(2 * l_single, rel=1e-12)

@@ -159,8 +159,8 @@ class TestPretrainStructure:
         split = small_split()
         cfg = small_cfg(lambda2=0.0)
         state = tr.build_state(cfg, split.train.n_users, split.train.n_items)
-        x_bin = dt.binarize(split.train)
-        batch = full_batch(x_bin.dense(np.arange(8)), split.train.dense(np.arange(8)))
+        rb = split.train.dense(np.arange(8))
+        batch = full_batch(rb > 0, rb)
         losses = tr.compute_batch_losses(state, batch, 0.5, 0.8, 0, "pretrain")
         total = ad.add(losses.l1, ad.mul(losses.l2, cfg.lambda2))
         grads = named_gradients(total, state.intent.parameters())
@@ -173,9 +173,8 @@ class TestPretrainStructure:
         cfg = small_cfg(pretrain_epochs=2, unified_epochs=0)
         state = tr.build_state(cfg, split.train.n_users, split.train.n_items)
         before = {p.name: p.data.copy() for p in state.pref.parameters()}
-        x_bin = dt.binarize(split.train)
         for epoch in range(2):
-            tr.run_epoch(state, split, x_bin, epoch, "pretrain")
+            tr.run_epoch(state, split, epoch, "pretrain")
         for p in state.pref.parameters():
             assert np.array_equal(p.data, before[p.name]), p.name
 
@@ -197,16 +196,14 @@ class TestPretrainStructure:
         cfg = small_cfg()
         state = tr.build_state(cfg, split.train.n_users, split.train.n_items)
         state.intent.beta_logits.data[...] = np.inf
-        x_bin = dt.binarize(split.train)
         with pytest.raises(TrainingError, match="l1="):
-            tr.run_epoch(state, split, x_bin, 0, "pretrain")
+            tr.run_epoch(state, split, 0, "pretrain")
 
 class TestRowSparseStep:
     def test_unified_step_hands_adam_row_gradients(self, monkeypatch):
         split = small_split(n_items=200)
         cfg = small_cfg(batch_size=8)
         state = tr.build_state(cfg, split.train.n_users, split.train.n_items)
-        x_bin = dt.binarize(split.train)
         seen, step = [], nn.Adam.step
 
         def spy(opt, params, grads):
@@ -214,14 +211,14 @@ class TestRowSparseStep:
             return step(opt, params, grads)
 
         monkeypatch.setattr(nn.Adam, "step", spy)
-        tr.run_epoch(state, split, x_bin, 0, "unified")
+        tr.run_epoch(state, split, 0, "unified")
         n = split.train.n_users
         perm = tr._stream_rng(cfg.seed, tr._SHUFFLE, 0).permutation(n)
         starts = range(0, n, cfg.batch_size)
         assert len(seen) == len(starts) >= 2
         shapes = {p.name: p.data.shape for p in state.all_parameters()}
         for lo, grads in zip(starts, seen):
-            items = dt.item_batch(split.train, x_bin, perm[lo : lo + cfg.batch_size]).items
+            items = dt.item_batch(split.train, perm[lo : lo + cfg.batch_size], None).items
             assert items.size < split.train.n_items
             assert set(grads) == set(shapes)
             for name, g in grads.items():
@@ -471,7 +468,7 @@ class TestSchedulesInTraining:
         with ad.no_grad():
             phi = item_intents(state.intent, state.tau).data
             np.testing.assert_allclose(phi.sum(axis=0), np.ones(split.train.n_items), atol=1e-10)
-            x = dt.binarize(split.train).dense(np.arange(split.train.n_users))
+            x = (split.train.dense() > 0).astype(np.float64)
             mu, logvar = encode_gaussian(state.intent.encoder_psi, x)
             gamma = sample_gamma(mu, logvar, np.zeros(mu.data.shape), state.tau).data
         np.testing.assert_allclose(gamma.sum(axis=1), np.ones(split.train.n_users), atol=1e-10)
@@ -547,13 +544,13 @@ class TestStopAndCommit:
         bare = dataclasses.replace(split, rating_threshold=6.0)
         with pytest.raises(ParameterError, match="validation split holds no rating at or above .* 6.0"):
             tr.train(bare, small_cfg(), str(tmp_path / "run"))
-        assert not (tmp_path / "run" / "last.ckpt").exists()
+        assert not (tmp_path / "run").exists()
         # a resumed run with unified epochs left checks it too; a pretrain-only
         # run needs no positive
         last = train_until(split, small_cfg(), str(tmp_path / "cut"), 1)
         with pytest.raises(ParameterError, match="validation split"):
             tr.train(bare, small_cfg(), str(tmp_path / "resumed"), resume_from=last)
-        assert not (tmp_path / "resumed" / "last.ckpt").exists()
+        assert not (tmp_path / "resumed").exists()
         tr.train(bare, small_cfg(unified_epochs=0), str(tmp_path / "pretrain"))
 
 
@@ -564,7 +561,7 @@ class TestStopAndCommit:
         assert split.train.n_items == 8
         with pytest.raises(ParameterError, match="holds 8 items, fewer than the 10 that validation recall at 10"):
             tr.train(split, small_cfg(), str(tmp_path / "run"))
-        assert not (tmp_path / "run" / "last.ckpt").exists()
+        assert not (tmp_path / "run").exists()
         # a pretrain-only run ranks nothing
         tr.train(split, small_cfg(unified_epochs=0), str(tmp_path / "pretrain"))
 
