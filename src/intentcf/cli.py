@@ -297,9 +297,12 @@ def _parse_intent(spec: str) -> dict[int, float]:
             raise UsageError(f"--intent expects C:W pairs, got {part!r}")
         c, w = part.split(":", 1)
         try:
-            out[int(c)] = float(w)
+            channel, weight = int(c), float(w)
         except ValueError:
             raise UsageError(f"bad intent pair {part!r}") from None
+        if channel in out:
+            raise UsageError(f"--intent names channel {channel} twice")
+        out[channel] = weight
     return out
 
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -40,20 +41,20 @@ def _read_lines(path: str, name: str | None = None) -> list[str]:
 
 @dataclass
 class RatingMatrix:
-    """Sparse per-user rows of explicit ratings.
-
-    ``rows[i]`` is a pair of aligned arrays (item indices, ratings), item
-    indices strictly increasing within a row, all ratings > 0. Index maps
-    translate dense internal indices back to external ids.
-    """
+    """Explicit ratings of N users on M items: ``ratings`` holds the rated
+    cells of the (N, M) matrix, all ratings > 0, ordered by user, then
+    item. Index maps translate dense internal indices back to external
+    ids."""
 
     user_ids: list[str]
     item_ids: list[str]
-    rows: list[tuple[np.ndarray, np.ndarray]]
+    ratings: Cells
 
     def __post_init__(self):
         if self.n_users == 0 or self.n_items == 0:
             raise DataError("rating matrix must contain at least one user and one item")
+        # user u's cells are _starts[u]:_starts[u + 1]
+        self._starts = np.searchsorted(self.ratings.rows, np.arange(self.n_users + 1))
 
     @property
     def n_users(self) -> int:
@@ -65,15 +66,25 @@ class RatingMatrix:
 
     @property
     def n_entries(self) -> int:
-        return sum(len(idx) for idx, _ in self.rows)
+        return self.ratings.values.size
+
+    def row(self, u: int) -> tuple[np.ndarray, np.ndarray]:
+        """User u's rated items, increasing, and their ratings."""
+        cells = slice(self._starts[u], self._starts[u + 1])
+        return self.ratings.cols[cells], self.ratings.values[cells]
+
+    def cells(self, users) -> Cells:
+        """The cells of ``users`` as a (len(users), M) matrix whose row b is
+        user users[b], ordered by row, then item."""
+        users = np.asarray(users, dtype=np.intp)
+        lo = self._starts[users]
+        n = self._starts[users + 1] - lo
+        take = np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)  # row b's j-th: lo[b] + j
+        return Cells(np.repeat(np.arange(n.size), n), self.ratings.cols[take], self.ratings.values[take],
+                     (n.size, self.n_items))
 
     def dense(self, users: np.ndarray | None = None) -> np.ndarray:
-        users = np.arange(self.n_users) if users is None else users
-        out = np.zeros((len(users), self.n_items))
-        for r, u in enumerate(users):
-            idx, vals = self.rows[u]
-            out[r, idx] = vals
-        return out
+        return self.cells(np.arange(self.n_users) if users is None else users).dense()
 
 
 @dataclass
@@ -133,15 +144,13 @@ class ItemBatch:
 def item_batch(ratings: RatingMatrix, users, min_rating: float | None) -> ItemBatch:
     """Rating cells of ``users`` over their item union, and the binary
     cells binarize keeps of them under min_rating."""
-    idx = [ratings.rows[u][0] for u in users]
-    rated = np.concatenate(idx)
+    c = ratings.cells(users)
     in_union = np.zeros(ratings.n_items, dtype=bool)
-    in_union[rated] = True
+    in_union[c.cols] = True
     items = np.flatnonzero(in_union)
     column = np.empty(ratings.n_items, dtype=np.intp)  # item -> its column in U
     column[items] = np.arange(items.size)
-    rows = np.repeat(np.arange(len(users)), [len(i) for i in idx])
-    r = Cells(rows, column[rated], np.concatenate([ratings.rows[u][1] for u in users]), (len(users), items.size))
+    r = Cells(c.rows, column[c.cols], c.values, (c.shape[0], items.size))
     return ItemBatch(items, r, binarize(r, min_rating))
 
 
@@ -165,19 +174,33 @@ def _rating_matrix(user_ids: list[str], item_ids: list[str], users, items, value
         k = order[np.flatnonzero(~last) + 1].min()
         raise DataError(f"{where(k)}: user {user_ids[users[k]]!r} rates item {item_ids[items[k]]!r} twice")
     order = order[last]
-    items, values = items[order], values[order]
-    bounds = np.searchsorted(users[order], np.arange(len(user_ids) + 1))
-    return RatingMatrix(user_ids, item_ids, [(items[lo:hi], values[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])])
+    return RatingMatrix(user_ids, item_ids,
+                        Cells(users[order], items[order], values[order], (len(user_ids), len(item_ids))))
+
+
+def _bad_id(ext_id: str) -> str | None:
+    """Why an external id cannot be written to a prepared directory, whose
+    files hold one id per line and tab-separated ids, or None if it can."""
+    if not ext_id:
+        return "empty user or item id"
+    if ext_id != ext_id.strip() or "\t" in ext_id or "\n" in ext_id or "\r" in ext_id:
+        return f"id {ext_id!r} has a tab, a line break or surrounding whitespace"
+    return None
 
 
 def _matrix_from_names(users: list[str], items: list[str], values: list[float], where) -> RatingMatrix:
     """_rating_matrix over external ids, mapped to dense indices in sorted
-    order (numeric ids numerically); the last of repeated pairs wins."""
-    maps = []
+    order (numeric ids numerically); the last of repeated pairs wins. An id
+    _bad_id rejects raises DataError naming the first entry that holds one."""
+    maps, bad = [], set()
     for names in (users, items):
         ids = sorted(set(names), key=_id_sort_key)
+        bad.update(x for x in ids if _bad_id(x))
         index = {x: k for k, x in enumerate(ids)}
         maps.append((ids, [index[x] for x in names]))
+    if bad:
+        k = next(k for k, (u, i) in enumerate(zip(users, items)) if u in bad or i in bad)
+        raise DataError(f"{where(k)}: {_bad_id(users[k]) or _bad_id(items[k])}")
     (user_ids, user_idx), (item_ids, item_idx) = maps
     return _rating_matrix(user_ids, item_ids, user_idx, item_idx, values, where, keep_last=True)
 
@@ -208,11 +231,8 @@ def load_ratings(path: str, delimiter: str | None = None, skip_header: bool = Fa
             values.append(float(rating_s))
         except ValueError:
             raise DataError(f"line {lineno}: rating {rating_s!r} is not a number") from None
-        user, item = fields[0].strip(), fields[1].strip()
-        if not (user and item):
-            raise DataError(f"line {lineno}: empty user or item id in {line!r}")
-        users.append(user)
-        items.append(item)
+        users.append(fields[0].strip())
+        items.append(fields[1].strip())
         linenos.append(lineno)
     if not values:
         raise DataError(f"no ratings parsed from {path}")
@@ -226,7 +246,7 @@ def matrix_from_triples(triples) -> RatingMatrix:
     if not triples:
         raise DataError("no triples provided")
     users, items, values = (list(column) for column in zip(*triples))
-    return _matrix_from_names(users, items, values, lambda k: f"triple ({users[k]}, {items[k]})")
+    return _matrix_from_names(users, items, values, lambda k: f"triple ({users[k]!r}, {items[k]!r})")
 
 
 def filter_min_interactions(m: RatingMatrix, min_count: int) -> RatingMatrix:
@@ -234,24 +254,17 @@ def filter_min_interactions(m: RatingMatrix, min_count: int) -> RatingMatrix:
     left with no interactions; indices are re-densified."""
     if min_count < 1:
         raise ParameterError(f"min_count must be >= 1, got {min_count}")
-    keep_users = [u for u in range(m.n_users) if len(m.rows[u][0]) >= min_count]
-    if not keep_users:
+    c = m.ratings
+    keep_user = np.diff(m._starts) >= min_count
+    if not keep_user.any():
         raise DataError(f"no users have >= {min_count} interactions; lower the threshold")
-    seen_items = np.zeros(m.n_items, dtype=bool)
-    for u in keep_users:
-        seen_items[m.rows[u][0]] = True
-    keep_items = np.flatnonzero(seen_items)
-    item_remap = -np.ones(m.n_items, dtype=np.intp)
-    item_remap[keep_items] = np.arange(len(keep_items))
-    rows = []
-    for u in keep_users:
-        idx, vals = m.rows[u]
-        rows.append((item_remap[idx], vals.copy()))
-    return RatingMatrix(
-        [m.user_ids[u] for u in keep_users],
-        [m.item_ids[i] for i in keep_items],
-        rows,
-    )
+    keep = keep_user[c.rows]
+    keep_item = np.bincount(c.cols[keep], minlength=m.n_items) > 0
+    # a kept user or item's new index is the number kept before it
+    user_remap, item_remap = np.cumsum(keep_user) - 1, np.cumsum(keep_item) - 1
+    return RatingMatrix(list(compress(m.user_ids, keep_user)), list(compress(m.item_ids, keep_item)),
+                        Cells(user_remap[c.rows[keep]], item_remap[c.cols[keep]], c.values[keep],
+                              (int(keep_user.sum()), int(keep_item.sum()))))
 
 
 @dataclass
@@ -285,23 +298,22 @@ def split_per_user(
         raise ParameterError(f"rating_threshold must be a finite number, got {rating_threshold}")
     if not (is_int(seed) and seed >= 0):
         raise ParameterError(f"seed must be >= 0 and an integer, got {seed}")
+    c = m.ratings
+    n = np.diff(m._starts)
+    n_va = np.floor(fractions[1] * n).astype(np.intp)
+    n_tr = n - n_va - np.floor(fractions[2] * n).astype(np.intp)
+    if np.any(n_tr < 1):
+        u = int(np.argmax(n_tr < 1))
+        raise DataError(f"user {m.user_ids[u]!r} has too few items ({n[u]}) for a nonempty training split")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), 1717])))
-    tr_rows, va_rows, te_rows = [], [], []
+    place = np.empty(c.values.size, dtype=np.intp)  # each cell's place in its user's permutation
     for u in range(m.n_users):
-        idx, vals = m.rows[u]
-        n = len(idx)
-        n_va = int(np.floor(fractions[1] * n))
-        n_te = int(np.floor(fractions[2] * n))
-        n_tr = n - n_va - n_te
-        if n_tr < 1:
-            raise DataError(f"user {m.user_ids[u]!r} has too few items ({n}) for a nonempty training split")
-        perm = rng.permutation(n)
-        parts = {"tr": np.sort(perm[:n_tr]), "va": np.sort(perm[n_tr:n_tr + n_va]), "te": np.sort(perm[n_tr + n_va:])}
-        tr_rows.append((idx[parts["tr"]].copy(), vals[parts["tr"]].copy()))
-        va_rows.append((idx[parts["va"]].copy(), vals[parts["va"]].copy()))
-        te_rows.append((idx[parts["te"]].copy(), vals[parts["te"]].copy()))
-    mk = lambda rows: RatingMatrix(list(m.user_ids), list(m.item_ids), rows)
-    return SplitDataset(mk(tr_rows), mk(va_rows), mk(te_rows), int(seed), tuple(fractions), rating_threshold)
+        place[m._starts[u] + rng.permutation(n[u])] = np.arange(n[u])
+    # the first n_tr places train, the next n_va validate, the rest test
+    part = (place >= n_tr[c.rows]).astype(np.intp) + (place >= (n_tr + n_va)[c.rows])
+    parts = [RatingMatrix(list(m.user_ids), list(m.item_ids), Cells(c.rows[k], c.cols[k], c.values[k], c.shape))
+             for k in (part == 0, part == 1, part == 2)]
+    return SplitDataset(*parts, int(seed), tuple(fractions), rating_threshold)
 
 
 @dataclass
@@ -354,11 +366,10 @@ def save_split(ds: SplitDataset, out_dir: str, extra_manifest: list[str] | None 
         fh.write("\n".join(ds.train.item_ids) + "\n")
     for name, fname in _SPLIT_FILES.items():
         mtx: RatingMatrix = getattr(ds, name)
+        c = mtx.ratings
         with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as fh:
-            for u in range(mtx.n_users):
-                idx, vals = mtx.rows[u]
-                for i, r in zip(idx, vals):
-                    fh.write(f"{mtx.user_ids[u]}\t{mtx.item_ids[i]}\t{float(r)!r}\n")
+            fh.writelines(f"{mtx.user_ids[u]}\t{mtx.item_ids[i]}\t{r!r}\n"
+                          for u, i, r in zip(c.rows.tolist(), c.cols.tolist(), c.values.tolist()))
     lines = [
         "split manifest",
         f"seed: {ds.seed}",

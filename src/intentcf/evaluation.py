@@ -94,7 +94,7 @@ class Scorer:
 
     def _batch(self, train: RatingMatrix, users: np.ndarray) -> ItemBatch:
         for u in users:
-            if train.rows[u][0].size == 0:
+            if train.row(u)[0].size == 0:
                 raise ParameterError(f"user {u} has no training items (cold user)")
         return item_batch(train, users, self.intent_min_rating)
 
@@ -216,7 +216,7 @@ class MetricReport:
 
 
 def positives_for_user(split: SplitDataset, user: int) -> np.ndarray:
-    idx, vals = split.test.rows[user]
+    idx, vals = split.test.row(user)
     return idx[vals >= split.rating_threshold]
 
 
@@ -224,7 +224,7 @@ def scored_users(split: SplitDataset, users) -> tuple[np.ndarray, np.ndarray, li
     """Of ``users``, in order: the ones evaluate scores (those with training
     items), a mask of the ones it measures (those also holding a positive
     held-out item), and the positives of each one measured."""
-    scored = np.array([u for u in users if split.train.rows[u][0].size], dtype=np.intp)
+    scored = np.array([u for u in users if split.train.row(u)[0].size], dtype=np.intp)
     positives = [positives_for_user(split, u) for u in scored]
     return scored, np.array([p.size > 0 for p in positives], dtype=bool), [p for p in positives if p.size]
 
@@ -244,7 +244,10 @@ def evaluate(
     encoded over its own item union and ranks a (chunk, M) score array, so
     the group size sets the working set: 64 users (the training batch size)
     rate about a third of the wide benchmark world's items, 512 users about
-    four fifths. The report does not depend on the group size."""
+    four fifths. The report depends on the group size only through
+    rounding: a user's scores differ in their last bits with its group's
+    item union, so a near-tie can rank differently here and in a
+    single-user recommend."""
     train = split.train
     bad = [k for k in cutoffs if not (is_int(k) and 1 <= k <= train.n_items)]
     if bad or not cutoffs or len(set(cutoffs)) < len(cutoffs):
@@ -261,7 +264,7 @@ def evaluate(
         # users without a positive are scored too, so a group's item union,
         # and with it every score, does not depend on the held-out split
         scores = scorer.blended_scores(train, scored)[measured]
-        ranked = rank_items(scores, [train.rows[u][0] for u in scored[measured]], kmax)
+        ranked = rank_items(scores, [train.row(u)[0] for u in scored[measured]], kmax)
         for k in cutoffs:
             for m, values in zip(METRICS, metrics_at_k(ranked, positives, k)):
                 per_user[m][k].append(values)

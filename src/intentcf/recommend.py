@@ -32,7 +32,7 @@ def _check_user(split: SplitDataset, user: int) -> None:
 def _ranked(split: SplitDataset, user: int, scores: np.ndarray, n: int) -> RankedList:
     """The user's scores over all items ranked as one row of rank_items (n
     beyond the item count lists every candidate)."""
-    items = rank_items(scores[None], [split.train.rows[user][0]], n)[0]
+    items = rank_items(scores[None], [split.train.row(user)[0]], n)[0]
     items = items[items >= 0]
     return RankedList(user, items, scores[items])
 

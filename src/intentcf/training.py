@@ -106,8 +106,9 @@ class TrainConfig:
         for name in ("lambda2", "lambda3", "lambda4", "eta_max"):
             if getattr(self, name) < 0:
                 raise UsageError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise UsageError(f"seed must be >= 0, got {self.seed}")
+        for name in ("seed", "patience"):
+            if getattr(self, name) < 0:
+                raise UsageError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.kappa < 1:
             raise UsageError(f"kappa must be >= 1, got {self.kappa}")
         if self.batch_size < 1:

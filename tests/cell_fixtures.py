@@ -1,5 +1,5 @@
-"""Dense test fixtures as the Cells and batches the loss layer takes, and
-a training run cut at an epoch boundary."""
+"""Dense test fixtures as the Cells and batches the loss layer takes, rating
+matrices from per-user rows, and a training run cut at an epoch boundary."""
 
 import os
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from intentcf import training
-from intentcf.data import BinaryMatrix, Cells, ItemBatch
+from intentcf.data import BinaryMatrix, Cells, ItemBatch, RatingMatrix
 
 
 def cells(a) -> Cells:
@@ -22,6 +22,16 @@ def binary(a) -> BinaryMatrix:
     column."""
     rows, cols = np.nonzero(np.asarray(a))
     return BinaryMatrix(rows, cols, np.shape(a))
+
+
+def rating_matrix(user_ids, item_ids, rows) -> RatingMatrix:
+    """The RatingMatrix whose user u rates the increasing items rows[u][0]
+    with the ratings rows[u][1]."""
+    items = [np.asarray(idx, dtype=np.intp) for idx, _ in rows]
+    users = np.repeat(np.arange(len(items)), [idx.size for idx in items])
+    values = np.concatenate([np.asarray(vals, dtype=np.float64) for _, vals in rows])
+    shape = (len(user_ids), len(item_ids))
+    return RatingMatrix(list(user_ids), list(item_ids), Cells(users, np.concatenate(items), values, shape))
 
 
 def full_batch(xb, rb) -> ItemBatch:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -39,7 +40,46 @@ def world(tmp_path_factory):
     return {"raw": raw, "prep": prep, "run": run, "ckpt": os.path.join(run, "best.ckpt")}
 
 
+# sha256 of every file prepare writes for the planted world of
+# test_prepared_bytes_are_pinned; the split holds no float arithmetic that
+# BLAS does, so these hold on any machine
+PREPARED_SHA256 = {
+    "genres.txt": "78c127deb50f25ee908d522a9de40977145b9545bd3f98a87a3e0141d4de4b8e",
+    "items.txt": "03e513797b3916ee8ce9e27404eb11c03adc6ce7374e1f5d14d812fbec962a70",
+    "manifest.txt": "4422884be55747b62fa42a8419b2ed805545dfb7ea2245cd7de25437eac91643",
+    "test.tsv": "5add0329f921e955c01978c6177f86ed3b902befc9b54a9d945e5edde5de03b5",
+    "train.tsv": "3527faafa1db8f16ee8ef7efc6d52ce17bccae1daacd5772135add223f106581",
+    "users.txt": "a54a5bea136b6e2ebf59775f6b540e2b52b39097b9451043311a0cdaf1b71530",
+    "valid.tsv": "222d0567781a2c58ae37cde174263b97ac2f488bf5436eef534ef1ddfe4e06cc",
+}
+
+
 class TestPrepare:
+    def test_prepared_bytes_are_pinned(self, tmp_path, capsys):
+        # a seed names one split: the filter, the per-user draws and the
+        # written bytes must not drift (the filter drops 23 of the 80 users)
+        world = synthetic.planted_channel_data(n_users=80, n_items=50, n_channels=3, seed=5)
+        ratings, genres = world.write(str(tmp_path / "raw"))
+        out = tmp_path / "prep"
+        assert cli.main(["prepare", "--ratings", ratings, "--genres", genres, "--out", str(out),
+                         "--min-interactions", "20", "--seed", "3"]) == 0
+        capsys.readouterr()
+        assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()} == PREPARED_SHA256
+
+    def test_id_with_a_tab_exits_1_before_any_output(self, tmp_path, capsys):
+        # the prepared files separate ids by tabs, so train would not read
+        # the split back
+        ratings = tmp_path / "r.csv"
+        ratings.write_text("u1,i1,5\nu\t3,i2,4\n")
+        out = tmp_path / "prep"
+        code = cli.main(["prepare", "--ratings", str(ratings), "--delimiter", ",", "--out", str(out),
+                         "--min-interactions", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2: id 'u\\t3' has a tab, a line break or surrounding whitespace\n"
+        assert not out.exists()
+
     def test_non_finite_rating_threshold_exits_2(self, world, tmp_path, capsys):
         out = tmp_path / "prep"
         code = cli.main(["prepare", "--ratings", os.path.join(world["raw"], "ratings.tsv"), "--out", str(out),
@@ -467,6 +507,8 @@ USAGE_ERRORS = {
                         "--set expects KEY=VALUE, got 'k'"),
     "--intent without :": (["recommend", "--checkpoint", "{ckpt}", "--data", "{prep}", "--user", "u0",
                             "--intent", "0"], "--intent expects C:W pairs, got '0'"),
+    "--intent repeated channel": (["recommend", "--checkpoint", "{ckpt}", "--data", "{prep}", "--user", "u0",
+                                   "--intent", "0:1,2:1,0:2"], "--intent names channel 0 twice"),
     "--intent channel not a number": (["recommend", "--checkpoint", "{ckpt}", "--data", "{prep}", "--user", "u0",
                                        "--intent", "a:1"], "bad intent pair 'a:1'"),
     "recommend without --user": (["recommend", "--checkpoint", "{ckpt}", "--data", "{prep}"],
@@ -482,6 +524,7 @@ USAGE_ERRORS = {
     **{f"train --set {setting}": (["train", "--data", "{prep}", "--out", "{tmp}/o", "--set", setting], message)
        for setting, message in [
            ("kappa=0", "kappa must be >= 1, got 0"),
+           ("patience=-1", "patience must be >= 0, got -1"),
            ("batch_size=0", "batch_size must be >= 1, got 0"),
            ("d=0", "all layer widths must be >= 1"),
            ("item_hidden=0", "all layer widths must be >= 1"),

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from intentcf import data as dt
 from intentcf.errors import DataError, ParameterError
 
+from cell_fixtures import rating_matrix
+
 
 def write(tmp_path, name, text):
     p = tmp_path / name
@@ -25,7 +27,7 @@ class TestLoadRatings:
         path = write(tmp_path, "r.csv", "u1,i1,2\nu1,i1,5\n")
         m = dt.load_ratings(path)
         assert m.n_entries == 1
-        assert m.rows[0][1][0] == 5.0
+        assert m.row(0)[1][0] == 5.0
 
     def test_tab_delimited_with_timestamp(self, tmp_path):
         path = write(tmp_path, "r.tsv", "1\t10\t4\t881250949\n1\t20\t3\t881250950\n")
@@ -66,6 +68,12 @@ class TestLoadRatings:
         with pytest.raises(DataError, match="line 2: empty user or item id"):
             dt.load_ratings(path)
 
+    def test_first_line_with_an_unwritable_id_is_named(self, tmp_path):
+        # a tab inside an id would split its line of a prepared train.tsv
+        path = write(tmp_path, "r.csv", "u1,i1,5\nu2,i\t2,3\nu\t3,i3,4\n")
+        with pytest.raises(DataError, match=r"^line 2: id 'i\\t2' has a tab, a line break or surrounding"):
+            dt.load_ratings(path, delimiter=",")
+
     def test_superscript_digit_id_sorts_as_text(self, tmp_path):
         path = write(tmp_path, "r.csv", "u1,\u00b2,5\nu1,3,2\n")
         assert dt.load_ratings(path).item_ids == ["3", "\u00b2"]
@@ -82,6 +90,22 @@ class TestLoadRatings:
         assert (m.n_users, m.n_items, m.n_entries) == (943, 1682, 100_000)
 
 
+class TestIds:
+    @pytest.mark.parametrize("bad", ["u\t1", "u\n1", "u\r1", " u1", "u1\t"])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_triple_with_an_unwritable_id_rejected(self, bad, side):
+        triple = ["u2", "i2", 3.0]
+        triple[side] = bad
+        with pytest.raises(DataError, match=r"^triple \(.*\): id .* has a tab, a line break or surrounding"):
+            dt.matrix_from_triples([("u1", "i1", 5.0), tuple(triple)])
+
+    def test_empty_triple_id_rejected(self):
+        # save_split would write it as a blank line of users.txt, which
+        # load_split skips
+        with pytest.raises(DataError, match=r"^triple \('', 'i1'\): empty user or item id$"):
+            dt.matrix_from_triples([("", "i1", 5.0)])
+
+
 def make_matrix(rows_spec):
     """rows_spec: list of dicts item->rating, users u0..uN in order."""
     items = sorted({i for row in rows_spec for i in row}, key=dt._id_sort_key)
@@ -90,7 +114,7 @@ def make_matrix(rows_spec):
     for row in rows_spec:
         pairs = sorted((imap[i], r) for i, r in row.items())
         rows.append((np.array([p[0] for p in pairs], dtype=np.intp), np.array([p[1] for p in pairs], dtype=float)))
-    return dt.RatingMatrix([f"u{k}" for k in range(len(rows_spec))], items, rows)
+    return rating_matrix([f"u{k}" for k in range(len(rows_spec))], items, rows)
 
 
 class TestFilter:
@@ -103,7 +127,7 @@ class TestFilter:
         m = make_matrix(rows)
         out = dt.filter_min_interactions(m, 10)
         assert out.n_users == 2
-        assert all(len(idx) >= 10 for idx, _ in out.rows)
+        assert all(len(out.row(u)[0]) >= 10 for u in range(out.n_users))
 
     def test_min_one_is_identity(self):
         m = make_matrix([{"a": 1.0, "b": 2.0}, {"a": 3.0}])
@@ -128,33 +152,33 @@ class TestSplit:
     def test_ten_items_split_613(self):
         m = make_matrix([{f"i{j}": 4.0 for j in range(10)}])
         ds = dt.split_per_user(m, seed=1)
-        assert len(ds.train.rows[0][0]) == 6
-        assert len(ds.valid.rows[0][0]) == 1
-        assert len(ds.test.rows[0][0]) == 3
+        assert len(ds.train.row(0)[0]) == 6
+        assert len(ds.valid.row(0)[0]) == 1
+        assert len(ds.test.row(0)[0]) == 3
 
     def test_eleven_items_rounding_rule(self):
         # floor(0.1*11)=1 validation, floor(0.3*11)=3 test, remainder 7 train
         m = make_matrix([{f"i{j}": 4.0 for j in range(11)}])
         ds = dt.split_per_user(m, seed=2)
-        assert len(ds.train.rows[0][0]) == 7
-        assert len(ds.valid.rows[0][0]) == 1
-        assert len(ds.test.rows[0][0]) == 3
+        assert len(ds.train.row(0)[0]) == 7
+        assert len(ds.valid.row(0)[0]) == 1
+        assert len(ds.test.row(0)[0]) == 3
 
     def test_same_seed_identical(self):
         m = make_matrix([{f"i{j}": float(j % 5 + 1) for j in range(17)} for _ in range(6)])
         a = dt.split_per_user(m, seed=9)
         b = dt.split_per_user(m, seed=9)
         for u in range(6):
-            assert np.array_equal(a.train.rows[u][0], b.train.rows[u][0])
-            assert np.array_equal(a.test.rows[u][0], b.test.rows[u][0])
+            assert np.array_equal(a.train.row(u)[0], b.train.row(u)[0])
+            assert np.array_equal(a.test.row(u)[0], b.test.row(u)[0])
 
     @given(st.integers(10, 60), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_partition_property(self, n_items, seed):
         m = make_matrix([{f"i{j}": 1.0 + j % 5 for j in range(n_items)}])
         ds = dt.split_per_user(m, seed=seed)
-        tr, va, te = (set(x.rows[0][0].tolist()) for x in (ds.train, ds.valid, ds.test))
-        assert tr | va | te == set(m.rows[0][0].tolist())
+        tr, va, te = (set(x.row(0)[0].tolist()) for x in (ds.train, ds.valid, ds.test))
+        assert tr | va | te == set(m.row(0)[0].tolist())
         assert not (tr & va) and not (tr & te) and not (va & te)
         assert len(va) == int(np.floor(0.1 * n_items))
         assert len(te) == int(np.floor(0.3 * n_items))
@@ -315,3 +339,82 @@ class TestGenreTable:
         path.write_bytes(b"i0|drama\ni1|act\xc3ion\n")
         with pytest.raises(DataError, match="g.txt line 2: not UTF-8 text"):
             dt.GenreTable.load(str(path))
+
+
+@st.composite
+def per_user_rows(draw, min_items=0):
+    """Per-user (increasing items, ratings) rows of a small matrix and its
+    item count; a user may rate nothing when min_items is 0."""
+    n_items = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        items = sorted(draw(st.sets(st.integers(0, n_items - 1), min_size=min(min_items, n_items))))
+        ratings = draw(st.lists(st.integers(1, 5), min_size=len(items), max_size=len(items)))
+        rows.append((np.array(items, dtype=np.intp), np.array(ratings, dtype=np.float64)))
+    return rows, n_items
+
+
+def dense_rows(rows, n_items):
+    out = np.zeros((len(rows), n_items))
+    for u, (items, ratings) in enumerate(rows):
+        out[u, items] = ratings
+    return out
+
+
+def matrix_of(rows, n_items):
+    return rating_matrix([f"u{u}" for u in range(len(rows))], [f"i{j}" for j in range(n_items)], rows)
+
+
+class TestCellsOfUsers:
+    @given(per_user_rows(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_gather_is_the_dense_rows(self, world, data):
+        rows, n_items = world
+        m = matrix_of(rows, n_items)
+        users = data.draw(st.one_of(st.permutations(range(len(rows))),
+                                    st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=1),
+                                    st.lists(st.integers(0, len(rows) - 1), max_size=10)))
+        cells = m.cells(users)
+        assert cells.shape == (len(users), n_items)
+        np.testing.assert_array_equal(cells.dense(), dense_rows(rows, n_items)[users])
+        np.testing.assert_array_equal(m.dense(users), dense_rows(rows, n_items)[users])
+        assert np.all(np.diff(cells.rows * n_items + cells.cols) > 0)  # by row, then item
+        for u, (items, ratings) in enumerate(rows):
+            np.testing.assert_array_equal(m.row(u)[0], items)
+            np.testing.assert_array_equal(m.row(u)[1], ratings)
+        assert m.n_entries == sum(items.size for items, _ in rows)
+
+    @given(per_user_rows(), st.integers(1, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_filter_keeps_each_counted_user_row(self, world, min_count):
+        rows, n_items = world
+        kept = [u for u, (items, _) in enumerate(rows) if items.size >= min_count]
+        if not kept:
+            with pytest.raises(DataError, match="lower the threshold"):
+                dt.filter_min_interactions(matrix_of(rows, n_items), min_count)
+            return
+        out = dt.filter_min_interactions(matrix_of(rows, n_items), min_count)
+        items = sorted({j for u in kept for j in rows[u][0].tolist()})
+        assert out.user_ids == [f"u{u}" for u in kept]
+        assert out.item_ids == [f"i{j}" for j in items]
+        np.testing.assert_array_equal(out.dense(), dense_rows(rows, n_items)[kept][:, items])
+
+    @given(per_user_rows(min_items=1), st.integers(0, 1000))
+    @settings(max_examples=80, deadline=None)
+    def test_split_parts_partition_each_user_row(self, world, seed):
+        rows, n_items = world
+        ds = dt.split_per_user(matrix_of(rows, n_items), seed=seed)
+        parts = [ds.train.dense(), ds.valid.dense(), ds.test.dense()]
+        np.testing.assert_array_equal(sum(parts), dense_rows(rows, n_items))
+        assert np.all(np.count_nonzero(np.stack(parts), axis=0) <= 1)
+        n = np.array([items.size for items, _ in rows])
+        np.testing.assert_array_equal(np.count_nonzero(parts[1], axis=1), np.floor(0.1 * n))
+        np.testing.assert_array_equal(np.count_nonzero(parts[2], axis=1), np.floor(0.3 * n))
+        for part in (ds.train, ds.valid, ds.test):
+            assert part.ratings.shape == (len(rows), n_items)
+            assert np.all(np.diff(part.ratings.rows * n_items + part.ratings.cols) > 0)
+
+    def test_a_user_without_ratings_cannot_be_split(self):
+        m = matrix_of([(np.array([0, 1], dtype=np.intp), np.array([4.0, 2.0])), (np.array([], dtype=np.intp), [])], 2)
+        with pytest.raises(DataError, match="user 'u1' has too few items \\(0\\)"):
+            dt.split_per_user(m, seed=0)

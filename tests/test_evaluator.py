@@ -10,6 +10,8 @@ from intentcf import recommend as rc
 from intentcf import training as tr
 from intentcf.errors import ParameterError
 
+from cell_fixtures import rating_matrix
+
 
 class TestMetricsAtK:
     def test_counting_fixture(self):
@@ -115,7 +117,7 @@ def perfect_split(n_users=3, n_items=9):
         positives.append(test_items)
     ids_u = [f"u{k}" for k in range(n_users)]
     ids_i = [f"i{k}" for k in range(n_items)]
-    mk = lambda rows: dt.RatingMatrix(ids_u, ids_i, rows)
+    mk = lambda rows: rating_matrix(ids_u, ids_i, rows)
     return dt.SplitDataset(mk(rows_tr), mk(rows_va), mk(rows_te), 0, (0.6, 0.1, 0.3), 4.0), positives
 
 
@@ -189,9 +191,9 @@ class TestEvaluate:
         split, positives = perfect_split()
         scorer = OracleScorer(positives, 9)
         scores = scorer.blended_scores(split.train, np.array([0]))[0]
-        scores[split.train.rows[0][0]] = 100.0  # make train items most attractive
-        ranked = rank_one(scores, split.train.rows[0][0], 9)
-        assert not set(split.train.rows[0][0].tolist()) & set(ranked.tolist())
+        scores[split.train.row(0)[0]] = 100.0  # make train items most attractive
+        ranked = rank_one(scores, split.train.row(0)[0], 9)
+        assert not set(split.train.row(0)[0].tolist()) & set(ranked.tolist())
 
 
 @pytest.fixture(scope="module")
@@ -388,9 +390,9 @@ class TestScorerPaths:
         scorer = tr.scorer_from_state(state)
         a, b = (scorer.blended_scores(ds.train, np.array([0])) for _ in range(2))
         np.testing.assert_array_equal(a, b)
-        ranked = ev.rank_items(a, [ds.train.rows[0][0]], 10)
-        np.testing.assert_array_equal(ranked, ev.rank_items(b, [ds.train.rows[0][0]], 10))
-        assert not set(ds.train.rows[0][0].tolist()) & set(ranked[0].tolist())
+        ranked = ev.rank_items(a, [ds.train.row(0)[0]], 10)
+        np.testing.assert_array_equal(ranked, ev.rank_items(b, [ds.train.row(0)[0]], 10))
+        assert not set(ds.train.row(0)[0].tolist()) & set(ranked[0].tolist())
 
     def test_unknown_user_rejected(self):
         split, positives = perfect_split()

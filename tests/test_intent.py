@@ -6,7 +6,7 @@ from intentcf import nn
 from intentcf.autodiff import Tensor
 from intentcf.errors import ParameterError
 
-from cell_fixtures import binary
+from cell_fixtures import binary, rating_matrix
 from gradcheck import named_gradients
 
 
@@ -81,12 +81,11 @@ class TestEncodeUser:
         np.testing.assert_allclose(lv_s.data, lv_b.data, atol=1e-12)
 
     def test_empty_row_rejected(self):
-        from intentcf import data as dt
         from intentcf import evaluation as ev
         from intentcf import preference as pr
 
         rows = [(np.array([0, 2], dtype=np.intp), np.array([4.0, 5.0])), (np.array([], dtype=np.intp), np.array([]))]
-        train = dt.RatingMatrix(["a", "b"], [f"i{j}" for j in range(6)], rows)
+        train = rating_matrix(["a", "b"], [f"i{j}" for j in range(6)], rows)
         scorer = ev.Scorer(tiny_model(), pr.init_preference_model(6, 2, 4, np.random.default_rng(0)), 2, 0.5)
         with pytest.raises(ParameterError, match="cold"):
             scorer.gamma(train, np.array([1]))

@@ -24,7 +24,7 @@ from intentcf.nn import diag_gaussian_kl, encode_gaussian, softmax_temp
 from intentcf.preference import select_top_channels_batch
 from intentcf.ranking import top_n
 
-from cell_fixtures import full_batch
+from cell_fixtures import full_batch, rating_matrix
 from gradcheck import full_gradients, named_gradients
 
 
@@ -110,7 +110,7 @@ def worlds(draw):
         rows.append((idx, rng.integers(1, 6, size=size).astype(np.float64)))
     # a user with no rating >= 4, so the positives-only intent row is empty
     rows[0] = (rows[0][0], np.minimum(rows[0][1], 3.0))
-    return dt.RatingMatrix([f"u{u}" for u in range(n_users)], [f"i{j}" for j in range(n_items)], rows), seed
+    return rating_matrix([f"u{u}" for u in range(n_users)], [f"i{j}" for j in range(n_items)], rows), seed
 
 
 CONFIGS = st.fixed_dictionaries({
@@ -174,7 +174,7 @@ class TestUnionLossesMatchDense:
         # items gives the union batch's losses
         rows = [(np.array([0, 2], dtype=np.intp), np.array([5.0, 2.0])),
                 (np.array([1, 2, 3], dtype=np.intp), np.array([4.0, 4.0, 1.0]))]
-        ratings = dt.RatingMatrix(["a", "b"], ["w", "x", "y", "z", "v"], rows)
+        ratings = rating_matrix(["a", "b"], ["w", "x", "y", "z", "v"], rows)
         state = jittered_state(tr.TrainConfig(k=3, d=2, l=2, intent_hidden=5, item_hidden=4, pref_hidden=5),
                                2, 5, 3)
         users = np.arange(2)
@@ -191,7 +191,7 @@ class TestItemBatch:
     def test_rows_are_the_dense_rows_at_the_union(self):
         rows = [(np.array([1, 4], dtype=np.intp), np.array([2.0, 5.0])),
                 (np.array([0, 4], dtype=np.intp), np.array([4.0, 1.0]))]
-        ratings = dt.RatingMatrix(["a", "b"], [f"i{j}" for j in range(6)], rows)
+        ratings = rating_matrix(["a", "b"], [f"i{j}" for j in range(6)], rows)
         users = np.array([1, 0])
         batch = dt.item_batch(ratings, users, 4.0)
         np.testing.assert_array_equal(batch.items, [0, 1, 4])

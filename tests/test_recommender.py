@@ -11,6 +11,8 @@ from intentcf import training as tr
 from intentcf.autodiff import parameter
 from intentcf.errors import ParameterError
 
+from cell_fixtures import rating_matrix
+
 
 @pytest.fixture(scope="module")
 def trained():
@@ -28,13 +30,13 @@ class TestBlended:
         scorer, split, _ = trained
         ours = rc.recommend_blended(scorer, split, 3, 10)
         scores = scorer.blended_scores(split.train, np.array([3]))
-        ev_items = ev.rank_items(scores, [split.train.rows[3][0]], 10)[0]
+        ev_items = ev.rank_items(scores, [split.train.row(3)[0]], 10)[0]
         np.testing.assert_array_equal(ours.items, ev_items)
         np.testing.assert_allclose(ours.scores, scores[0, ev_items])
 
     def test_n_larger_than_candidates_gives_full_list(self, trained):
         scorer, split, _ = trained
-        n_train = split.train.rows[0][0].size
+        n_train = split.train.row(0)[0].size
         full = rc.recommend_blended(scorer, split, 0, 10_000)
         assert len(full.items) == split.train.n_items - n_train
 
@@ -160,7 +162,7 @@ class TestOrthogonalChannels:
         scorer = ev.Scorer(intent, pref, top_l=2, tau=0.4)
         rows = [(np.array([0, 3]), np.array([5.0, 4.0]))]
         ids_i = [f"i{j}" for j in range(m)]
-        mk = lambda r: dt.RatingMatrix(["u0"], ids_i, r)
+        mk = lambda r: rating_matrix(["u0"], ids_i, r)
         split = dt.SplitDataset(mk(rows), mk([(np.array([], dtype=np.intp), np.array([]))]),
                                 mk([(np.array([], dtype=np.intp), np.array([]))]), 0, (0.6, 0.1, 0.3))
         top0 = rc.recommend_in_channel(scorer, split, 0, 0, 2)

@@ -91,6 +91,12 @@ class TestConfig:
             small_cfg(pretrain_epochs=0, unified_epochs=0).validate()
         small_cfg(pretrain_epochs=0, unified_epochs=1).validate()
 
+    def test_negative_patience_rejected(self):
+        # patience -1 would stop after the first unified epoch, improved or not
+        with pytest.raises(UsageError, match="patience must be >= 0, got -1"):
+            small_cfg(patience=-1).validate()
+        small_cfg(patience=0).validate()
+
     def test_values_of_the_field_type_accepted(self):
         cfg = tr.TrainConfig.from_dict({"k": 4, "tau_c": 1, "lambda2": 0.5, "intent_min_rating": None,
                                         "variant": "ddcf-s"})
