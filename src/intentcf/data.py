@@ -419,6 +419,40 @@ def load_ids(in_dir: str) -> tuple[list[str], list[str]]:
     return _read_ids(in_dir, "users.txt")[0], _read_ids(in_dir, "items.txt")[0]
 
 
+# each key load_split reads from manifest.txt: its parser, the test of the
+# parsed value, and what the value must be
+_MANIFEST_KEYS = {
+    "seed": (int, lambda v: True, "an integer"),
+    "fractions": (lambda text: tuple(float(x) for x in text.split("/")), lambda v: len(v) == 3,
+                  "three numbers a/b/c"),
+    "rating_threshold": (float, is_finite, "a finite number"),
+}
+
+
+def _read_manifest(in_dir: str) -> list:
+    """The seed, fractions and rating threshold of a prepared directory's
+    manifest.txt, in that order. Each key is required; a missing key or a
+    value that does not read raises DataError naming it."""
+    found = {}
+    for lineno, line in enumerate(_read_lines(os.path.join(in_dir, "manifest.txt"), "manifest.txt"), start=1):
+        key, sep, text = line.partition(":")
+        if sep and key in _MANIFEST_KEYS:
+            found[key] = (lineno, text.strip())
+    out = []
+    for key, (parse, accepts, what) in _MANIFEST_KEYS.items():
+        if key not in found:
+            raise DataError(f"manifest.txt: {key} missing")
+        lineno, text = found[key]
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not accepts(value):
+            raise DataError(f"manifest.txt line {lineno}: {key} needs {what}, got {text!r}")
+        out.append(value)
+    return out
+
+
 def load_split(in_dir: str, parts: tuple[str, ...] = tuple(_SPLIT_FILES)) -> SplitDataset:
     """Reload a directory written by save_split, preserving the shared index
     space (users/items present only in valid/test stay addressable). Only
@@ -453,16 +487,6 @@ def load_split(in_dir: str, parts: tuple[str, ...] = tuple(_SPLIT_FILES)) -> Spl
         return _rating_matrix(list(users), list(items), user_idx, item_idx, values,
                               lambda k: f"{fname} line {linenos[k]}", keep_last=False)
 
-    seed, fractions, threshold = 0, (0.6, 0.1, 0.3), 4.0
-    for lineno, line in enumerate(_read_lines(os.path.join(in_dir, "manifest.txt"), "manifest.txt"), start=1):
-        try:
-            if line.startswith("seed:"):
-                seed = int(line.split(":", 1)[1])
-            elif line.startswith("fractions:"):
-                fractions = tuple(float(x) for x in line.split(":", 1)[1].strip().split("/"))
-            elif line.startswith("rating_threshold:"):
-                threshold = float(line.split(":", 1)[1])
-        except ValueError:
-            raise DataError(f"manifest.txt line {lineno}: cannot read {line.strip()!r}") from None
+    seed, fractions, threshold = _read_manifest(in_dir)
     train, valid, test = (read_matrix(fname) if name in parts else None for name, fname in _SPLIT_FILES.items())
     return SplitDataset(train, valid, test, seed, fractions, threshold)

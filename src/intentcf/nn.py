@@ -242,22 +242,6 @@ class Adam:
             t1 /= t2
             pb -= t1
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {}
-        for k, a in self.m.items():
-            out[f"adam.m.{k}"] = a
-        for k, a in self.v.items():
-            out[f"adam.v.{k}"] = a
-        return out
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray], t: int) -> None:
-        """Moments from a checkpoint's arrays, kept uncopied. From
-        load_checkpoint they are copy-on-write views of the mapped file, so
-        a step writes to private pages and never to the file."""
-        self.t = t
-        self.m = {k[len("adam.m."):]: v for k, v in arrays.items() if k.startswith("adam.m.")}
-        self.v = {k[len("adam.v."):]: v for k, v in arrays.items() if k.startswith("adam.v.")}
-
 
 def _checked_grad(p: Tensor, g) -> np.ndarray | RowGrad:
     """``g`` for parameter ``p`` (zeros when None) after checking its shape,

@@ -100,7 +100,7 @@ class TrainConfig:
     def validate(self) -> None:
         if not (self.k >= self.l >= 1):
             raise UsageError(f"need K >= L >= 1, got K={self.k}, L={self.l}")
-        for name in ("tau_start", "tau_end", "tau_c", "learning_rate"):
+        for name in ("tau_start", "tau_end", "tau_c", "learning_rate", "alpha_k"):
             if getattr(self, name) <= 0:
                 raise UsageError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("lambda2", "lambda3", "lambda4", "eta_max"):
@@ -208,15 +208,15 @@ def build_state(cfg: TrainConfig, n_users: int, n_items: int, arrays: dict[str, 
     """A run's initial state, drawn from cfg.seed; or, given a checkpoint's
     ``arrays``, the model and prior they hold. Either way the shapes come
     from the init functions, and a missing or mis-shaped array raises
-    ShapeError naming it. A model too large to allocate raises
-    ParameterError."""
+    ShapeError naming it. A model too large to allocate, or wider than
+    numpy's largest array, raises ParameterError."""
     rng = None
     if arrays is None:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(cfg.seed), _INIT])))
     try:
         intent = init_intent_model(n_items, cfg.k, cfg.intent_hidden, cfg.item_hidden, rng, arrays)
         pref = init_preference_model(n_items, cfg.d, cfg.pref_hidden, rng, arrays)
-    except MemoryError:
+    except (MemoryError, ValueError):
         raise ParameterError(f"the model over {n_items} items does not fit in memory: k={cfg.k}, d={cfg.d}, "
                              f"intent_hidden={cfg.intent_hidden}, item_hidden={cfg.item_hidden}, "
                              f"pref_hidden={cfg.pref_hidden}") from None
@@ -546,7 +546,12 @@ def model_arrays(state: TrainerState) -> dict[str, np.ndarray]:
 
 
 def _collect_arrays(state: TrainerState) -> dict[str, np.ndarray]:
-    return {**model_arrays(state), **state.opt.state_arrays()}
+    """Every array of the state's checkpoint: the model, the prior, and
+    Adam's two moments of each parameter it has stepped."""
+    arrays = model_arrays(state)
+    for name in state.opt.m:
+        arrays[f"adam.m.{name}"], arrays[f"adam.v.{name}"] = state.opt.m[name], state.opt.v[name]
+    return arrays
 
 
 def save_checkpoint(path: str, state: TrainerState) -> None:
@@ -695,6 +700,8 @@ def read_header(path: str) -> tuple[dict, TrainConfig]:
 
 def load_checkpoint(path: str) -> TrainerState:
     """Strict inverse of save_checkpoint; every failure names the section.
+    The file's arrays must be the ones save_checkpoint writes for the loaded
+    state (_collect_arrays), each at its parameter's shape.
 
     The file is mapped copy-on-write and each array is a view of its bytes,
     read from disk when first used; writes to the arrays stay private to this
@@ -715,10 +722,18 @@ def load_checkpoint(path: str) -> TrainerState:
 
     try:
         state = build_state(cfg, header["n"], header["m"], arrays)
+        for p in state.all_parameters():
+            if f"adam.m.{p.name}" in arrays:
+                state.opt.m[p.name] = stored_array(arrays, f"adam.m.{p.name}", p.shape)
+                state.opt.v[p.name] = stored_array(arrays, f"adam.v.{p.name}", p.shape)
     except ShapeError as exc:
         raise CheckpointError(f"arrays section invalid: {exc}") from None
+    saved = _collect_arrays(state)
+    unsaved = next((name for name in arrays if name not in saved), None)
+    if unsaved is not None:
+        raise CheckpointError(f"arrays section invalid: array {unsaved!r} is not one the loaded state saves")
     counters = header["counters"]
-    state.opt.load_state_arrays(arrays, counters["adam_t"])
+    state.opt.t = counters["adam_t"]
     for name, _ in _COUNTERS:
         setattr(state, name, counters[name])
     state.best_val = -np.inf if counters["best_val"] is None else counters["best_val"]

@@ -63,6 +63,25 @@ def put(value, *path):
     return edit
 
 
+def on_array(name, change):
+    """An edit applying change(entry) to the header entry of array ``name``."""
+    def edit(header):
+        change(next(entry for entry in header["arrays"] if entry["name"] == name))
+        return header
+    return edit
+
+
+# edits that keep the payload valid but give the file an array index other
+# than the one its loaded state saves, each with the array the error names
+ARRAY_INDEX_CASES = {
+    "moment shape reversed": (on_array("adam.m.psi.w0", lambda entry: entry["shape"].reverse()),
+                              "'adam.m.psi.w0' has shape"),
+    "half a moment pair": (on_array("adam.v.psi.w0", lambda entry: entry.update(name="adam.v.nowhere")),
+                           "'adam.v.psi.w0' missing"),
+    "an array renamed to junk": (on_array("adam.m.psi.w0", lambda entry: entry.update(name="junk")),
+                                 "'junk' is not one the loaded state saves"),
+}
+
 COUNTERS = ("epoch", "global_batch", "adam_t", "best_val", "best_epoch", "bad_epochs", "tau", "eta")
 
 CASES = [
@@ -98,6 +117,7 @@ CASES = [
     ("arrays", lambda header: put(header["arrays"][0]["name"], "arrays", 1, "name")(header)),
     ("arrays", lambda header: put(header["arrays"][0]["offset"], "arrays", 1, "offset")(header)),
     ("arrays", put([1], "arrays", 0, "shape")),
+    *[("arrays", edit) for edit, _ in ARRAY_INDEX_CASES.values()],
 ]
 
 
@@ -108,6 +128,27 @@ def test_bad_header_names_its_section(run, tmp_path, section, edit):
     bad.write_bytes(rewrite_header(blob, edit))
     with pytest.raises(CheckpointError, match=f"^{section} section invalid"):
         tr.load_checkpoint(str(bad))
+
+
+@pytest.mark.parametrize("case", ARRAY_INDEX_CASES)
+def test_cli_resume_from_a_bad_array_index_exits_1_naming_the_array(run, tmp_path, capsys, case):
+    root, blob = run
+    edit, named = ARRAY_INDEX_CASES[case]
+
+    def one_more_epoch(header):
+        header["config"]["unified_epochs"] += 1
+        return edit(header)
+
+    # the run resumes with an epoch left, beside its best.ckpt
+    bad = tmp_path / "last.ckpt"
+    bad.write_bytes(rewrite_header(blob, one_more_epoch))
+    (tmp_path / "best.ckpt").write_bytes((root / "run" / "best.ckpt").read_bytes())
+    code = cli.main(["train", "--data", str(root / "prep"), "--out", str(tmp_path / "out"), "--resume", str(bad),
+                     "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: arrays section invalid: array {named}") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_untouched_header_still_loads(run, tmp_path):

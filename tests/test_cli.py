@@ -524,6 +524,7 @@ USAGE_ERRORS = {
     **{f"train --set {setting}": (["train", "--data", "{prep}", "--out", "{tmp}/o", "--set", setting], message)
        for setting, message in [
            ("kappa=0", "kappa must be >= 1, got 0"),
+           ("alpha_k=0", "alpha_k must be positive, got 0"),
            ("patience=-1", "patience must be >= 0, got -1"),
            ("batch_size=0", "batch_size must be >= 1, got 0"),
            ("d=0", "all layer widths must be >= 1"),
@@ -549,10 +550,12 @@ class TestUsageErrors:
         assert captured.err == f"error: {message.format(**paths)}\n"
         assert captured.out == "" and not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("setting", ["intent_hidden=1000000000000", "k=1000000000000"])
+    @pytest.mark.parametrize("setting", ["intent_hidden=1000000000000", "k=1000000000000",
+                                         f"intent_hidden={10**30}", f"d={10**30}"])
     def test_a_model_beyond_memory_exits_2(self, world, tmp_path, capsys, setting):
-        # the first array of that width needs more than 2**47 bytes, which no
-        # x86-64 process can map, so nothing is allocated
+        # the first array of a width of 10**12 needs more than 2**47 bytes,
+        # which no x86-64 process can map, so nothing is allocated; a width of
+        # 10**30 is beyond the largest dimension numpy takes
         code = cli.main(["train", "--data", world["prep"], "--out", str(tmp_path / "o"), "--quiet", "--set", setting])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -302,6 +303,39 @@ class TestPreparedDirectoryChecks:
         with pytest.raises(DataError, match="valid.tsv line 1: expected user, item and rating"):
             dt.load_split(str(out))
 
+    @pytest.mark.parametrize("key", ["seed", "fractions", "rating_threshold"])
+    def test_missing_manifest_key_is_named(self, tmp_path, key):
+        out = prepared_dir(tmp_path)
+        edit_lines(out / "manifest.txt", lambda lines: lines.remove(next(l for l in lines if l.startswith(f"{key}:"))))
+        with pytest.raises(DataError, match=f"^manifest.txt: {key} missing$"):
+            dt.load_split(str(out))
+
+    @pytest.mark.parametrize("line,what", [
+        ("seed: 1.5", "an integer"),
+        ("seed: ", "an integer"),
+        ("fractions: 0.5/0.5", "three numbers a/b/c"),
+        ("fractions: 0.6/0.1/0.2/0.1", "three numbers a/b/c"),
+        ("fractions: 0.6/x/0.3", "three numbers a/b/c"),
+        ("rating_threshold: nan", "a finite number"),
+        ("rating_threshold: inf", "a finite number"),
+        ("rating_threshold: four", "a finite number"),
+    ])
+    def test_unreadable_manifest_value_names_key_and_line(self, tmp_path, line, what):
+        key, value = (part.strip() for part in line.split(":"))
+        out = prepared_dir(tmp_path)
+        lines = (out / "manifest.txt").read_text().splitlines()
+        lineno = next(n for n, l in enumerate(lines, start=1) if l.startswith(f"{key}:"))
+        edit_lines(out / "manifest.txt", lambda lines: lines.__setitem__(lineno - 1, line))
+        with pytest.raises(DataError, match=f"^manifest.txt line {lineno}: {key} needs {re.escape(what)}, "
+                                            f"got {re.escape(repr(value))}$"):
+            dt.load_split(str(out))
+
+    def test_manifest_values_are_read_back(self, tmp_path):
+        m = make_matrix([{f"i{j}": float(j % 5 + 1) for j in range(14)} for _ in range(5)])
+        dt.save_split(dt.split_per_user(m, seed=7, fractions=(0.5, 0.2, 0.3), rating_threshold=3.0),
+                      str(tmp_path / "prep"))
+        ds = dt.load_split(str(tmp_path / "prep"))
+        assert (ds.seed, ds.fractions, ds.rating_threshold) == (7, (0.5, 0.2, 0.3), 3.0)
 
     @pytest.mark.parametrize("fname", ["users.txt", "items.txt", "train.tsv", "valid.tsv", "test.tsv",
                                        "manifest.txt"])
