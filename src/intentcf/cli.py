@@ -104,6 +104,18 @@ def _require_checkpoint(path: str) -> None:
         raise UsageError(f"checkpoint not found: {path}")
 
 
+def _require_out_dir(path: str) -> None:
+    """``--out`` must be a directory or a path that can be made one: the
+    nearest part of it that exists must be a directory. Nothing is made."""
+    if not path:
+        raise UsageError("--out must name a directory, got ''")
+    near = path
+    while near != os.path.dirname(near) and not os.path.lexists(near):
+        near = os.path.dirname(near)
+    if near and not os.path.isdir(near):
+        raise UsageError(f"--out {path} cannot be a directory: {near} exists and is not one")
+
+
 def _load_state_and_data(args, parts: tuple[str, ...] = ("train",)):
     """The checkpoint, the prepared directory's user and item ids, and the
     split parts a command reads: train alone unless it scores held-out
@@ -159,6 +171,7 @@ def cmd_prepare(args) -> int:
     fractions = _number_list("--fractions", args.fractions, float)
     if len(fractions) != 3:
         raise UsageError(f"--fractions needs three comma-separated values, got {args.fractions!r}")
+    _require_out_dir(args.out)
     matrix = load_ratings(args.ratings, delimiter=args.delimiter, skip_header=args.skip_header)
     matrix = filter_min_interactions(matrix, args.min_interactions)
     ds = split_per_user(matrix, seed=args.seed, fractions=fractions, rating_threshold=args.rating_threshold)
@@ -227,6 +240,7 @@ def cmd_train(args) -> int:
                              + ", ".join(differ))
     if not os.path.isdir(args.data):
         raise UsageError(f"prepared data directory not found: {args.data}")
+    _require_out_dir(args.out)
     split = load_split(args.data)
     log = None if args.quiet else lambda r: print(
         f"[{r['stage']:>8} {r['epoch']:>3}] total={r['total']:.1f} "

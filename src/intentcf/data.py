@@ -3,7 +3,6 @@ binarization and genre tables."""
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass
 from itertools import compress
@@ -15,15 +14,23 @@ from .errors import DataError, ParameterError
 
 
 def _id_sort_key(ext_id: str):
-    # numeric ids sort numerically, anything else lexicographically after
+    # numeric ids sort numerically, anything else lexicographically after;
+    # ids equal as numbers ("7", "07") sort by their text
     if ext_id.isdecimal():
-        return (0, int(ext_id), "")
+        return (0, int(ext_id), ext_id)
     return (1, 0, ext_id)
 
 
+def _universal_newlines(text: str) -> str:
+    """``text`` with its line ends read as text mode reads them: CR LF, then
+    CR, become LF."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _read_lines(path: str, name: str | None = None) -> list[str]:
-    """The lines of a UTF-8 text file, with newlines read as text mode reads
-    them. A file that cannot be read, or bytes that are not UTF-8, raise
+    """The lines of a UTF-8 text file, without their line ends, which are
+    read as text mode reads them; text after the last line end is a line of
+    its own. A file that cannot be read, or bytes that are not UTF-8, raise
     DataError naming the file (``name``, by default its path)."""
     name = name or path
     try:
@@ -34,9 +41,9 @@ def _read_lines(path: str, name: str | None = None) -> list[str]:
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = io.StringIO(blob[: exc.start].decode("utf-8"), newline=None).read().count("\n") + 1
+        line = _universal_newlines(blob[: exc.start].decode("utf-8")).count("\n") + 1
         raise DataError(f"{name} line {line}: not UTF-8 text") from None
-    return io.StringIO(text, newline=None).readlines()
+    return _universal_newlines(text).split("\n")
 
 
 @dataclass
@@ -188,21 +195,27 @@ def _bad_id(ext_id: str) -> str | None:
     return None
 
 
-def _matrix_from_names(users: list[str], items: list[str], values: list[float], where) -> RatingMatrix:
-    """_rating_matrix over external ids, mapped to dense indices in sorted
-    order (numeric ids numerically); the last of repeated pairs wins. An id
+def _matrix_from_codes(names: tuple[dict, dict], codes: tuple[list, list], values, where,
+                       strip: bool) -> RatingMatrix:
+    """_rating_matrix over entries given by code: entry k rates user
+    ``codes[0][k]``, the position of its name in ``names[0]``, and item
+    ``codes[1][k]`` likewise. Each distinct name is stripped (if ``strip``),
+    checked with _bad_id and placed in sorted order (numeric ids
+    numerically, ties by text) once; the last of repeated pairs wins. An id
     _bad_id rejects raises DataError naming the first entry that holds one."""
-    maps, bad = [], set()
-    for names in (users, items):
-        ids = sorted(set(names), key=_id_sort_key)
-        bad.update(x for x in ids if _bad_id(x))
-        index = {x: k for k, x in enumerate(ids)}
-        maps.append((ids, [index[x] for x in names]))
-    if bad:
-        k = next(k for k, (u, i) in enumerate(zip(users, items)) if u in bad or i in bad)
-        raise DataError(f"{where(k)}: {_bad_id(users[k]) or _bad_id(items[k])}")
-    (user_ids, user_idx), (item_ids, item_idx) = maps
-    return _rating_matrix(user_ids, item_ids, user_idx, item_idx, values, where, keep_last=True)
+    ids, index, bad = [], [], []
+    for side, side_codes in zip(names, codes):
+        side_names = [x.strip() for x in side] if strip else list(side)
+        side_ids = sorted(set(side_names), key=_id_sort_key)
+        position = {x: k for k, x in enumerate(side_ids)}
+        ids.append(side_ids)
+        index.append(np.array([position[x] for x in side_names], dtype=np.intp)[side_codes])
+        bad.append(np.array([_bad_id(x) is not None for x in side_ids], dtype=bool))
+    holds_bad = bad[0][index[0]] | bad[1][index[1]]
+    if holds_bad.any():
+        k = int(np.argmax(holds_bad))
+        raise DataError(f"{where(k)}: {_bad_id(ids[0][index[0][k]]) or _bad_id(ids[1][index[1][k]])}")
+    return _rating_matrix(ids[0], ids[1], index[0], index[1], values, where, keep_last=True)
 
 
 def load_ratings(path: str, delimiter: str | None = None, skip_header: bool = False) -> RatingMatrix:
@@ -214,7 +227,9 @@ def load_ratings(path: str, delimiter: str | None = None, skip_header: bool = Fa
     if delimiter == "":
         raise ParameterError("the delimiter must not be empty")
     lines = _read_lines(path)
-    users, items, values, linenos = [], [], [], []
+    user_code: dict[str, int] = {}  # each raw user field -> its code, in order of first sight
+    item_code: dict[str, int] = {}
+    users, items, values = [], [], []
     start = 1 if skip_header else 0
     for lineno, raw in enumerate(lines[start:], start=start + 1):
         line = raw.strip()
@@ -231,22 +246,34 @@ def load_ratings(path: str, delimiter: str | None = None, skip_header: bool = Fa
             values.append(float(rating_s))
         except ValueError:
             raise DataError(f"line {lineno}: rating {rating_s!r} is not a number") from None
-        users.append(fields[0].strip())
-        items.append(fields[1].strip())
-        linenos.append(lineno)
+        users.append(user_code.setdefault(fields[0], len(user_code)))
+        items.append(item_code.setdefault(fields[1], len(item_code)))
     if not values:
         raise DataError(f"no ratings parsed from {path}")
-    return _matrix_from_names(users, items, values, lambda k: f"line {linenos[k]}")
+
+    def where(k: int) -> str:
+        # each nonblank line after the header holds one entry
+        return f"line {[n for n, raw in enumerate(lines, 1) if n > start and raw.strip()][k]}"
+
+    return _matrix_from_codes((user_code, item_code), (users, items), values, where, strip=True)
 
 
 def matrix_from_triples(triples) -> RatingMatrix:
     """Build a RatingMatrix from (user, item, rating) triples in memory;
-    same semantics as load_ratings (last duplicate wins, sorted id maps)."""
-    triples = [(str(u), str(i), float(r)) for u, i, r in triples]
-    if not triples:
+    same semantics as load_ratings (last duplicate wins, sorted id maps),
+    except that ids are not stripped."""
+    user_code: dict[str, int] = {}
+    item_code: dict[str, int] = {}
+    users, items, values = [], [], []
+    for u, i, r in triples:
+        users.append(user_code.setdefault(str(u), len(user_code)))
+        items.append(item_code.setdefault(str(i), len(item_code)))
+        values.append(float(r))
+    if not values:
         raise DataError("no triples provided")
-    users, items, values = (list(column) for column in zip(*triples))
-    return _matrix_from_names(users, items, values, lambda k: f"triple ({users[k]!r}, {items[k]!r})")
+    return _matrix_from_codes((user_code, item_code), (users, items), values,
+                              lambda k: f"triple ({list(user_code)[users[k]]!r}, {list(item_code)[items[k]]!r})",
+                              strip=False)
 
 
 def filter_min_interactions(m: RatingMatrix, min_count: int) -> RatingMatrix:
@@ -364,12 +391,18 @@ def save_split(ds: SplitDataset, out_dir: str, extra_manifest: list[str] | None 
         fh.write("\n".join(ds.train.user_ids) + "\n")
     with open(os.path.join(out_dir, "items.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(ds.train.item_ids) + "\n")
+    # each line is three pieces, "user\t", "item\t" and "rating\n", each
+    # formatted once per distinct user, item or rating
+    user_tab = np.array([f"{x}\t" for x in ds.train.user_ids], dtype=object)
+    item_tab = np.array([f"{x}\t" for x in ds.train.item_ids], dtype=object)
     for name, fname in _SPLIT_FILES.items():
-        mtx: RatingMatrix = getattr(ds, name)
-        c = mtx.ratings
+        c = getattr(ds, name).ratings
+        distinct, which = np.unique(c.values, return_inverse=True)
+        pieces = np.empty((c.values.size, 3), dtype=object)
+        pieces[:, 0], pieces[:, 1] = user_tab[c.rows], item_tab[c.cols]
+        pieces[:, 2] = np.array([f"{r!r}\n" for r in distinct.tolist()], dtype=object)[which]
         with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as fh:
-            fh.writelines(f"{mtx.user_ids[u]}\t{mtx.item_ids[i]}\t{r!r}\n"
-                          for u, i, r in zip(c.rows.tolist(), c.cols.tolist(), c.values.tolist()))
+            fh.write("".join(pieces.ravel().tolist()))
     lines = [
         "split manifest",
         f"seed: {ds.seed}",
@@ -394,10 +427,9 @@ def _read_ids(in_dir: str, fname: str) -> tuple[list[str], dict[str, int]]:
     """The ids of an id map file, one per nonblank line, and their indices."""
     ids: list[str] = []
     index: dict[str, int] = {}
-    for lineno, raw in enumerate(_read_lines(os.path.join(in_dir, fname), fname), start=1):
-        if not raw.strip():
+    for lineno, ext_id in enumerate(_read_lines(os.path.join(in_dir, fname), fname), start=1):
+        if not ext_id.strip():
             continue
-        ext_id = raw.rstrip("\n")
         if ext_id in index:
             raise DataError(f"{fname} line {lineno}: id {ext_id!r} is listed twice")
         index[ext_id] = len(ids)

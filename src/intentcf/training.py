@@ -733,6 +733,13 @@ def load_checkpoint(path: str) -> TrainerState:
     if unsaved is not None:
         raise CheckpointError(f"arrays section invalid: array {unsaved!r} is not one the loaded state saves")
     counters = header["counters"]
+    # every batch steps the intent parameters and a unified batch all of
+    # them, so the counters say whose moments the file must hold
+    stepped = (state.all_parameters() if counters["epoch"] > cfg.pretrain_epochs
+               else state.intent.parameters() if counters["adam_t"] > 0 else [])
+    unstepped = next((p.name for p in stepped if p.name not in state.opt.m), None)
+    if unstepped is not None:
+        raise CheckpointError(f"arrays section invalid: array 'adam.m.{unstepped}' missing")
     state.opt.t = counters["adam_t"]
     for name, _ in _COUNTERS:
         setattr(state, name, counters[name])

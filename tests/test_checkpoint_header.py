@@ -20,6 +20,11 @@ from intentcf import synthetic
 from intentcf import training as tr
 from intentcf.errors import CheckpointError
 from intentcf.evaluation import evaluate
+from cell_fixtures import train_until
+
+
+CFG = tr.TrainConfig(k=2, d=2, l=1, intent_hidden=4, item_hidden=4, pref_hidden=4, batch_size=20,
+                     pretrain_epochs=1, unified_epochs=1, seed=3)
 
 
 @pytest.fixture(scope="module")
@@ -28,9 +33,7 @@ def run(tmp_path_factory):
     sd = synthetic.planted_channel_data(n_users=40, n_items=30, n_channels=2, seed=4)
     split = dt.split_per_user(dt.filter_min_interactions(sd.rating_matrix(), 10), seed=1)
     dt.save_split(split, str(root / "prep"))
-    cfg = tr.TrainConfig(k=2, d=2, l=1, intent_hidden=4, item_hidden=4, pref_hidden=4, batch_size=20,
-                         pretrain_epochs=1, unified_epochs=1, seed=3)
-    res = tr.train(split, cfg, str(root / "run"))
+    res = tr.train(split, CFG, str(root / "run"))
     return root, open(res.last_checkpoint, "rb").read()
 
 
@@ -149,6 +152,39 @@ def test_cli_resume_from_a_bad_array_index_exits_1_naming_the_array(run, tmp_pat
     assert code == 1
     assert err.startswith(f"error: arrays section invalid: array {named}") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_a_stepped_parameter_without_its_moments_is_named(run, tmp_path, capsys):
+    # a unified epoch steps every parameter, so this file, saved after one,
+    # must hold psi.w0's moments; the resume would have one epoch left
+    root, blob = run
+    path = tmp_path / "last.ckpt"
+    path.write_bytes(blob)
+    state = tr.load_checkpoint(str(path))
+    del state.opt.m["psi.w0"], state.opt.v["psi.w0"]
+    state.cfg.unified_epochs += 1
+    tr.save_checkpoint(str(path), state)
+    message = "arrays section invalid: array 'adam.m.psi.w0' missing"
+    with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
+        tr.load_checkpoint(str(path))
+    (tmp_path / "best.ckpt").write_bytes((root / "run" / "best.ckpt").read_bytes())
+    code = cli.main(["train", "--data", str(root / "prep"), "--out", str(tmp_path / "out"), "--resume", str(path),
+                     "--quiet"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_pretrain_checkpoint_needs_only_the_intent_moments(run, tmp_path):
+    root, _ = run
+    path = train_until(dt.load_split(str(root / "prep")), CFG, str(tmp_path / "run"), epochs=1)
+    state = tr.load_checkpoint(path)
+    assert state.epoch == 1 and state.opt.t > 0
+    assert sorted(state.opt.m) == sorted(p.name for p in state.intent.parameters())
+    # a pretrain batch steps every intent parameter
+    del state.opt.m["beta.logits"], state.opt.v["beta.logits"]
+    tr.save_checkpoint(path, state)
+    with pytest.raises(CheckpointError, match=r"^arrays section invalid: array 'adam\.m\.beta\.logits' missing$"):
+        tr.load_checkpoint(path)
 
 
 def test_untouched_header_still_loads(run, tmp_path):

@@ -80,6 +80,23 @@ class TestPrepare:
         assert captured.err == "error: line 2: id 'u\\t3' has a tab, a line break or surrounding whitespace\n"
         assert not out.exists()
 
+    def test_ids_equal_as_numbers_keep_one_order_under_any_hash_seed(self, tmp_path):
+        # "7", "07" and "007" are one number, so their text decides; a set's
+        # order, which PYTHONHASHSEED changes, must not
+        ratings = tmp_path / "r.tsv"
+        ratings.write_text("".join(f"u{u}\t{i}\t{1 + (u + k) % 5}\n" for u in range(4)
+                                   for k, i in enumerate(["7", "012", "07", "x", "12", "007", "0007", "3"])))
+        written = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"prep{hash_seed}"
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONHASHSEED": hash_seed}
+            subprocess.run([sys.executable, "-m", "intentcf.cli", "prepare", "--ratings", str(ratings),
+                            "--out", str(out), "--min-interactions", "1"], env=env, check=True,
+                           capture_output=True, timeout=120)
+            written.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert written[0] == written[1]
+        assert written[0]["items.txt"] == b"3\n0007\n007\n07\n7\n012\n12\nx\n"
+
     def test_non_finite_rating_threshold_exits_2(self, world, tmp_path, capsys):
         out = tmp_path / "prep"
         code = cli.main(["prepare", "--ratings", os.path.join(world["raw"], "ratings.tsv"), "--out", str(out),
@@ -581,6 +598,35 @@ class TestUsageErrors:
         capsys.readouterr()
         assert cli.main(["eval", "--checkpoint", str(out / "best.ckpt"), "--data", prep]) == 2
         assert capsys.readouterr().err == "error: no users with positive held-out items to evaluate\n"
+
+
+# --out paths that cannot be made a directory, beside {tmp}/file, which is a
+# file; the message names both the path and the part of it that is a file
+OUT_DIR_ERRORS = {
+    f"{command} --out {out}": (argv + ["--out", "{tmp}/" + out],
+                               f"--out {{tmp}}/{out} cannot be a directory: {{tmp}}/file exists and is not one")
+    for command, argv in [("prepare", ["prepare", "--ratings", "{raw}/ratings.tsv"]),
+                          ("train", ["train", "--data", "{prep}", "--quiet"])]
+    for out in ["file", "file/sub"]
+}
+
+
+@pytest.mark.parametrize("case", OUT_DIR_ERRORS)
+def test_an_out_that_cannot_be_a_directory_exits_2_before_any_rating_is_read(world, tmp_path, capsys, monkeypatch,
+                                                                             case):
+    (tmp_path / "file").write_text("kept\n")
+    paths = {"tmp": str(tmp_path), "prep": world["prep"], "raw": world["raw"]}
+
+    def no_reading(*args):
+        raise AssertionError("a rating file was read")
+
+    monkeypatch.setattr(data, "_read_lines", no_reading)
+    argv, message = OUT_DIR_ERRORS[case]
+    code = cli.main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {message.format(**paths)}\n" and captured.out == ""
+    assert (tmp_path / "file").read_text() == "kept\n"
 
 
 class TestClosedStdout:

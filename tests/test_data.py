@@ -1,5 +1,8 @@
+import io
+import math
 import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -452,3 +455,126 @@ class TestCellsOfUsers:
         m = matrix_of([(np.array([0, 1], dtype=np.intp), np.array([4.0, 2.0])), (np.array([], dtype=np.intp), [])], 2)
         with pytest.raises(DataError, match="user 'u1' has too few items \\(0\\)"):
             dt.split_per_user(m, seed=0)
+
+
+# The per-line parser and writer that load_ratings and save_split replaced,
+# kept as references: the parser strips and keeps both ids of every line,
+# the writer formats every line on its own.
+
+def reference_load_ratings(path, delimiter=None, skip_header=False):
+    """(user ids, item ids, cells as sorted (user, item, rating) triples) of
+    a ratings file, or the DataError load_ratings raises for it."""
+    text = open(path, "rb").read().decode("utf-8")
+    users, items, values, linenos = [], [], [], []
+    start = 1 if skip_header else 0
+    for lineno, raw in enumerate(io.StringIO(text, newline=None).readlines()[start:], start=start + 1):
+        line = raw.strip()
+        if not line:
+            continue
+        sep = delimiter
+        if sep is None:
+            sep = "\t" if "\t" in line else ("," if "," in line else None)
+        fields = line.split(sep) if sep is not None else line.split()
+        if len(fields) < 3:
+            raise DataError(f"line {lineno}: expected user,item,rating[,timestamp], got {line!r}")
+        rating_s = fields[2].strip()
+        try:
+            values.append(float(rating_s))
+        except ValueError:
+            raise DataError(f"line {lineno}: rating {rating_s!r} is not a number") from None
+        users.append(fields[0].strip())
+        items.append(fields[1].strip())
+        linenos.append(lineno)
+    if not values:
+        raise DataError(f"no ratings parsed from {path}")
+    for u, i, lineno in zip(users, items, linenos):
+        if dt._bad_id(u) or dt._bad_id(i):
+            raise DataError(f"line {lineno}: {dt._bad_id(u) or dt._bad_id(i)}")
+    for r, lineno in zip(values, linenos):
+        if not (math.isfinite(r) and r > 0):
+            raise DataError(f"line {lineno}: ratings must be positive finite numbers, got {r}")
+    user_ids = sorted(set(users), key=dt._id_sort_key)
+    item_ids = sorted(set(items), key=dt._id_sort_key)
+    last = {(user_ids.index(u), item_ids.index(i)): r for u, i, r in zip(users, items, values)}
+    return user_ids, item_ids, sorted((u, i, r) for (u, i), r in last.items())
+
+
+def reference_split_file(m) -> bytes:
+    """The bytes of a split file of save_split for the matrix m."""
+    c = m.ratings
+    return "".join(f"{m.user_ids[u]}\t{m.item_ids[i]}\t{r!r}\n"
+                   for u, i, r in zip(c.rows.tolist(), c.cols.tolist(), c.values.tolist())).encode("utf-8")
+
+
+# ids that sort as equal numbers, that are not ASCII, or that hold a
+# character text mode does not read as a line end; then ids that hold a
+# separator, or strip to another id or to nothing
+IDS = ["7", "07", "007", "12", "012", "u1", "ü", "日本", "²", "u\x0c1", "u\x851"]
+ODD_IDS = ["a b", "a,b", " u1", "u1 ", " ", ""]
+# ratings as a file writes them: 0.1 + 0.2, the smallest subnormal, one past
+# the integers a float holds exactly, and an integral value; then ones that
+# must be refused
+GOOD_RATINGS = ["0.30000000000000004", "5e-324", "1e16", "3.0", "3", " 4.5 ", "1_0"]
+BAD_RATINGS = ["abc", "0", "-1", "nan", "inf", ""]
+GOOD_VALUES = [0.1 + 0.2, 5e-324, 1e16, 3.0, 1.0, 4.5, 2 / 3]
+# the separators a line may use under each delimiter, None detecting it
+SEPARATORS = {None: ["\t", ",", " ", "  ", "\t ", ", "], ",": [",", ", ", " ,"], "\t": ["\t", "\t ", " \t"]}
+
+
+@st.composite
+def ratings_files(draw):
+    """The text of a ratings file, with the delimiter and header flag to
+    read it with; most lines are well formed."""
+    delimiter = draw(st.sampled_from([None, None, ",", "\t"]))
+    ids = st.sampled_from(IDS * 8 + ODD_IDS)
+    lines = []
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        fields = [draw(ids), draw(ids), draw(st.sampled_from(GOOD_RATINGS * 10 + BAD_RATINGS))]
+        if draw(st.booleans()):
+            fields.append("881250949")
+        if draw(st.integers(0, 19)) == 0:
+            fields = fields[: draw(st.integers(1, 2))]
+        pad = draw(st.sampled_from(["", "", " ", "\t"]))
+        lines.append(pad + draw(st.sampled_from(SEPARATORS[delimiter])).join(fields) + pad)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text[: -len(ends[-1])]  # no line end after the last line
+    return text, delimiter, draw(st.booleans())
+
+
+class TestPerLineReferences:
+    @given(ratings_files())
+    @settings(max_examples=300, deadline=None)
+    def test_load_ratings_matches_the_reference_parser(self, case):
+        text, delimiter, skip_header = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "r.txt")
+            with open(path, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+            try:
+                expected = reference_load_ratings(path, delimiter, skip_header)
+            except DataError as exc:
+                with pytest.raises(DataError) as got:
+                    dt.load_ratings(path, delimiter, skip_header)
+                assert str(got.value) == str(exc)
+                return
+            m = dt.load_ratings(path, delimiter, skip_header)
+        c = m.ratings
+        assert (m.user_ids, m.item_ids, list(zip(c.rows.tolist(), c.cols.tolist(), c.values.tolist()))) == expected
+
+    @given(st.lists(st.tuples(st.sampled_from(IDS + ["a b", "a,b"]), st.sampled_from(IDS + ["a b", "a,b"]),
+                              st.sampled_from(GOOD_VALUES)), min_size=1, max_size=40),
+           st.sampled_from([(0.6, 0.1, 0.3), (1.0, 0.0, 0.0), (0.5, 0.0, 0.5)]), st.integers(0, 100))
+    @settings(max_examples=150, deadline=None)
+    def test_save_split_writes_the_reference_bytes(self, triples, fractions, seed):
+        # (1, 0, 0) leaves the validation and test parts empty
+        ds = dt.split_per_user(dt.matrix_from_triples(triples), seed, fractions)
+        with tempfile.TemporaryDirectory() as tmp:
+            dt.save_split(ds, tmp)
+            for part, fname in dt._SPLIT_FILES.items():
+                with open(os.path.join(tmp, fname), "rb") as fh:
+                    assert fh.read() == reference_split_file(getattr(ds, part)), fname
