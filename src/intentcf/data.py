@@ -21,29 +21,176 @@ def _id_sort_key(ext_id: str):
     return (1, 0, ext_id)
 
 
-def _universal_newlines(text: str) -> str:
-    """``text`` with its line ends read as text mode reads them: CR LF, then
-    CR, become LF."""
-    return text.replace("\r\n", "\n").replace("\r", "\n")
-
-
-def _read_lines(path: str, name: str | None = None) -> list[str]:
-    """The lines of a UTF-8 text file, without their line ends, which are
-    read as text mode reads them; text after the last line end is a line of
-    its own. A file that cannot be read, or bytes that are not UTF-8, raise
-    DataError naming the file (``name``, by default its path)."""
+def _read_bytes(path: str, name: str | None = None) -> bytes:
+    """The bytes of a UTF-8 text file with its line ends read as text mode
+    reads them: CR LF, then CR, become LF. A file that cannot be read, or
+    bytes that are not UTF-8, raise DataError naming the file (``name``, by
+    default its path)."""
     name = name or path
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {name}: {exc.strerror}") from None
+    # CR and LF never occur inside a multi-byte UTF-8 character
+    blob = blob.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
-        text = blob.decode("utf-8")
+        blob.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = _universal_newlines(blob[: exc.start].decode("utf-8")).count("\n") + 1
+        line = blob.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{name} line {line}: not UTF-8 text") from None
-    return _universal_newlines(text).split("\n")
+    return blob
+
+
+def _read_lines(path: str, name: str | None = None) -> list[str]:
+    """The lines of a UTF-8 text file, as _read_bytes reads it, without their
+    line ends; text after the last line end is a line of its own."""
+    return _read_bytes(path, name).decode("utf-8").split("\n")
+
+
+def _split_line(line: str, sep: str | None, exact: bool) -> list[str] | None:
+    """The first three fields of a stripped nonblank line split at ``sep``,
+    or None if it has fewer (with ``exact``, if it has other than three).
+    Without ``sep`` a line holding a tab splits at tabs, else one holding a
+    comma at commas, else at whitespace."""
+    if sep is None:
+        sep = "\t" if "\t" in line else ("," if "," in line else None)
+    fields = line.split(sep)
+    return fields[:3] if (len(fields) == 3 if exact else len(fields) >= 3) else None
+
+
+def _plain_fields(a: np.ndarray, sep: str | None, exact: bool):
+    """The line bounds of the bytes ``a`` (line k is a[starts[k]:ends[k]];
+    text after the last line end is a line of its own), the plain lines and
+    the bounds (lo, hi) of each one's first three fields. A line is plain
+    when its bytes are printable ASCII but for a one-byte separator
+    (``sep``, or without it a tab, else a comma, as _split_line picks), it
+    neither starts nor ends with the separator and it has the fields
+    _split_line needs. A plain line's strip is itself, so splitting its
+    bytes gives _split_line's fields."""
+    # a delimiter longer than one byte leaves no line plain
+    seps = [9, 44] if sep is None else [ord(sep)] if len(sep) == 1 and ord(sep) < 128 else []
+    special = (a - np.uint8(0x21)) > 0x5D  # outside "!".."~": line ends, tabs, spaces, non-ASCII
+    for byte in seps:
+        special |= a == byte
+    at = np.flatnonzero(special)
+    del special  # a mask as large as the file
+    cls = a[at]
+    is_end = cls == 10
+    ends = np.append(at[is_end], a.size)
+    starts = np.append(0, ends[:-1] + 1)
+    # line k holds the special bytes after line k - 1's end, up to its own
+    last = np.append(np.flatnonzero(is_end), at.size - 1)
+    line = np.repeat(np.arange(ends.size), np.diff(last, prepend=-1))  # the line of each special byte
+    is_sep = np.zeros(cls.size, dtype=bool)
+    for byte in seps:
+        is_sep |= cls == byte
+    spoilt = np.zeros(ends.size, dtype=bool)  # lines holding a byte outside "!".."~" but a separator byte
+    spoilt[line[~(is_end | is_sep)]] = True
+    if sep is None:  # a line holding a tab splits at tabs only
+        tabbed = np.zeros(ends.size, dtype=bool)
+        tabbed[line[cls == 9]] = True
+        is_sep &= (cls == 9) | ~tabbed[line]
+    n_sep = np.bincount(line[is_sep], minlength=ends.size)
+    del line
+    at = at[is_sep]
+    first = np.cumsum(n_sep) - n_sep  # each line's first separator in ``at``
+    lines = np.flatnonzero(~spoilt & ((n_sep == 2) if exact else (n_sep >= 2)))
+    first, n_sep = first[lines], n_sep[lines]
+    plain = (at[first] != starts[lines]) & (at[first + n_sep - 1] != ends[lines] - 1)
+    lines, first, n_sep = lines[plain], first[plain], n_sep[plain]
+    s0, s1 = at[first], at[first + 1]
+    s2 = np.where(n_sep > 2, at[np.minimum(first + 2, at.size - 1)], ends[lines])
+    return starts, ends, lines, [(starts[lines], s0), (s0 + 1, s1), (s1 + 1, s2)]
+
+
+def _rank(x: np.ndarray) -> np.ndarray:
+    """Codes 0, 1, ... of the distinct values of x, in increasing order, for
+    each element: np.unique's inverse, which costs about a third more."""
+    order = np.argsort(x)
+    x = x[order]
+    new = np.zeros(x.size, dtype=np.intp)
+    new[1:] = x[1:] != x[:-1]
+    code = np.empty(x.size, dtype=np.intp)
+    code[order] = np.cumsum(new)
+    return code
+
+
+# the low n bytes of a word, for n = 0..8
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+
+
+def _distinct(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A code for each byte string buf[lo[k]:hi[k]], equal exactly where the
+    strings are, and one k holding each code. No string holds a zero byte,
+    and buf ends in 8 spare bytes. Each string is read as little-endian
+    words of 8 bytes, zero past its end; the words rank one at a time."""
+    words = np.ndarray((buf.size - 7,), dtype="<u8", buffer=buf, strides=(1,))  # the word at each offset
+    code = np.zeros(lo.size, dtype=np.intp)
+    for w in range(0, int((hi - lo).max(initial=0)), 8):
+        rank = _rank(words[np.minimum(lo + w, buf.size - 8)] & _LOW_BYTES[np.clip(hi - lo - w, 0, 8)])
+        code = rank if w == 0 else _rank(code * lo.size + rank)
+    holder = np.zeros(code.max(initial=-1) + 1, dtype=np.intp)
+    holder[code] = np.arange(code.size)
+    return code, holder
+
+
+def _read_fields(path: str, sep: str | None, exact: bool, skip_first: bool = False, name: str | None = None):
+    """The first three fields of each nonblank line of a text file, as
+    _read_bytes reads it and _split_line splits the line's stripped text,
+    with the line numbers of the lines split, in file order. Each field
+    comes as a column: its distinct texts, and each line's index into them.
+    The first line _split_line refuses is returned as (line number,
+    stripped text), and the lines after it are left out; it is None if
+    there is none. With ``skip_first`` the first line is not read.
+
+    Plain lines (see _plain_fields) are split on their bytes, and each
+    distinct field of theirs is decoded once; each other line is decoded
+    and split on its own."""
+    blob = _read_bytes(path, name) + bytes(8)  # _distinct reads 8 bytes from each offset
+    buf = np.frombuffer(blob, dtype=np.uint8)
+    starts, ends, lines, bounds = _plain_fields(buf[:-8], sep, exact)
+    others = np.ones(ends.size, dtype=bool)
+    others[lines] = False
+    others[:int(skip_first)] = False
+    others_lines, others_fields, failure = [], [], None
+    for k in np.flatnonzero(others & (ends > starts)).tolist():
+        line = blob[starts[k]:ends[k]].decode("utf-8").strip()
+        if not line:
+            continue
+        fields = _split_line(line, sep, exact)
+        if fields is None:
+            failure = (k + 1, line)
+            break
+        others_lines.append(k)
+        others_fields.append(fields)
+    stop = ends.size if failure is None else failure[0] - 1
+    keep = (lines >= int(skip_first)) & (lines < stop)
+    linenos = np.concatenate([lines[keep], np.array(others_lines, dtype=np.intp)])
+    order = np.argsort(linenos, kind="stable")
+    columns = []
+    for c, (lo, hi) in enumerate(bounds):
+        lo, hi = lo[keep], hi[keep]
+        code, holder = _distinct(buf, lo, hi)
+        index = {blob[x:y].decode("ascii"): j for j, (x, y) in enumerate(zip(lo[holder].tolist(), hi[holder].tolist()))}
+        others_code = np.array([index.setdefault(fields[c], len(index)) for fields in others_fields], dtype=np.intp)
+        columns.append((list(index), np.concatenate([code, others_code])[order]))
+    return linenos[order] + 1, columns, failure
+
+
+def _ratings_of(column) -> tuple[np.ndarray, np.ndarray]:
+    """Each line's rating from a _read_fields column and whether its text
+    reads as a number; each distinct text is read once, as ``float`` reads
+    it, and one that does not read gives nan."""
+    texts, code = column
+    values = np.full(len(texts), np.nan)
+    read = np.ones(len(texts), dtype=bool)
+    for j, text in enumerate(texts):
+        try:
+            values[j] = float(text)
+        except ValueError:
+            read[j] = False
+    return values[code], read[code]
 
 
 @dataclass
@@ -176,7 +323,8 @@ def _rating_matrix(user_ids: list[str], item_ids: list[str], users, items, value
         raise DataError(f"{where(bad[0])}: ratings must be positive finite numbers, got {values[bad[0]]}")
     pairs = users * len(item_ids) + items
     order = np.argsort(pairs, kind="stable")  # a repeated pair's entries stay in source order
-    last = np.append(pairs[order][1:] != pairs[order][:-1], True)
+    last = np.ones(pairs.size, dtype=bool)  # an entry whose pair the next one does not repeat
+    last[:-1] = pairs[order][1:] != pairs[order][:-1]
     if not (keep_last or last.all()):
         k = order[np.flatnonzero(~last) + 1].min()
         raise DataError(f"{where(k)}: user {user_ids[users[k]]!r} rates item {item_ids[items[k]]!r} twice")
@@ -195,7 +343,7 @@ def _bad_id(ext_id: str) -> str | None:
     return None
 
 
-def _matrix_from_codes(names: tuple[dict, dict], codes: tuple[list, list], values, where,
+def _matrix_from_codes(names: tuple, codes: tuple, values, where,
                        strip: bool) -> RatingMatrix:
     """_rating_matrix over entries given by code: entry k rates user
     ``codes[0][k]``, the position of its name in ``names[0]``, and item
@@ -226,36 +374,17 @@ def load_ratings(path: str, delimiter: str | None = None, skip_header: bool = Fa
     """
     if delimiter == "":
         raise ParameterError("the delimiter must not be empty")
-    lines = _read_lines(path)
-    user_code: dict[str, int] = {}  # each raw user field -> its code, in order of first sight
-    item_code: dict[str, int] = {}
-    users, items, values = [], [], []
-    start = 1 if skip_header else 0
-    for lineno, raw in enumerate(lines[start:], start=start + 1):
-        line = raw.strip()
-        if not line:
-            continue
-        sep = delimiter
-        if sep is None:
-            sep = "\t" if "\t" in line else ("," if "," in line else None)
-        fields = line.split(sep) if sep is not None else line.split()
-        if len(fields) < 3:
-            raise DataError(f"line {lineno}: expected user,item,rating[,timestamp], got {line!r}")
-        rating_s = fields[2].strip()
-        try:
-            values.append(float(rating_s))
-        except ValueError:
-            raise DataError(f"line {lineno}: rating {rating_s!r} is not a number") from None
-        users.append(user_code.setdefault(fields[0], len(user_code)))
-        items.append(item_code.setdefault(fields[1], len(item_code)))
-    if not values:
+    linenos, (users, items, ratings), failure = _read_fields(path, delimiter, False, skip_header)
+    values, read = _ratings_of(ratings)
+    if not read.all():
+        k = int(np.argmin(read))
+        raise DataError(f"line {linenos[k]}: rating {ratings[0][ratings[1][k]].strip()!r} is not a number")
+    if failure is not None:
+        raise DataError(f"line {failure[0]}: expected user,item,rating[,timestamp], got {failure[1]!r}")
+    if not values.size:
         raise DataError(f"no ratings parsed from {path}")
-
-    def where(k: int) -> str:
-        # each nonblank line after the header holds one entry
-        return f"line {[n for n, raw in enumerate(lines, 1) if n > start and raw.strip()][k]}"
-
-    return _matrix_from_codes((user_code, item_code), (users, items), values, where, strip=True)
+    return _matrix_from_codes((users[0], items[0]), (users[1], items[1]), values,
+                              lambda k: f"line {linenos[k]}", strip=True)
 
 
 def matrix_from_triples(triples) -> RatingMatrix:
@@ -424,12 +553,16 @@ def save_split(ds: SplitDataset, out_dir: str, extra_manifest: list[str] | None 
 
 
 def _read_ids(in_dir: str, fname: str) -> tuple[list[str], dict[str, int]]:
-    """The ids of an id map file, one per nonblank line, and their indices."""
+    """The ids of an id map file, one per nonblank line, and their indices.
+    Each id must be one _bad_id accepts, as save_split writes only those."""
     ids: list[str] = []
     index: dict[str, int] = {}
     for lineno, ext_id in enumerate(_read_lines(os.path.join(in_dir, fname), fname), start=1):
         if not ext_id.strip():
             continue
+        why = _bad_id(ext_id)
+        if why is not None:
+            raise DataError(f"{fname} line {lineno}: {why}")
         if ext_id in index:
             raise DataError(f"{fname} line {lineno}: id {ext_id!r} is listed twice")
         index[ext_id] = len(ids)
@@ -498,24 +631,20 @@ def load_split(in_dir: str, parts: tuple[str, ...] = tuple(_SPLIT_FILES)) -> Spl
     items, imap = _read_ids(in_dir, "items.txt")
 
     def read_matrix(fname: str) -> RatingMatrix:
-        user_idx, item_idx, values, linenos = [], [], [], []
-        for lineno, raw in enumerate(_read_lines(os.path.join(in_dir, fname), fname), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                u, i, r = line.split("\t")
-                rating = float(r)
-            except ValueError:
-                raise DataError(f"{fname} line {lineno}: expected user, item and rating separated by tabs, "
-                                f"got {line!r}") from None
-            try:
-                user_idx.append(umap[u])
-                item_idx.append(imap[i])
-            except KeyError as exc:
-                raise DataError(f"{fname} line {lineno}: unknown id {exc}") from None
-            values.append(rating)
-            linenos.append(lineno)
+        linenos, columns, failure = _read_fields(os.path.join(in_dir, fname), "\t", True, name=fname)
+        values, read = _ratings_of(columns[2])
+        user_idx, item_idx = (np.array([index.get(x, -1) for x in texts], dtype=np.intp)[code]
+                              for index, (texts, code) in zip((umap, imap), columns))
+        bad = ~read | (user_idx < 0) | (item_idx < 0)
+        if bad.any():
+            k = int(np.argmax(bad))
+            u, i, r = (texts[code[k]] for texts, code in columns)
+            if read[k]:
+                raise DataError(f"{fname} line {linenos[k]}: unknown id {(u if user_idx[k] < 0 else i)!r}")
+            failure = (linenos[k], f"{u}\t{i}\t{r}")
+        if failure is not None:
+            raise DataError(f"{fname} line {failure[0]}: expected user, item and rating separated by tabs, "
+                            f"got {failure[1]!r}")
         return _rating_matrix(list(users), list(items), user_idx, item_idx, values,
                               lambda k: f"{fname} line {linenos[k]}", keep_last=False)
 

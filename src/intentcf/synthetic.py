@@ -38,9 +38,9 @@ class SyntheticData:
         os.makedirs(out_dir, exist_ok=True)
         ratings_path = os.path.join(out_dir, "ratings.tsv")
         genres_path = os.path.join(out_dir, "genres.txt")
+        text = {r: f"{r:g}" for r in {r for _, _, r in self.triples}}  # each distinct rating formatted once
         with open(ratings_path, "w", encoding="utf-8") as fh:
-            for u, i, r in self.triples:
-                fh.write(f"{u}\t{i}\t{r:g}\n")
+            fh.write("".join([f"{u}\t{i}\t{text[r]}\n" for u, i, r in self.triples]))
         with open(genres_path, "w", encoding="utf-8") as fh:
             for item in sorted(self.genres, key=lambda s: (len(s), s)):
                 fh.write(f"{item}|{','.join(sorted(self.genres[item]))}\n")

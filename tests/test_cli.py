@@ -620,7 +620,7 @@ def test_an_out_that_cannot_be_a_directory_exits_2_before_any_rating_is_read(wor
     def no_reading(*args):
         raise AssertionError("a rating file was read")
 
-    monkeypatch.setattr(data, "_read_lines", no_reading)
+    monkeypatch.setattr(data, "_read_bytes", no_reading)
     argv, message = OUT_DIR_ERRORS[case]
     code = cli.main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()

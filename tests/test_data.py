@@ -254,6 +254,14 @@ class TestSplitSerialization:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
         assert loaded.seed == 3
 
+    def test_empty_parts_load_back(self, tmp_path):
+        # fractions (1, 0, 0) write empty validation and test files
+        m = make_matrix([{f"i{j}": float(j % 5 + 1) for j in range(4)} for _ in range(3)])
+        dt.save_split(dt.split_per_user(m, seed=3, fractions=(1.0, 0.0, 0.0)), str(tmp_path))
+        ds = dt.load_split(str(tmp_path))
+        assert (ds.train.n_entries, ds.valid.n_entries, ds.test.n_entries) == (12, 0, 0)
+        assert ds.test.ratings.shape == (3, 4)
+
     def test_missing_file_error(self, tmp_path):
         with pytest.raises(DataError, match="manifest.txt|users.txt"):
             dt.load_split(str(tmp_path))
@@ -305,6 +313,18 @@ class TestPreparedDirectoryChecks:
         edit_lines(out / "valid.tsv", lambda lines: lines.__setitem__(0, "u0\t4.0"))
         with pytest.raises(DataError, match="valid.tsv line 1: expected user, item and rating"):
             dt.load_split(str(out))
+
+    @pytest.mark.parametrize("fname,ext_id", [("users.txt", " u0"), ("users.txt", "u0 "), ("items.txt", "i0\t")])
+    def test_an_id_prepare_cannot_write_names_file_and_line(self, tmp_path, fname, ext_id):
+        # the first id of each map is u0 or i0; an id map holds only ids
+        # that prepare writes, whatever the rating files hold
+        out = prepared_dir(tmp_path)
+        edit_lines(out / fname, lambda lines: lines.__setitem__(0, ext_id))
+        message = f"{fname} line 1: id {ext_id!r} has a tab, a line break or surrounding whitespace"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            dt.load_split(str(out))
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            dt.load_ids(str(out))
 
     @pytest.mark.parametrize("key", ["seed", "fractions", "rating_threshold"])
     def test_missing_manifest_key_is_named(self, tmp_path, key):
@@ -457,9 +477,9 @@ class TestCellsOfUsers:
             dt.split_per_user(m, seed=0)
 
 
-# The per-line parser and writer that load_ratings and save_split replaced,
-# kept as references: the parser strips and keeps both ids of every line,
-# the writer formats every line on its own.
+# The per-line parsers and writer that load_ratings, load_split and
+# save_split replaced, kept as references: the parsers split, strip and keep
+# the fields of every line, the writer formats every line on its own.
 
 def reference_load_ratings(path, delimiter=None, skip_header=False):
     """(user ids, item ids, cells as sorted (user, item, rating) triples) of
@@ -499,6 +519,47 @@ def reference_load_ratings(path, delimiter=None, skip_header=False):
     return user_ids, item_ids, sorted((u, i, r) for (u, i), r in last.items())
 
 
+def reference_read_split(in_dir):
+    """The parts of a prepared directory as (user ids, item ids, each part's
+    cells as sorted (user, item, rating) triples), or the DataError
+    load_split raises for it; its id maps and manifest are well formed."""
+    def text_of(fname):
+        with open(os.path.join(in_dir, fname), "rb") as fh:
+            return fh.read().decode("utf-8")
+
+    ids = [[line for line in text_of(fname).split("\n") if line.strip()] for fname in ("users.txt", "items.txt")]
+    umap, imap = ({x: k for k, x in enumerate(side)} for side in ids)
+    parts = []
+    for fname in dt._SPLIT_FILES.values():
+        text = text_of(fname)
+        cells, linenos = [], []
+        for lineno, raw in enumerate(io.StringIO(text, newline=None).readlines(), start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                u, i, r = line.split("\t")
+                rating = float(r)
+            except ValueError:
+                raise DataError(f"{fname} line {lineno}: expected user, item and rating separated by tabs, "
+                                f"got {line!r}") from None
+            try:
+                cells.append((umap[u], imap[i], rating))
+            except KeyError as exc:
+                raise DataError(f"{fname} line {lineno}: unknown id {exc}") from None
+            linenos.append(lineno)
+        for (_, _, r), lineno in zip(cells, linenos):
+            if not (math.isfinite(r) and r > 0):
+                raise DataError(f"{fname} line {lineno}: ratings must be positive finite numbers, got {r}")
+        seen = set()
+        for (u, i, _), lineno in zip(cells, linenos):
+            if (u, i) in seen:
+                raise DataError(f"{fname} line {lineno}: user {ids[0][u]!r} rates item {ids[1][i]!r} twice")
+            seen.add((u, i))
+        parts.append(sorted(cells))
+    return ids[0], ids[1], parts
+
+
 def reference_split_file(m) -> bytes:
     """The bytes of a split file of save_split for the matrix m."""
     c = m.ratings
@@ -506,10 +567,13 @@ def reference_split_file(m) -> bytes:
                    for u, i, r in zip(c.rows.tolist(), c.cols.tolist(), c.values.tolist())).encode("utf-8")
 
 
-# ids that sort as equal numbers, that are not ASCII, or that hold a
-# character text mode does not read as a line end; then ids that hold a
-# separator, or strip to another id or to nothing
-IDS = ["7", "07", "007", "12", "012", "u1", "ü", "日本", "²", "u\x0c1", "u\x851"]
+# ids that sort as equal numbers, that are not ASCII, that hold a character
+# text mode does not read as a line end, or that fill or cross 8-byte words
+# (some alike in their first word); then ids that hold a separator, or strip
+# to another id or to nothing
+IDS = ["7", "07", "007", "12", "012", "u1", "ü", "日本", "²", "u\x0c1", "u\x851",
+       "abcdefgh", "abcdefghi", "123456789", "12345678", "abcdefgh-item-017", "abcdefgh-item-0018",
+       "12345678901234567890"]
 ODD_IDS = ["a b", "a,b", " u1", "u1 ", " ", ""]
 # ratings as a file writes them: 0.1 + 0.2, the smallest subnormal, one past
 # the integers a float holds exactly, and an integral value; then ones that
@@ -517,15 +581,17 @@ ODD_IDS = ["a b", "a,b", " u1", "u1 ", " ", ""]
 GOOD_RATINGS = ["0.30000000000000004", "5e-324", "1e16", "3.0", "3", " 4.5 ", "1_0"]
 BAD_RATINGS = ["abc", "0", "-1", "nan", "inf", ""]
 GOOD_VALUES = [0.1 + 0.2, 5e-324, 1e16, 3.0, 1.0, 4.5, 2 / 3]
-# the separators a line may use under each delimiter, None detecting it
-SEPARATORS = {None: ["\t", ",", " ", "  ", "\t ", ", "], ",": [",", ", ", " ,"], "\t": ["\t", "\t ", " \t"]}
+# the separators a line may use under each delimiter, None detecting it; a
+# delimiter of one byte other than a tab or comma, and ones of more bytes
+SEPARATORS = {None: ["\t", ",", " ", "  ", "\t ", ", "], ",": [",", ", ", " ,"], "\t": ["\t", "\t ", " \t"],
+              " ": [" ", "  "], "|": ["|", "| "], "::": ["::", " ::"], "é": ["é", "é "]}
 
 
 @st.composite
 def ratings_files(draw):
     """The text of a ratings file, with the delimiter and header flag to
     read it with; most lines are well formed."""
-    delimiter = draw(st.sampled_from([None, None, ",", "\t"]))
+    delimiter = draw(st.sampled_from([None, None, ",", "\t", " ", "|", "::", "é"]))
     ids = st.sampled_from(IDS * 8 + ODD_IDS)
     lines = []
     for _ in range(draw(st.integers(1, 12))):
@@ -544,6 +610,32 @@ def ratings_files(draw):
     if draw(st.booleans()):
         text = text[: -len(ends[-1])]  # no line end after the last line
     return text, delimiter, draw(st.booleans())
+
+
+@st.composite
+def prepared_dirs(draw):
+    """The files of a prepared directory: well-formed id maps and manifest,
+    and three rating files whose lines are mostly well formed."""
+    pool = draw(st.lists(st.sampled_from(IDS), min_size=2, max_size=8, unique=True))
+    users, items = pool[: len(pool) // 2], pool[len(pool) // 2:]
+    files = {"users.txt": "\n".join(users) + "\n\n", "items.txt": "  \n" + "\n".join(items) + "\n",
+             "manifest.txt": "seed: 1\nfractions: 0.6/0.1/0.3\nrating_threshold: 4.0\n"}
+    for fname in dt._SPLIT_FILES.values():
+        lines = []
+        for _ in range(draw(st.integers(0, 10))):
+            if draw(st.integers(0, 9)) == 0:
+                lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+                continue
+            fields = [draw(st.sampled_from(users * 8 + ["nowhere", "u1 "])),
+                      draw(st.sampled_from(items * 8 + ["nowhere", "ü2"])),
+                      draw(st.sampled_from([repr(v) for v in GOOD_VALUES] * 8 + BAD_RATINGS))]
+            if draw(st.integers(0, 19)) == 0:
+                fields = fields[:2] if draw(st.booleans()) else fields + ["881250949"]
+            pad = draw(st.sampled_from(["", "", "", " ", "\t"]))
+            lines.append(pad + "\t".join(fields) + pad)
+        ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+        files[fname] = "".join(line + end for line, end in zip(lines, ends))
+    return files
 
 
 class TestPerLineReferences:
@@ -578,3 +670,22 @@ class TestPerLineReferences:
             for part, fname in dt._SPLIT_FILES.items():
                 with open(os.path.join(tmp, fname), "rb") as fh:
                     assert fh.read() == reference_split_file(getattr(ds, part)), fname
+
+    @given(prepared_dirs())
+    @settings(max_examples=300, deadline=None)
+    def test_load_split_matches_the_reference_reader(self, files):
+        with tempfile.TemporaryDirectory() as tmp:
+            for fname, text in files.items():
+                with open(os.path.join(tmp, fname), "wb") as fh:
+                    fh.write(text.encode("utf-8"))
+            try:
+                expected = reference_read_split(tmp)
+            except DataError as exc:
+                with pytest.raises(DataError) as got:
+                    dt.load_split(tmp)
+                assert str(got.value) == str(exc)
+                return
+            ds = dt.load_split(tmp)
+        parts = [getattr(ds, part).ratings for part in dt._SPLIT_FILES]
+        assert (ds.train.user_ids, ds.train.item_ids,
+                [list(zip(c.rows.tolist(), c.cols.tolist(), c.values.tolist())) for c in parts]) == expected

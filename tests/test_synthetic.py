@@ -1,5 +1,10 @@
 """The genre world, built one user at a time, against the plain per-rating
-loop it must reproduce value for value; the planted world's size check."""
+loop it must reproduce value for value; the planted world's size check; the
+bytes each world writes."""
+
+import hashlib
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,3 +94,24 @@ class TestPlantedWorld:
         assert exc.value.code == 2
         assert "error: --items: need at least one item per channel (5), got 2 items" in capsys.readouterr().err
         assert not (tmp_path / "w").exists()
+
+
+# sha256 of the files SyntheticData.write makes for two small worlds, taken
+# when write still formatted and wrote each rating line on its own
+WRITTEN_SHA256 = {
+    "genre world": (synthetic.genre_world_data, dict(n_users=60, n_items=90, seed=4), {
+        "ratings.tsv": "8f4657c6f4a2939fb095be1fb5b536c86bb82c2d02117b021bd1ad15d8df9213",
+        "genres.txt": "c14359ea53ffa1237f280767679f9ba5f32e15ad25ab09569803f87749103a4f",
+    }),
+    "planted world": (synthetic.planted_channel_data, dict(n_users=50, n_items=40, n_channels=4, seed=2), {
+        "ratings.tsv": "4244ef001fc22dd9649c4416704763f7ccf45ba0ba316d5f56b4d4bce2dbafa1",
+        "genres.txt": "42cfa2b065381d0b5195f4fb5cbc0eed1a78033a3f780158f47c95430e1b56a9",
+    }),
+}
+
+
+@pytest.mark.parametrize("world", WRITTEN_SHA256)
+def test_written_bytes_are_pinned(tmp_path, world):
+    make, kwargs, digests = WRITTEN_SHA256[world]
+    paths = make(**kwargs).write(str(tmp_path))
+    assert {os.path.basename(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths} == digests
